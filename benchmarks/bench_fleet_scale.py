@@ -4,31 +4,32 @@ The paper's regime is thousands of service instances monitored
 *continuously*; ``Fleet.advance_window`` steps them serially and every
 detection pass re-sweeps the world, so a production-scale week is
 wall-clock bound in one Python process.  This bench drives the same
-simulated week through three execution planes and records the results
-in ``BENCH_fleet_scale.json``:
+simulated week through two execution planes and records the results in
+``BENCH_fleet_scale.json``:
 
 * **single process** — advance serially, then snapshot + profile +
   ``scan_fleet`` every window (the batch sweep the paper starts from);
-* **sharded, batch mode** — advance in worker processes, ship every
-  instance's full pickled snapshot back each window, scan parent-side;
-* **sharded, streaming mode** — workers ship per-goroutine deltas once
-  and O(1) stat rows via shared memory; the parent's online scorer
-  answers each window's suspect query with **zero** wire traffic.
+* **sharded** — workers ship per-goroutine deltas once plus one
+  compressed block of O(1) stat rows per reply; the parent's online
+  scorer answers each window's suspect query with **zero** wire
+  traffic.  Run in lockstep at 1, 2 and ``SHARDS`` shards, and with
+  free-running (watermarked async) windows at 2 shards.
 
 Four assertions gate the result:
 
 * **determinism** — ``ServiceSample`` histories, the per-window suspect
   lists, and the final LeakProf daily run must be byte-identical to the
-  single-process reference for 1-, 2- and ``SHARDS``-shard streaming
-  runs and for the batch run.  Parallelism that changed a single sample
-  would be a wrong answer delivered faster.  This gate always applies.
-* **speedup** — the ``SHARDS``-shard streaming run must beat serial by
+  single-process reference for the 1-, 2- and ``SHARDS``-shard lockstep
+  runs; the async run's histories and final daily run must be too.
+  Parallelism that changed a single sample would be a wrong answer
+  delivered faster.  This gate always applies.
+* **speedup** — the ``SHARDS``-shard lockstep run must beat serial by
   ``FLEET_SCALE_MIN_SPEEDUP`` (default 2.5x).  Enforced only when the
   machine exposes at least ``SHARDS`` CPUs — parallel speedup is a
   hardware property, and a 1-CPU container can only time-slice; the
   JSON records ``cpus`` and ``min_speedup_enforced`` so every number is
   interpretable.
-* **protocol overhead** — a 1-shard streaming run must cost at most
+* **protocol overhead** — a 1-shard lockstep run must cost at most
   ``FLEET_SCALE_MAX_PROTOCOL_OVERHEAD`` (default 1.05x) of serial,
   measured in **CPU seconds** (worker compute reported at ``stop`` +
   parent compute over the window loop, against serial's process time).
@@ -37,23 +38,13 @@ Four assertions gate the result:
   *always* enforceable, on any host: wall-clock ratios on a loaded
   shared machine swing +/-15% from scheduler contention alone, CPU
   ratios don't.
-* **wire economy** — streaming must move fewer than
-  ``FLEET_SCALE_MAX_BYTES_RATIO`` (default 25%) of the bytes-per-window
-  the batch plane ships.  Deltas that silently grew back into full
-  snapshots would still be "correct", just pointless.
-* **sweep throughput** — the parent's vectorized stat-plane sweep
-  (``shm.sweep_plane``: one bytes grab, ``array``-column watermark
-  validation, one ``RowCache`` publication, plus the ``memoryview``-cast
-  sample-column extraction every window consumes) must beat the per-key
-  legacy loop (per-slot ``read_row``, a deferred ``stats_from_row``
-  closure, five mirror attribute writes) by
-  ``FLEET_SCALE_MIN_SWEEP_SPEEDUP`` (default 2x) at
-  ``FLEET_SCALE_SWEEP_INSTANCES`` (default 10 000) instances.  Pure
-  parent-side CPU work on synthetic rows — enforceable on any host.
-  Views and mirrors read through the published cache lazily, so their
-  cost moves out of the sweep to the (sparse) queries that need them;
-  the equivalence assert below checks a cache-bound view materializes
-  the same stats the eager legacy loop produced.
+* **wire economy** — the ``SHARDS``-shard run must move fewer than
+  ``FLEET_SCALE_MAX_BYTES_RATIO`` (default 25%) of the bytes a window's
+  full snapshots take pickled (``snapshot_instance`` over every
+  instance, measured in the serial run, outside its timer) — what
+  shipping whole snapshots back each window would cost.  Deltas that
+  silently grew back into full snapshots would still be "correct",
+  just pointless.
 
 CI runs a reduced size via the ``FLEET_SCALE_*`` environment knobs (see
 .github/workflows/ci.yml); the committed JSON is from a full run.
@@ -63,6 +54,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import time
 
 from repro.fleet import (
@@ -94,10 +86,11 @@ MIN_SPEEDUP = float(os.environ.get("FLEET_SCALE_MIN_SPEEDUP", "2.5"))
 MAX_PROTOCOL_OVERHEAD = float(
     os.environ.get("FLEET_SCALE_MAX_PROTOCOL_OVERHEAD", "1.05")
 )
-#: Streaming bytes-per-window must stay under this fraction of batch.
+#: Sharded bytes-per-window must stay under this fraction of a window's
+#: pickled full snapshots.
 MAX_BYTES_RATIO = float(os.environ.get("FLEET_SCALE_MAX_BYTES_RATIO", "0.25"))
 #: The runs feeding *enforced ratios* (serial, 1-shard and
-#: ``SHARDS``-shard streaming) are timed per-window best-of-N: the
+#: ``SHARDS``-shard lockstep) are timed per-window best-of-N: the
 #: simulated week is deterministic, so repeat wall-clocks differ only
 #: by scheduler noise, and the elementwise-minimum window profile is
 #: the robust estimator — a single whole-run timing on a shared host
@@ -148,43 +141,47 @@ def _configs():
     return configs
 
 
-def _run_single():
-    """Serial advance + a full snapshot/profile/scan sweep per window."""
+def _run_single(measure_bytes: bool = False):
+    """Serial advance + a full snapshot/profile/scan sweep per window.
+
+    ``measure_bytes`` also pickles each window's snapshot list, after
+    the window's timers stop: the wire-economy gate's denominator.
+    """
     fleet = Fleet()
     for config, seed in _configs():
         fleet.add(Service(config, seed=seed))
     per_window = []
     window_times = []
+    snapshot_bytes = []
+    cpu_seconds = 0.0
     # Collect the previous run's fleet graph now, not mid-measurement:
     # 2k runtimes of cyclic garbage reaped inside the timed region is
     # a large source of run-to-run ratio noise.
     gc.collect()
-    cpu_start = time.process_time()
     for _ in range(WINDOWS):
+        cpu_start = time.process_time()
         start = time.perf_counter()
         fleet.advance_window(WINDOW)
-        profiles = [
-            snapshot_instance(inst).profile()
-            for inst in fleet.all_instances()
-        ]
-        per_window.append(scan_fleet(profiles, threshold=THRESHOLD))
+        snaps = [snapshot_instance(inst) for inst in fleet.all_instances()]
+        per_window.append(
+            scan_fleet([snap.profile() for snap in snaps], threshold=THRESHOLD)
+        )
         window_times.append(time.perf_counter() - start)
-    cpu_seconds = time.process_time() - cpu_start
+        cpu_seconds += time.process_time() - cpu_start
+        if measure_bytes:
+            snapshot_bytes.append(len(pickle.dumps(snaps)))
     result = LeakProf(threshold=THRESHOLD).daily_run(
         fleet.all_instances(), now=1.0
     )
     histories = {name: svc.history for name, svc in fleet.services.items()}
-    return window_times, cpu_seconds, per_window, histories, result
+    return (window_times, cpu_seconds, per_window, histories, result,
+            snapshot_bytes)
 
 
-def _run_sharded(shards: int, mode: str):
-    """Sharded advance + one suspect query per window.
-
-    Streaming answers the query from the parent's online scorer (no
-    wire traffic); batch ships every full snapshot back and scans.
-    """
+def _run_sharded(shards: int):
+    """Sharded lockstep advance + one online suspect query per window."""
     gc.collect()  # keep prior runs' garbage out of the forked workers
-    with ShardedFleet(shards=shards, mode=mode) as fleet:
+    with ShardedFleet(shards=shards) as fleet:
         for config, seed in _configs():
             fleet.add_service(config, seed=seed)
         fleet.start()  # worker launch + instance build: not timed, same
@@ -196,13 +193,7 @@ def _run_sharded(shards: int, mode: str):
         for _ in range(WINDOWS):
             start = time.perf_counter()
             fleet.advance_window(WINDOW)
-            if mode == "streaming":
-                per_window.append(fleet.suspects(threshold=THRESHOLD))
-            else:
-                per_window.append(scan_fleet(
-                    [s.profile() for s in fleet.snapshots()],
-                    threshold=THRESHOLD,
-                ))
+            per_window.append(fleet.suspects(threshold=THRESHOLD))
             window_times.append(time.perf_counter() - start)
         parent_cpu = time.process_time() - parent_cpu_start
         result = LeakProf(threshold=THRESHOLD).daily_run(
@@ -225,199 +216,47 @@ def _run_sharded(shards: int, mode: str):
     return run
 
 
+def _run_async(shards: int):
+    """The same week with shards free-running (``run_days_async``).
+
+    Histories and the final daily run only: the suspect set is checked
+    per watermark step by the streaming property suites.
+    """
+    gc.collect()
+    with ShardedFleet(shards=shards) as fleet:
+        for config, seed in _configs():
+            fleet.add_service(config, seed=seed)
+        fleet.start()
+        fleet.run_days_async(WINDOWS * WINDOW / 86_400.0, window=WINDOW)
+        return {
+            "histories": {
+                name: svc.history for name, svc in fleet.services.items()
+            },
+            "result": LeakProf(threshold=THRESHOLD).daily_run(
+                fleet.snapshots(), now=1.0
+            ),
+            "bytes_per_window": fleet.wire_bytes_total / WINDOWS,
+        }
+
+
 def _min_profile(best, times):
     return times if best is None else [min(a, b) for a, b in zip(best, times)]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized stat-plane sweep vs the per-key legacy loop
-
-#: Synthetic-plane size for the sweep micro-benchmark (the paper's
-#: fleet regime: 10k+ instances swept every window).
-SWEEP_INSTANCES = int(os.environ.get("FLEET_SCALE_SWEEP_INSTANCES", "10000"))
-MIN_SWEEP_SPEEDUP = float(
-    os.environ.get("FLEET_SCALE_MIN_SWEEP_SPEEDUP", "2.0")
-)
-SWEEP_REPEATS = int(os.environ.get("FLEET_SCALE_SWEEP_REPEATS", "5"))
-
-#: Filled by test_stat_sweep_vectorized, merged into the single
-#: BENCH_fleet_scale.json emit by test_fleet_scale_sharding.
-_SWEEP: dict = {}
-
-
-class _LegacyView:
-    """PR-9 ``InstanceView`` stat surface: a deferred-stats thunk."""
-
-    __slots__ = ("stats", "_lazy")
-
-    def __init__(self):
-        self.stats = None
-        self._lazy = None
-
-    def defer_stats(self, thunk):
-        self.stats = None
-        self._lazy = thunk
-
-
-class _LegacyMirror:
-    """PR-9 ``_InstanceMirror`` stat surface: five attribute stores."""
-
-    __slots__ = ("t", "cpu_percent", "rss_bytes", "blocked", "goroutines")
-
-    def __init__(self):
-        self.t = 0.0
-        self.cpu_percent = 0.0
-        self.rss_bytes = 0
-        self.blocked = 0
-        self.goroutines = 0
-
-
-def _legacy_sweep(plane, views, mirrors, count):
-    """The per-key loop the parent ran before vectorization: one
-    ``read_row`` struct unpack per slot, a ``stats_from_row`` closure,
-    and five mirror attribute writes."""
-    from repro.fleet.shm import stats_from_row
-
-    read_row = plane.read_row
-    for slot in range(count):
-        row = read_row(slot)
-        views[slot].defer_stats(lambda row=row: stats_from_row(row))
-        mirror = mirrors[slot]
-        mirror.t = row[2]
-        mirror.cpu_percent = row[3]
-        mirror.rss_bytes = row[4]
-        mirror.blocked = row[5]
-        mirror.goroutines = row[6]
-
-
-def _vectorized_sweep(plane, cache, count, window, shard_col, attached):
-    """What ``ShardedFleet._finish_sweep`` + ``_sample`` run per window:
-    one ``sweep_plane`` (bytes grab + ``array`` column validation + cache
-    publication) and the ``memoryview``-cast sample-column extraction."""
-    from repro.fleet.shm import sweep_plane
-
-    cache.begin()
-    sweep_plane(plane, count, cache, window, shard_col, attached)
-    cache.sample_columns(count)
-
-
-def _measure_sweep():
-    from array import array
-
-    from repro.fleet.shm import RowCache, StatPlane
-    from repro.snapshot.delta import InstanceStats, InstanceView
-
-    count = SWEEP_INSTANCES
-    plane = StatPlane.create(count)
-    assert plane is not None, "shared memory unavailable; sweep bench moot"
-    try:
-        window = 7
-        shard_col = array("q", (slot % 4 for slot in range(count)))
-        attached = [True] * 4
-        for slot in range(count):
-            plane.write(
-                slot,
-                InstanceStats(
-                    t=float(window) * WINDOW,
-                    rss_bytes=64 * 1024 * 1024 + slot,
-                    blocked=slot % 11,
-                    cpu_percent=3.5,
-                    goroutines=5 + slot % 7,
-                    requests_window=1,
-                    requests_total=window,
-                    steps=100 + slot,
-                    windows=window,
-                    census=(("sleeping", 4), ("blocked_recv", slot % 11)),
-                ),
-                shard=slot % 4,
-                window=window,
-            )
-        legacy_views = [_LegacyView() for _ in range(count)]
-        mirrors = [_LegacyMirror() for _ in range(count)]
-        cache = RowCache()
-        views = []
-        for slot in range(count):
-            view = InstanceView("svc", slot, f"svc/i-{slot}", 0)
-            view.bind_cache(cache, slot)
-            views.append(view)
-        legacy_s = vector_s = None
-        gc.collect()
-        for _ in range(SWEEP_REPEATS):
-            start = time.perf_counter()
-            _legacy_sweep(plane, legacy_views, mirrors, count)
-            elapsed = time.perf_counter() - start
-            legacy_s = elapsed if legacy_s is None else min(legacy_s, elapsed)
-            start = time.perf_counter()
-            _vectorized_sweep(plane, cache, count, window, shard_col, attached)
-            elapsed = time.perf_counter() - start
-            vector_s = elapsed if vector_s is None else min(vector_s, elapsed)
-        # Both sweeps must surface the same state: a cache-bound view
-        # (lazy read-through) materializes the stats the eager legacy
-        # loop produced, and the sample columns match the mirrors.
-        assert cache.epoch == SWEEP_REPEATS and not cache.overrides
-        assert views[17].stats == legacy_views[17]._lazy()
-        ts, cpu, rss, blocked, goroutines = cache.sample_columns(count)
-        probe = count // 2
-        assert (
-            ts[probe], cpu[probe], rss[probe],
-            blocked[probe], goroutines[probe],
-        ) == (
-            mirrors[probe].t, mirrors[probe].cpu_percent,
-            mirrors[probe].rss_bytes, mirrors[probe].blocked,
-            mirrors[probe].goroutines,
-        )
-    finally:
-        plane.close()
-    return {
-        "sweep_instances": count,
-        "sweep_speedup": round(legacy_s / vector_s, 2),
-        "min_sweep_speedup": MIN_SWEEP_SPEEDUP,
-        "sweep_legacy_ms": round(legacy_s * 1e3, 3),
-        "sweep_vectorized_ms": round(vector_s * 1e3, 3),
-    }
-
-
-def test_stat_sweep_vectorized():
-    """Gate: columnar sweep_plane ≥2x the per-key legacy sweep."""
-    _SWEEP.update(_measure_sweep())
-    print_table(
-        f"Stat-plane sweep at {_SWEEP['sweep_instances']} instances "
-        f"(best of {SWEEP_REPEATS})",
-        ["sweep", "per pass", "notes"],
-        [
-            (
-                "legacy per-key loop",
-                f"{_SWEEP['sweep_legacy_ms']:.2f}ms",
-                "read_row + closure + 5 attr writes",
-            ),
-            (
-                "vectorized sweep_plane",
-                f"{_SWEEP['sweep_vectorized_ms']:.2f}ms",
-                "array column validate + publish + sample cols",
-            ),
-            ("speedup", f"{_SWEEP['sweep_speedup']:.2f}x", ""),
-        ],
-    )
-    assert _SWEEP["sweep_speedup"] >= MIN_SWEEP_SPEEDUP, (
-        f"vectorized sweep only {_SWEEP['sweep_speedup']:.2f}x the "
-        f"per-key loop (< {MIN_SWEEP_SPEEDUP}x) at "
-        f"{_SWEEP['sweep_instances']} instances"
-    )
 
 
 def test_fleet_scale_sharding():
     total = max(1, INSTANCES // N_SERVICES) * N_SERVICES
 
-    # Repeats are *interleaved* (serial, streaming, serial, streaming,
-    # ...), not batched per plane: host load varies on minute scales,
-    # and measuring one plane's repeats back-to-back would let a single
+    # Repeats are *interleaved* (serial, sharded, serial, sharded, ...),
+    # not batched per plane: host load varies on minute scales, and
+    # measuring one plane's repeats back-to-back would let a single
     # load epoch systematically penalize one side of every enforced
     # ratio.  Results are asserted identical across repeats, so only
     # the first repeat's are kept.
     single_times = None
     single_cpu = None
     single_pw = single_hist = single_run = None
-    streaming = {}
+    snapshot_bytes = None
+    lockstep = {}
     # The overhead ratio is sampled per repeat from *adjacent* runs (this
     # repeat's serial CPU against this repeat's 1-shard CPU): even CPU
     # seconds inflate on an oversubscribed host (steal accounting, cache
@@ -427,34 +266,36 @@ def test_fleet_scale_sharding():
     # would pair measurements taken under different load.
     overhead_samples = []
     for repeat in range(TIMING_REPEATS):
-        times, cpu, pw, hist, run = _run_single()
+        times, cpu, pw, hist, run, sizes = _run_single(
+            measure_bytes=repeat == 0
+        )
         single_times = _min_profile(single_times, times)
         single_cpu = cpu if single_cpu is None else min(single_cpu, cpu)
         if repeat == 0:
             single_pw, single_hist, single_run = pw, hist, run
+            snapshot_bytes = sum(sizes) / WINDOWS
         for shards in sorted({1, 2, SHARDS}):
             if repeat == 0:
-                streaming[shards] = _run_sharded(shards, "streaming")
+                lockstep[shards] = _run_sharded(shards)
                 if shards == 1:
                     overhead_samples.append(
-                        streaming[1]["cpu_seconds"] / cpu
+                        lockstep[1]["cpu_seconds"] / cpu
                     )
             elif shards in (1, SHARDS):  # only enforced-ratio runs repeat
-                again = _run_sharded(shards, "streaming")
-                streaming[shards]["window_times"] = _min_profile(
-                    streaming[shards]["window_times"],
+                again = _run_sharded(shards)
+                lockstep[shards]["window_times"] = _min_profile(
+                    lockstep[shards]["window_times"],
                     again["window_times"],
                 )
-                streaming[shards]["cpu_seconds"] = min(
-                    streaming[shards]["cpu_seconds"], again["cpu_seconds"]
+                lockstep[shards]["cpu_seconds"] = min(
+                    lockstep[shards]["cpu_seconds"], again["cpu_seconds"]
                 )
                 if shards == 1:
                     overhead_samples.append(again["cpu_seconds"] / cpu)
     single_s = sum(single_times)
-    for run in streaming.values():
+    for run in lockstep.values():
         run["seconds"] = sum(run["window_times"])
-    batch = _run_sharded(SHARDS, "batch")
-    batch["seconds"] = sum(batch["window_times"])
+    async_run = _run_async(2)
 
     def _parity(run):
         return (
@@ -465,42 +306,46 @@ def test_fleet_scale_sharding():
         )
 
     parity_by_shards = {
-        str(shards): _parity(run) for shards, run in streaming.items()
+        str(shards): _parity(run) for shards, run in lockstep.items()
     }
-    batch_parity = _parity(batch)
+    async_parity = (
+        async_run["histories"] == single_hist
+        and async_run["result"].suspects == single_run.suspects
+        and async_run["result"].sweep_stats == single_run.sweep_stats
+    )
 
-    speedup = single_s / streaming[SHARDS]["seconds"]
+    speedup = single_s / lockstep[SHARDS]["seconds"]
     # CPU seconds, not wall-clock, best paired sample of N: the overhead
     # gate is a claim about software work, and the simulated week is
     # deterministic — repeats differ only by what the host did to them.
     protocol_overhead = min(overhead_samples)
-    bytes_ratio = (
-        streaming[SHARDS]["bytes_per_window"] / batch["bytes_per_window"]
-    )
+    bytes_ratio = lockstep[SHARDS]["bytes_per_window"] / snapshot_bytes
 
     rows = [
         (
             "single process",
             f"{single_s:.2f}s",
-            "0",
+            f"({snapshot_bytes / 1024:.0f} KiB pickled)",
             "reference",
         ),
-        (
-            f"{SHARDS}-shard batch",
-            f"{batch['seconds']:.2f}s",
-            f"{batch['bytes_per_window'] / 1024:.0f} KiB",
-            "identical" if batch_parity else "DIVERGED",
-        ),
     ]
-    for shards, run in streaming.items():
+    for shards, run in lockstep.items():
         rows.append(
             (
-                f"{shards}-shard streaming",
+                f"{shards}-shard lockstep",
                 f"{run['seconds']:.2f}s",
-                f"{run['bytes_per_window'] / 1024:.0f} KiB",
+                f"{run['bytes_per_window'] / 1024:.1f} KiB",
                 "identical" if parity_by_shards[str(shards)] else "DIVERGED",
             )
         )
+    rows.append(
+        (
+            "2-shard async",
+            "",
+            f"{async_run['bytes_per_window'] / 1024:.1f} KiB",
+            "identical" if async_parity else "DIVERGED",
+        )
+    )
     rows.append(("speedup", f"{speedup:.2f}x", "", f"on {CPUS} CPU(s)"))
     rows.append(
         (
@@ -511,7 +356,7 @@ def test_fleet_scale_sharding():
         )
     )
     rows.append(
-        ("streaming/batch bytes", f"{bytes_ratio:.1%}", "", "per window")
+        ("sharded/snapshot bytes", f"{bytes_ratio:.1%}", "", "per window")
     )
     print_table(
         f"Fleet scale-out: {total} instances x {WINDOWS} windows, "
@@ -520,9 +365,6 @@ def test_fleet_scale_sharding():
         rows,
     )
 
-    suspects_identical = (
-        all(parity_by_shards.values()) and batch_parity
-    )
     emit(
         "fleet_scale",
         metric="sharded_speedup",
@@ -539,45 +381,46 @@ def test_fleet_scale_sharding():
         protocol_overhead_1shard=round(protocol_overhead, 3),
         max_protocol_overhead=MAX_PROTOCOL_OVERHEAD,
         single_process_seconds=round(single_s, 3),
-        sharded_seconds=round(streaming[SHARDS]["seconds"], 3),
-        batch_seconds=round(batch["seconds"], 3),
+        sharded_seconds=round(lockstep[SHARDS]["seconds"], 3),
         single_process_cpu_seconds=round(single_cpu, 3),
-        streaming_1shard_cpu_seconds=round(
-            streaming[1]["cpu_seconds"], 3
+        lockstep_1shard_cpu_seconds=round(
+            lockstep[1]["cpu_seconds"], 3
         ),
         protocol_overhead_samples=[
             round(sample, 3) for sample in overhead_samples
         ],
         bytes_per_window={
-            "batch": round(batch["bytes_per_window"]),
+            "snapshot_pickle": round(snapshot_bytes),
             **{
-                f"streaming_{shards}shard": round(run["bytes_per_window"])
-                for shards, run in streaming.items()
+                f"lockstep_{shards}shard": round(run["bytes_per_window"])
+                for shards, run in lockstep.items()
             },
+            "async_2shard": round(async_run["bytes_per_window"]),
         },
-        bytes_ratio_streaming_vs_batch=round(bytes_ratio, 4),
+        bytes_ratio_vs_snapshot_pickle=round(bytes_ratio, 4),
         max_bytes_ratio=MAX_BYTES_RATIO,
         histories_identical=all(
-            run["histories"] == single_hist for run in streaming.values()
+            run["histories"] == single_hist for run in lockstep.values()
         )
-        and batch["histories"] == single_hist,
-        leakprof_suspects_identical=suspects_identical,
+        and async_run["histories"] == single_hist,
+        leakprof_suspects_identical=(
+            all(parity_by_shards.values()) and async_parity
+        ),
         parity_by_shards=parity_by_shards,
+        parity_async_2shard=async_parity,
         leak_suspects=len(single_run.suspects),
-        # sweep micro-bench fields (measured by test_stat_sweep_vectorized
-        # just above; re-measured here if this test runs alone)
-        **(_SWEEP or _measure_sweep()),
     )
 
-    for shards, run in streaming.items():
+    for shards, run in lockstep.items():
         assert parity_by_shards[str(shards)], (
-            f"{shards}-shard streaming run diverged from serial"
+            f"{shards}-shard lockstep run diverged from serial"
         )
-    assert batch_parity, "batch-mode run diverged from serial"
+    assert async_parity, "2-shard async run diverged from serial"
     assert single_run.suspects, "the leaky service produced no suspects"
     assert bytes_ratio < MAX_BYTES_RATIO, (
-        f"streaming ships {bytes_ratio:.1%} of batch bytes per window "
-        f"(>= {MAX_BYTES_RATIO:.0%}) — the delta plane stopped paying"
+        f"sharded run ships {bytes_ratio:.1%} of a window's pickled "
+        f"snapshots (>= {MAX_BYTES_RATIO:.0%}) — the delta plane stopped "
+        f"paying"
     )
     assert protocol_overhead <= MAX_PROTOCOL_OVERHEAD, (
         f"shard boundary costs {protocol_overhead:.2f}x serial "

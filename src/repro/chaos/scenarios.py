@@ -223,7 +223,6 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
         shards=2,
         chaos=ShardChaos(schedule),
         worker_deadline=10.0,
-        mode="streaming",
         checkpoint_every=checkpoint_every,
     )
     for config, svc_seed in _fleet_configs():
@@ -316,7 +315,6 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
         shards=2,
         chaos=ShardChaos(schedule),
         worker_deadline=10.0,
-        mode="streaming",
     )
     for config, svc_seed in _fleet_configs():
         fleet.add_service(config, seed=svc_seed + seed)

@@ -16,7 +16,6 @@ from .deployment import (
 )
 from .service import InstanceMetrics, ServiceInstance, WINDOW_SECONDS
 from .shard import ShardedFleet, ShardedService
-from .shm import StatPlane
 from .workload import Handler, RequestMix, TrafficShape
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ServiceInstance",
     "ShardedFleet",
     "ShardedService",
-    "StatPlane",
     "TrafficShape",
     "WINDOW_SECONDS",
     "aggregate_sample",

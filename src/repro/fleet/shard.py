@@ -8,29 +8,24 @@ consumes :mod:`repro.snapshot` objects instead of live runtimes,
 instances are free to live anywhere.
 
 :class:`ShardedFleet` partitions a fleet's instances across N worker
-processes.  What comes back depends on the shipping mode:
-
-* ``mode="streaming"`` (default) — the continuous-detection plane.
-  Workers ship **delta snapshots**: only the goroutine records dirtied
-  since the last ship plus tombstones for finished ones
-  (:mod:`repro.snapshot.delta`); the O(1) counters ride a
-  **shared-memory stat plane** (:mod:`repro.fleet.shm`) instead of the
-  pipe; the parent folds deltas into per-instance materialized views
-  (``snapshots()`` never touches a worker) and into an **online suspect
-  scorer** (:mod:`repro.leakprof.streaming`) whose suspect sets are
-  batch-scan identical.  ``resync_every`` adds a periodic anti-entropy
-  full reship; ``checkpoint_every`` bounds crash-replay cost (below).
-* ``mode="batch"`` — the legacy protocol: per-window O(1) stat rows and
-  on-demand full pickled :class:`InstanceSnapshot` batches.
-
-Deploys, partial deploys, and remedy rollouts travel to the owning
-shards as commands in either mode.
+processes.  Workers ship **delta snapshots**: only the goroutine records
+dirtied since the last ship plus tombstones for finished ones
+(:mod:`repro.snapshot.delta`).  The O(1) counters of every instance a
+command touched ride the same reply as one compressed, slot-ordered
+**stat block** of packed rows.  The parent folds deltas into
+per-instance materialized views (``snapshots()`` never touches a worker)
+and into an **online suspect scorer** (:mod:`repro.leakprof.streaming`)
+whose suspect sets are batch-scan identical, and copies stat blocks into
+one committed row buffer that views, mirrors, and histories read.
+``resync_every`` adds a periodic anti-entropy full reship;
+``checkpoint_every`` bounds crash-replay cost (below).  Deploys, partial
+deploys, and remedy rollouts travel to the owning shards as commands.
 
 Asynchronous windows and the fleet watermark
 --------------------------------------------
-Streaming shards are not bound to lockstep.  Every worker keeps a
+Shards are not bound to lockstep.  Every worker keeps a
 ``window_seq`` counter, bumps it on each ``advance`` command, and tags
-both its delta replies and its shared-memory stat rows with the
+its delta replies (and every stat row in them) with the
 ``(shard, window)`` watermark.  The parent buffers out-of-phase replies
 per shard, tracks each shard's watermark, and *commits* windows in
 order once every shard has reached them: the **fleet watermark**
@@ -75,7 +70,7 @@ seeds depend only on (service seed, deploy generation, index) — never on
 shard topology.  The parent re-aggregates per-window samples in index
 order with exactly the arithmetic ``Service.advance_window`` uses, so
 for a fixed seed the ``ServiceSample`` histories of a 1-shard, N-shard,
-and single-process run are byte-identical in both modes (tested
+and single-process run are byte-identical (tested
 property-style in ``tests/test_sharded_fleet.py``), and a streaming
 view materializes the same bytes ``snapshot_instance`` would produce
 against the live instance (``tests/test_streaming_delta.py``).
@@ -95,9 +90,9 @@ windows it had already seen, so the respawned shard's state — and
 therefore the fleet's ``ServiceSample`` history — is byte-identical to
 a run where the worker never died.  The in-flight command is the
 journal's last entry (or is re-sent, if it was a read), so no window
-and no snapshot request is ever lost.  Delta application is idempotent
-and watermark-guarded, so a replayed window folding into an
-already-current view changes nothing.
+and no resync or checkpoint request is ever lost.  Delta application
+is idempotent and watermark-guarded, so a replayed window folding into
+an already-current view changes nothing.
 
 Checkpointing bounds the replay: every ``checkpoint_every`` full-fleet
 windows the parent asks each worker to serialize its instances
@@ -121,20 +116,26 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from array import array
+import zlib
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.registry import monotonic as _monotonic
-from repro.snapshot import InstanceSnapshot, snapshot_instance
+from repro.snapshot import InstanceSnapshot
 from repro.snapshot.delta import (
+    F_BLOCKED,
+    F_CPU,
+    F_GOROUTINES,
+    F_RSS,
+    F_T,
+    ROW_BYTES,
     DeltaTracker,
-    InstanceStats,
     InstanceView,
+    RowCache,
     WireDelta,
-    instance_stats,
+    pack_row,
 )
 
 from .checkpoint import (
@@ -145,18 +146,6 @@ from .checkpoint import (
 from .deployment import ServiceConfig, ServiceSample
 from .determinism import aggregate_sample, build_instance as _build_instance
 from .service import ServiceInstance, WINDOW_SECONDS
-from .shm import (
-    F_BLOCKED,
-    F_CPU,
-    F_GOROUTINES,
-    F_RSS,
-    F_T,
-    RowCache,
-    StatPlane,
-    raw_from_stats,
-    row_head,
-    sweep_plane,
-)
 from .workload import RequestMix
 
 # _build_instance is repro.fleet.determinism.build_instance — the same
@@ -165,27 +154,8 @@ from .workload import RequestMix
 # inline by a single-process ``Service``; no copy to keep in sync.
 
 
-#: One instance's O(1) stats, shipped from a shard after a command.
-#: A plain tuple, not a dataclass: at 5k instances × a window per
-#: command, (un)pickling dominates the boundary cost and tuples of
-#: primitives are the cheapest thing the pickle protocol knows.
-#: Layout: (service, index, t, rss_bytes, blocked, cpu_percent, goroutines)
-_Row = Tuple[str, int, float, int, int, float, int]
-
-#: Commands whose streaming replies carry delta payloads (metric scope).
+#: Commands whose replies carry delta payloads and a stat block.
 _DELTA_COMMANDS = frozenset({"init", "advance", "restart", "resync"})
-
-
-def _stats_row(service: str, index: int, inst: ServiceInstance) -> _Row:
-    return (
-        service,
-        index,
-        inst.runtime.now,
-        inst.rss(),
-        inst.leaked_goroutines(),
-        inst.cpu_utilization(),
-        inst.runtime.num_goroutines,
-    )
 
 
 def _shard_worker(conn) -> None:
@@ -195,17 +165,12 @@ def _shard_worker(conn) -> None:
     ``(kind, payload)`` tuple.  Per shard the exchange is strictly
     sequential, so a broadcast can send to every worker first and then
     collect, overlapping their compute — and shards need not be in
-    phase with each other: each reply (and each shared-memory stat row
-    this worker writes) is tagged with this worker's ``window_seq``
-    watermark.  The reply is also the shared-memory barrier: a worker
-    finishes its in-place stat writes before sending the reply the
-    parent blocks on, so the parent never reads a torn row.
+    phase with each other: each reply (and each stat row in it) is
+    tagged with this worker's ``window_seq`` watermark.
     """
     instances: Dict[Tuple[str, int], ServiceInstance] = {}
     order: List[Tuple[str, int]] = []  # service-add order, then index
     trackers: Dict[Tuple[str, int], DeltaTracker] = {}
-    streaming = False
-    plane: Optional[StatPlane] = None
     slots: Dict[Tuple[str, int], int] = {}
     shard_id = 0
     #: Windows this worker has advanced — the shard watermark.  Tagged
@@ -218,16 +183,9 @@ def _shard_worker(conn) -> None:
     cpu_anchor = 0.0
 
     def _apply_meta(meta: Dict[str, Any]) -> None:
-        nonlocal streaming, plane, slots, shard_id
-        streaming = meta.get("mode") == "streaming"
-        slots = meta.get("slots") or {}
-        shard_id = meta.get("shard", 0)
-        if plane is not None:
-            plane.close()
-            plane = None
-        shm_name = meta.get("shm")
-        if streaming and shm_name is not None:
-            plane = StatPlane.attach(shm_name)
+        nonlocal slots, shard_id
+        slots = dict(meta["slots"])
+        shard_id = meta["shard"]
 
     def _track(key: Tuple[str, int], tracker: Optional[DeltaTracker] = None):
         if tracker is None:
@@ -236,46 +194,35 @@ def _shard_worker(conn) -> None:
         instances[key].runtime._delta = tracker
         return tracker
 
-    def _ship(
-        key: Tuple[str, int], full: bool = False, ship_stats: bool = False
-    ) -> Optional[WireDelta]:
-        """One instance's wire delta — or None when the stat plane
-        already says everything (no records, tombstones, or gc change),
-        so the reply need not mention the instance at all.
+    def _delta_reply(keys, full: bool = False):
+        """The reply to a delta command over the instances in ``keys``.
 
-        ``ship_stats`` forces the counter block inline on the wire (and
-        skips the plane write): asynchronous advances run ahead of the
-        fleet watermark, so their stats must ride the buffered reply —
-        the plane row would be overwritten before the window commits.
+        Entries name only instances with something to report (records,
+        tombstones, a gc change, or a full baseline).  Every instance in
+        ``keys`` gets a stat row: the block is their packed rows in slot
+        order, compressed as one buffer (rows of instances in one window
+        repeat heavily).  An instance without a slot is one this worker
+        has since evicted, met only while replaying an old journal whose
+        replies the parent discards.
         """
-        inst = instances[key]
-        slot = slots.get(key)
-        if ship_stats or plane is None or slot is None:
-            wire_stats: Optional[InstanceStats] = instance_stats(inst)
-        else:
-            plane.write_instance(slot, inst, shard_id, window_seq)
-            wire_stats = None
-        flag, records, tombstones = trackers[key].collect(
-            inst.runtime, full=full
-        )
-        gc = trackers[key].gc_state(inst.runtime, full=full)
-        if (
-            wire_stats is None
-            and not flag
-            and not records
-            and not tombstones
-            and gc is None
-        ):
-            return None
-        return (key[0], key[1], flag, records, tombstones, gc, wire_stats)
-
-    def _delta_reply(keys, full: bool = False, ship_stats: bool = False):
-        entries = []
+        entries: List[WireDelta] = []
         for key in keys:
-            entry = _ship(key, full=full, ship_stats=ship_stats)
-            if entry is not None:
-                entries.append(entry)
-        return ("delta", (plane is not None, window_seq, entries))
+            inst = instances[key]
+            tracker = trackers[key]
+            flag, records, tombstones = tracker.collect(
+                inst.runtime, full=full
+            )
+            gc = tracker.gc_state(inst.runtime, full=full)
+            if flag or records or tombstones or gc is not None:
+                entries.append((key[0], key[1], flag, records, tombstones, gc))
+        owned = sorted((slots[key], key) for key in keys if key in slots)
+        block = zlib.compress(b"".join(
+            pack_row(instances[key], shard_id, window_seq)
+            for _slot, key in owned
+        ), 1)
+        return ("delta", (
+            window_seq, tuple(slot for slot, _key in owned), block, entries,
+        ))
 
     try:
         while True:
@@ -292,69 +239,30 @@ def _shard_worker(conn) -> None:
                             config.mix, start_time,
                         )
                         order.append(key)
-                        if streaming:
-                            _track(key)
-                if streaming:
-                    conn.send(_delta_reply(order, full=True))
-                else:
-                    rows = [
-                        _stats_row(svc, idx, instances[(svc, idx)])
-                        for svc, idx in order
-                    ]
-                    conn.send(("rows", rows))
+                        _track(key)
+                conn.send(_delta_reply(order, full=True))
                 cpu_anchor = time.process_time()
             elif cmd == "advance":
                 window, only = msg[1], msg[2]
-                ship_stats = bool(msg[3]) if len(msg) > 3 else False
                 window_seq += 1
-                if streaming:
-                    advanced: List[Tuple[str, int]] = []
-                    for key in order:
-                        if only is not None and key[0] != only:
-                            continue
-                        instances[key].advance_window(window)
-                        advanced.append(key)
-                    conn.send(
-                        _delta_reply(advanced, ship_stats=ship_stats)
-                    )
-                else:
-                    rows = []
-                    for svc, idx in order:
-                        if only is not None and svc != only:
-                            continue
-                        sample = instances[(svc, idx)].advance_window(window)
-                        rows.append(
-                            (
-                                svc,
-                                idx,
-                                sample.t,
-                                sample.rss_bytes,
-                                sample.blocked_goroutines,
-                                sample.cpu_percent,
-                                sample.goroutines,
-                            )
-                        )
-                    conn.send(("rows", rows))
+                advanced: List[Tuple[str, int]] = []
+                for key in order:
+                    if only is not None and key[0] != only:
+                        continue
+                    instances[key].advance_window(window)
+                    advanced.append(key)
+                conn.send(_delta_reply(advanced))
             elif cmd == "restart":
                 _cmd, config, seed, deploy_gen, indices, mix, start_time = msg
                 restarted: List[Tuple[str, int]] = []
                 for index in indices:
                     key = (config.name, index)
-                    inst = _build_instance(
+                    instances[key] = _build_instance(
                         config, seed, deploy_gen, index, mix, start_time
                     )
-                    instances[key] = inst
                     restarted.append(key)
-                    if streaming:
-                        _track(key)  # fresh tracker: restart ships full
-                if streaming:
-                    conn.send(_delta_reply(restarted, full=True))
-                else:
-                    conn.send(
-                        ("rows",
-                         [_stats_row(svc, idx, instances[(svc, idx)])
-                          for svc, idx in restarted])
-                    )
+                    _track(key)  # fresh tracker: restart ships full
+                conn.send(_delta_reply(restarted, full=True))
             elif cmd == "resync":
                 # Anti-entropy: reship everything, tracker state included.
                 conn.send(_delta_reply(order, full=True))
@@ -437,8 +345,7 @@ def _shard_worker(conn) -> None:
                     instances[key] = restore_instance(blob)
                     if key not in order:
                         order.append(key)
-                    if streaming:
-                        _track(key, DeltaTracker(shipped, gc_sweeps))
+                    _track(key, DeltaTracker(shipped, gc_sweeps))
                 conn.send(("adopted", window_seq))
             elif cmd == "restore":
                 state, meta = msg[1], msg[2]
@@ -451,18 +358,9 @@ def _shard_worker(conn) -> None:
                     key = (svc, idx)
                     instances[key] = restore_instance(blob)
                     order.append(key)
-                    if streaming:
-                        _track(key, DeltaTracker(shipped, gc_sweeps))
+                    _track(key, DeltaTracker(shipped, gc_sweeps))
                 conn.send(("ok", None))
                 cpu_anchor = time.process_time()
-            elif cmd == "snapshots":
-                only = msg[1]
-                snaps = [
-                    (svc, idx, snapshot_instance(instances[(svc, idx)]))
-                    for svc, idx in order
-                    if only is None or svc == only
-                ]
-                conn.send(("snaps", snaps))
             elif cmd == "stop":
                 conn.send(("ok", time.process_time() - cpu_anchor))
                 return
@@ -470,61 +368,17 @@ def _shard_worker(conn) -> None:
                 conn.send(("error", f"unknown command {cmd!r}"))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
         return
-    finally:
-        if plane is not None:
-            plane.close()
 
 
-class _InstanceMirror:
+class _RowMirror:
     """Parent-side mirror of one remote instance: O(1) stats only.
 
     Exposes the observability slice of :class:`ServiceInstance`
     (``rss()``, ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``)
     so consumers like :class:`repro.remedy.StagedRollout` drive a
-    sharded service exactly as they drive a live one.  Used by batch
-    mode; streaming mode uses the row-backed :class:`_RowMirror`.
-    """
-
-    __slots__ = (
-        "name", "mix", "shard", "t",
-        "rss_bytes", "blocked", "cpu_percent", "goroutines",
-    )
-
-    def __init__(self, name: str, mix: RequestMix, shard: int, t: float):
-        self.name = name
-        self.mix = mix
-        self.shard = shard
-        self.t = t
-        self.rss_bytes = 0
-        self.blocked = 0
-        self.cpu_percent = 0.0
-        self.goroutines = 0
-
-    def apply(self, row: _Row) -> None:
-        (_svc, _idx, self.t, self.rss_bytes, self.blocked,
-         self.cpu_percent, self.goroutines) = row
-
-    def rss(self) -> int:
-        return self.rss_bytes
-
-    def leaked_goroutines(self) -> int:
-        return self.blocked
-
-    def cpu_utilization(self) -> float:
-        return self.cpu_percent
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<_InstanceMirror {self.name!r} shard={self.shard}>"
-
-
-class _RowMirror:
-    """Streaming-mode instance mirror backed by the fleet's row cache.
-
-    The vectorized stat sweep publishes one validated buffer into
-    ``ShardedFleet._rows`` per window; a mirror is just a window onto
-    its slot — no per-sweep attribute writes at all, and the (rare)
-    property reads unpack only the row's leading fields.  Same
-    observability surface as :class:`_InstanceMirror`.
+    sharded service exactly as they drive a live one.  Backed by the
+    fleet's committed row cache: a mirror is just a window onto its
+    slot, and a property read unpacks only the row's leading fields.
     """
 
     __slots__ = ("name", "mix", "shard", "_fleet", "_slot")
@@ -539,35 +393,29 @@ class _RowMirror:
         self._fleet = fleet
         self._slot = slot
 
-    @property
-    def _head(self) -> Optional[Tuple]:
-        raw = self._fleet._rows.raw(self._slot)
-        return row_head(raw) if raw is not None else None
+    def _field(self, index: int, default):
+        head = self._fleet._rows.head(self._slot)
+        return head[index] if head is not None else default
 
     @property
     def t(self) -> float:
-        head = self._head
-        return head[F_T] if head is not None else 0.0
+        return self._field(F_T, 0.0)
 
     @property
     def rss_bytes(self) -> int:
-        head = self._head
-        return head[F_RSS] if head is not None else 0
+        return self._field(F_RSS, 0)
 
     @property
     def blocked(self) -> int:
-        head = self._head
-        return head[F_BLOCKED] if head is not None else 0
+        return self._field(F_BLOCKED, 0)
 
     @property
     def cpu_percent(self) -> float:
-        head = self._head
-        return head[F_CPU] if head is not None else 0.0
+        return self._field(F_CPU, 0.0)
 
     @property
     def goroutines(self) -> int:
-        head = self._head
-        return head[F_GOROUTINES] if head is not None else 0
+        return self._field(F_GOROUTINES, 0)
 
     def rss(self) -> int:
         return self.rss_bytes
@@ -600,7 +448,7 @@ class ShardedService:
         self.history: List[ServiceSample] = []
         self.instances: List[Any] = []
         self.shard_of: List[int] = []  # instance index -> worker id
-        #: First stat-plane slot of this service (slots are contiguous
+        #: First stat-row slot of this service (slots are contiguous
         #: per service in add order — what lets the parent aggregate a
         #: sample from one slice of the row cache).
         self.slot_base = 0
@@ -658,7 +506,7 @@ class ShardedService:
         return self.history[-1]
 
     def snapshots(self) -> List[InstanceSnapshot]:
-        """This service's instance snapshots (local views when streaming)."""
+        """This service's instance snapshots (from the parent's views)."""
         return self._fleet.snapshots(service=self.config.name)
 
     def profiles(self):
@@ -681,14 +529,14 @@ class _WorkerFault(Exception):
 
 
 #: Commands that mutate worker state and therefore must be journaled.
-#: ``snapshots`` is a pure read (re-sent, not replayed, after a respawn);
-#: ``resync``/``checkpoint`` are reads of worker state (re-sent the same
-#: way — a resync reply is authoritative whenever it arrives, and a
-#: checkpoint re-taken after replay captures the identical state);
-#: ``restore`` is injected by the supervisor outside the journal; and
-#: ``stop`` is terminal.  ``evict``/``adopt`` (re-balancing) are
-#: mutating: replaying an evict re-declines or re-drops the same
-#: instances, replaying an adopt re-restores the same blobs.
+#: ``resync``/``checkpoint`` are reads of worker state (re-sent, not
+#: replayed, after a respawn — a resync reply is authoritative whenever
+#: it arrives, and a checkpoint re-taken after replay captures the
+#: identical state); ``restore`` is injected by the supervisor outside
+#: the journal; and ``stop`` is terminal.  ``evict``/``adopt``
+#: (re-balancing) are mutating: replaying an evict re-declines or
+#: re-drops the same instances, replaying an adopt re-restores the same
+#: blobs.
 _MUTATING = frozenset({"init", "advance", "restart", "evict", "adopt"})
 
 
@@ -702,7 +550,7 @@ class ShardedFleet:
             fleet.start()
             fleet.run_days(7.0)            # lockstep windows
             fleet.run_days_async(7.0)      # shards free-run (watermarked)
-            suspects = fleet.suspects(threshold=10_000)   # streaming: O(1) wire
+            suspects = fleet.suspects(threshold=10_000)   # O(1) wire
             result = leakprof.daily_run(fleet.snapshots(), now=1.0)
 
     ``add_service`` must happen before ``start``; deploys and partial
@@ -711,7 +559,7 @@ class ShardedFleet:
     affects only wall-clock balance, never results — and can be moved
     later with :meth:`rebalance`.
 
-    Streaming knobs (``mode="streaming"``, the default):
+    Streaming knobs:
 
     * ``checkpoint_every`` — full-fleet windows between worker
       checkpoints (0 = off).  A successful checkpoint truncates that
@@ -719,9 +567,6 @@ class ShardedFleet:
     * ``resync_every`` — windows between anti-entropy full reships
       (0 = off).  The delta protocol is exact, so resync is a
       belt-and-braces defense, not a correctness requirement.
-    * ``use_shm`` — allow the shared-memory stat plane (on by default;
-      both creation and worker attachment degrade to shipping the
-      counter block inline on failure).
 
     Supervision knobs:
 
@@ -742,20 +587,14 @@ class ShardedFleet:
         chaos: Optional[Any] = None,
         worker_deadline: float = 30.0,
         max_respawns: int = 8,
-        mode: str = "streaming",
         checkpoint_every: int = 0,
         resync_every: int = 0,
-        use_shm: bool = True,
     ):
         if shards < 1:
             raise ValueError("need at least one shard")
-        if mode not in ("streaming", "batch"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.num_shards = shards
-        self.mode = mode
         self.checkpoint_every = checkpoint_every
         self.resync_every = resync_every
-        self._use_shm = use_shm
         self.services: Dict[str, ShardedService] = {}
         self._conns: List[Any] = [None] * shards
         self._procs: List[Optional[multiprocessing.Process]] = [None] * shards
@@ -776,27 +615,19 @@ class ShardedFleet:
         # -- streaming state -------------------------------------------
         #: (service, index) -> parent-side materialized view.
         self._views: Dict[Tuple[str, int], InstanceView] = {}
-        self._stat_plane: Optional[StatPlane] = None
         self._slots: Dict[Tuple[str, int], int] = {}
         self._key_shard: Dict[Tuple[str, int], int] = {}
-        #: The published latest-row store (watermark-validated buffer +
-        #: sparse overrides; what mirrors, views, and samples read).
+        #: per shard: the slots it owns — a stat block naming any other
+        #: slot is refused; rewired by rebalancing.
+        self._owned: List[set] = [set() for _ in range(shards)]
+        #: The committed stat rows (what mirrors, views, and samples read).
         self._rows = RowCache()
-        #: slot -> owning shard as an ``array('q')`` column, cached for
-        #: the sweep's C-level compare; invalidated by rebalancing.
-        self._shard_col_cache: Optional[array] = None
-        #: per shard: did its last delta reply confirm the stat plane?
-        #: Until then (and whenever attachment failed) its stats ride
-        #: the wire and the parent must not trust that shard's rows.
-        self._shard_attached: List[bool] = [False] * shards
-        self.scorer = None
-        if mode == "streaming":
-            # Deferred import: repro.leakprof is a downstream consumer
-            # of repro.fleet in several modules; binding at construction
-            # time keeps module import order acyclic.
-            from repro.leakprof.streaming import OnlineSuspectScorer
+        # Deferred import: repro.leakprof is a downstream consumer of
+        # repro.fleet in several modules; binding at construction time
+        # keeps module import order acyclic.
+        from repro.leakprof.streaming import OnlineSuspectScorer
 
-            self.scorer = OnlineSuspectScorer()
+        self.scorer = OnlineSuspectScorer()
         # -- async window state ----------------------------------------
         #: per shard: highest window received (the shard watermark).
         self._shard_window: List[int] = [0] * shards
@@ -861,29 +692,20 @@ class ShardedFleet:
             self._next_ordinal += 1
             service.shard_of.append(shard)
             name = f"{config.name}/i-{index}"
-            if self.mode == "streaming":
-                key = (config.name, index)
-                slot = len(self._slots)
-                self._slots[key] = slot
-                self._key_shard[key] = shard
-                self._shard_col_cache = None
-                view = InstanceView(
-                    config.name, index, name, config.base_rss
+            key = (config.name, index)
+            slot = len(self._slots)
+            self._slots[key] = slot
+            self._key_shard[key] = shard
+            self._owned[shard].add(slot)
+            view = InstanceView(config.name, index, name, config.base_rss)
+            view.bind_cache(self._rows, slot)
+            self._views[key] = view
+            service.instances.append(
+                _RowMirror(
+                    name=name, mix=config.mix, shard=shard,
+                    fleet=self, slot=slot,
                 )
-                view.bind_cache(self._rows, slot)
-                self._views[key] = view
-                service.instances.append(
-                    _RowMirror(
-                        name=name, mix=config.mix, shard=shard,
-                        fleet=self, slot=slot,
-                    )
-                )
-            else:
-                service.instances.append(
-                    _InstanceMirror(
-                        name=name, mix=config.mix, shard=shard, t=0.0
-                    )
-                )
+            )
         self.services[config.name] = service
         return service
 
@@ -899,32 +721,23 @@ class ShardedFleet:
         self._procs[shard] = proc
 
     def _worker_meta(self, shard: int) -> Dict[str, Any]:
-        """The shipping-mode metadata one worker needs (init/restore)."""
-        if self.mode != "streaming":
-            return {"mode": self.mode}
+        """The metadata one worker needs (init/restore): its shard id,
+        stamped on every stat row, and the slots of the instances it
+        owns, which order and address its stat blocks."""
         slots: Dict[Tuple[str, int], int] = {}
         for service in self.services.values():
             for index, owner in enumerate(service.shard_of):
                 if owner == shard:
                     key = (service.config.name, index)
                     slots[key] = self._slots[key]
-        return {
-            "mode": "streaming",
-            "shard": shard,
-            "shm": (
-                self._stat_plane.name
-                if self._stat_plane is not None else None
-            ),
-            "slots": slots,
-        }
+        return {"shard": shard, "slots": slots}
 
     def start(self) -> "ShardedFleet":
         """Launch the workers and build every instance remotely."""
         if self._started:
             return self
         self._started = True
-        if self.mode == "streaming" and self._use_shm:
-            self._stat_plane = StatPlane.create(self._next_ordinal)
+        self._rows.allocate(self._next_ordinal)
         for shard in range(self.num_shards):
             self._spawn(shard)
         specs: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
@@ -942,10 +755,9 @@ class ShardedFleet:
             (shard, ("init", specs[shard], self._worker_meta(shard)))
             for shard in shards
         ])
-        if self.mode == "streaming":
-            for shard, payload in zip(shards, payloads):
-                self._note_window(shard, payload[1], advance=False)
-        self._ingest(payloads, shards)
+        for shard, payload in zip(shards, payloads):
+            self._note_window(shard, payload[0], advance=False)
+        self._ingest(payloads)
         for service in self.services.values():
             service.deploys += 1  # matches Service._start_instances
         return self
@@ -1005,9 +817,6 @@ class ShardedFleet:
         for conn in self._conns:
             if conn is not None:
                 conn.close()
-        if self._stat_plane is not None:
-            self._stat_plane.close()
-            self._stat_plane = None
 
     def live_workers(self) -> int:
         """How many worker processes are currently alive (0 after close)."""
@@ -1058,13 +867,16 @@ class ShardedFleet:
 
         A worker that died, wedged past ``worker_deadline``, or replied
         garbage is respawned and its journal replayed before this
-        returns, so callers never see the crash.  Also the single copy
-        of wire-byte accounting.
+        returns, so callers never see the crash.  A delta reply comes
+        back with its stat block opened (:meth:`_open_block`).  Also the
+        single copy of wire-byte accounting.
         """
         if deadline is None:
             deadline = _monotonic() + self.worker_deadline
         try:
-            _kind, payload = self._recv(shard, deadline)
+            kind, payload = self._recv(shard, deadline)
+            if kind == "delta":
+                payload = self._open_block(shard, payload)
         except _WorkerFault as fault:
             _kind, payload = self._respawn_and_replay(
                 shard, message, reason=fault.reason
@@ -1075,11 +887,7 @@ class ShardedFleet:
             self.wire_bytes_by_command.get(command, 0) + nbytes
         )
         reg = obs.default_registry()
-        if (
-            reg.enabled
-            and self.mode == "streaming"
-            and command in _DELTA_COMMANDS
-        ):
+        if reg.enabled and command in _DELTA_COMMANDS:
             reg.counter(
                 "repro_fleet_delta_bytes_total",
                 "Bytes of delta-snapshot replies received from shard "
@@ -1170,16 +978,47 @@ class ShardedFleet:
             raise _WorkerFault(shard, f"worker error reply: {payload!r}")
         return kind, payload
 
-    def _recv_replay(self, shard: int) -> Tuple[str, Any]:
-        """Reply collection during journal replay: fail hard, no recursion."""
+    def _open_block(self, shard: int, payload: Tuple) -> Tuple:
+        """Decompress and check one delta reply's stat block.
+
+        The block must inflate to exactly one ``ROW_BYTES`` row per
+        named slot, and every named slot must belong to the replying
+        shard.  Anything else is a worker that answered garbage, so it
+        raises :class:`_WorkerFault` and supervision respawns it.
+        Returns the payload with the raw rows in place of the block.
+        """
+        try:
+            window, slots, block, entries = payload
+            rows = zlib.decompress(block)
+            valid = len(rows) == len(slots) * ROW_BYTES and (
+                self._owned[shard].issuperset(slots)
+            )
+        except (TypeError, ValueError, zlib.error):
+            valid = False
+        if not valid:
+            raise _WorkerFault(shard, "undecodable reply")
+        return (window, slots, rows, entries)
+
+    def _recv_replay(
+        self, shard: int, open_block: bool = False
+    ) -> Tuple[str, Any]:
+        """Reply collection during journal replay: fail hard, no recursion.
+
+        ``open_block`` checks a delta reply's stat block as
+        :meth:`_collect_reply` does — set only for the in-flight reply,
+        the one replay reply the caller ingests.
+        """
         deadline = _monotonic() + self.worker_deadline
         try:
-            return self._recv(shard, deadline)
+            kind, payload = self._recv(shard, deadline)
+            if open_block and kind == "delta":
+                payload = self._open_block(shard, payload)
         except _WorkerFault as fault:
             raise RuntimeError(
                 f"shard {shard} worker failed during journal replay: "
                 f"{fault.reason}"
             ) from fault
+        return kind, payload
 
     def _respawn_and_replay(
         self, shard: int, message: Tuple, reason: str = "worker fault"
@@ -1194,16 +1033,18 @@ class ShardedFleet:
         ``checkpoint_every`` set, the tail replayed here is bounded by
         the cadence, not the uptime.  When the in-flight command was
         mutating it *is* the journal's last entry, so the final replay
-        reply is the in-flight reply; a read (``snapshots``/``resync``/
-        ``checkpoint``) is simply re-sent afterwards.  Chaos is **not**
+        reply is the in-flight reply; a read (``resync``/``checkpoint``)
+        is simply re-sent afterwards.  Only that in-flight reply is
+        ingested: every earlier replay reply, stat block included, is
+        discarded unread.  Chaos is **not**
         consulted during replay and replay does not advance
         ``op_index`` — fault coordinates stay a pure function of the
         logical command sequence.
 
         Journaled ``init`` entries are replayed with *refreshed* worker
         metadata: the slot map reflects the current (post-rebalance)
-        ownership, so a replaying worker never writes stat rows for an
-        instance it has since evicted — instance construction itself is
+        ownership, so the replayed worker ends with the slot map a live
+        one would hold — instance construction itself is
         meta-independent, so state stays byte-identical.
         """
         self.worker_restarts += 1
@@ -1243,18 +1084,22 @@ class ShardedFleet:
                 )
                 self._recv_replay(shard)
                 self.restores_performed += 1
-            self.replay_lengths.append(len(self._journal[shard]))
+            journal = self._journal[shard]
+            in_journal = message[0] in _MUTATING
+            self.replay_lengths.append(len(journal))
             last: Optional[Tuple[str, Any]] = None
-            for entry in self._journal[shard]:
+            for pos, entry in enumerate(journal):
                 if entry[0] == "init":
                     entry = ("init", entry[1], self._worker_meta(shard))
                 self._conns[shard].send(entry)
-                last = self._recv_replay(shard)
+                last = self._recv_replay(
+                    shard, open_block=in_journal and pos == len(journal) - 1
+                )
             span.attributes.update(
-                replayed=len(self._journal[shard]),
+                replayed=len(journal),
                 restored=checkpoint is not None,
             )
-            if message[0] in _MUTATING:
+            if in_journal:
                 if last is None:  # pragma: no cover - journal invariant
                     raise RuntimeError(
                         f"shard {shard}: mutating command {message[0]!r} "
@@ -1262,7 +1107,7 @@ class ShardedFleet:
                     )
                 return last
             self._conns[shard].send(message)
-            return self._recv_replay(shard)
+            return self._recv_replay(shard, open_block=True)
 
     # -- watermarks and async windows ----------------------------------------
 
@@ -1324,8 +1169,6 @@ class ShardedFleet:
         with the same ``window`` seconds (determinism), so a conflicting
         re-registration raises.
         """
-        if self.mode != "streaming":
-            raise RuntimeError("async windows require mode='streaming'")
         if not self._started:
             raise RuntimeError("fleet not started")
         if not 0 <= shard < self.num_shards:
@@ -1341,7 +1184,7 @@ class ShardedFleet:
                 f"window {nxt} already begun with window={args[0]}, "
                 f"only={args[1]!r}"
             )
-        self._begin(shard, ("advance", window, None, True))
+        self._begin(shard, ("advance", window, None))
         return nxt
 
     def join_shard(self, shard: int) -> None:
@@ -1369,8 +1212,6 @@ class ShardedFleet:
         workers while polling (pipe EOF wakes the wait; a worker silent
         past ``worker_deadline`` is respawned).
         """
-        if self.mode != "streaming":
-            raise RuntimeError("async windows require mode='streaming'")
         busy = [
             shard for shard in range(self.num_shards)
             if self._inflight[shard] is not None
@@ -1411,7 +1252,7 @@ class ShardedFleet:
         watermark — the required instant for whole-fleet operations
         (checkpoint, resync, deploys, rebalance, lockstep advances).
         """
-        if self.mode != "streaming" or not self._started:
+        if not self._started:
             return
         self.drain()
         target = max(self._shard_window)
@@ -1421,7 +1262,7 @@ class ShardedFleet:
                 seconds, only = self._window_args.get(
                     nxt, (WINDOW_SECONDS, None)
                 )
-                self._begin(shard, ("advance", seconds, only, True))
+                self._begin(shard, ("advance", seconds, only))
                 self._collect_shard(shard)
         self._commit_ready()
 
@@ -1438,7 +1279,7 @@ class ShardedFleet:
         self._advance_ema[shard] = (
             duration if ema == 0.0 else 0.5 * ema + 0.5 * duration
         )
-        window = payload[1]
+        window = payload[0]
         self._note_window(shard, window, advance=True)
         self._pending[shard].append((window, payload))
 
@@ -1458,7 +1299,6 @@ class ShardedFleet:
                 break
             window = self._committed_window + 1
             payloads: List[Any] = []
-            shards: List[int] = []
             for shard in range(self.num_shards):
                 queue = self._pending[shard]
                 if not queue or queue[0][0] != window:  # pragma: no cover
@@ -1467,8 +1307,7 @@ class ShardedFleet:
                         f"{window} at commit"
                     )
                 payloads.append(queue.popleft()[1])
-                shards.append(shard)
-            self._ingest(payloads, shards)
+            self._ingest(payloads)
             self._committed_window = window
             _seconds, only = self._window_args.pop(
                 window, (WINDOW_SECONDS, None)
@@ -1512,58 +1351,32 @@ class ShardedFleet:
 
     # -- ingest --------------------------------------------------------------
 
-    def _ingest(self, payloads: List[Any], shards: List[int]) -> None:
-        """Fold one window's (or exchange's) per-shard payloads in.
-
-        ``shards`` aligns with ``payloads`` — which worker each payload
-        came from, so streaming ingest knows whose stat-plane rows just
-        became current.
-        """
-        if self.mode == "streaming":
-            self._rows.begin()
-            wire_fed: set = set()
-            expected = None
-            for shard, payload in zip(shards, payloads):
-                self._apply_deltas(shard, payload, wire_fed)
-                window = payload[1]
-                expected = (
-                    window if expected is None else max(expected, window)
-                )
-            self._finish_sweep(expected if expected is not None else 0)
-        else:
-            rows: List[_Row] = []
-            for payload in payloads:
-                rows.extend(payload)
-            self._apply_rows(rows)
-
-    def _apply_rows(self, rows: List[_Row]) -> None:
-        services = self.services
-        for row in rows:
-            services[row[0]].instances[row[1]].apply(row)
+    def _ingest(self, payloads: List[Any]) -> None:
+        """Fold one window's (or exchange's) delta replies in, then
+        commit the row cache so views and mirrors see the new rows."""
+        for payload in payloads:
+            self._apply_deltas(payload)
+        self._rows.commit()
 
     def _apply_deltas(
-        self, shard: int, payload: Tuple[bool, int, List[WireDelta]],
-        wire_fed: set,
+        self, payload: Tuple[int, Tuple[int, ...], bytes, List[WireDelta]],
     ) -> None:
-        """Fold one worker's delta batch into views, scorer, row cache.
+        """Fold one worker's opened delta reply into views, scorer, rows.
 
-        Entries carrying inline stats (async advances, the no-shm
-        fallback) update their view and override their row-cache slot
-        here; plane-backed stats are left to the :meth:`_finish_sweep`
-        that follows the whole ingest.  A delta the view rejects as
-        stale (older than its watermark) is dropped *before* it can
-        feed the scorer.
+        The stat rows overwrite exactly the slots the reply names, so an
+        instance the command did not touch keeps its committed row.  A
+        delta the view rejects as stale (older than its watermark) is
+        dropped *before* it can feed the scorer.
         """
         scorer = self.scorer
-        attached, window, deltas = payload
-        self._shard_attached[shard] = attached
+        window, slots, rows, deltas = payload
+        self._rows.write(slots, rows)
         total_records = 0
         stale = 0
         for delta in deltas:
-            svc, idx, full, records, tombstones, _gc, wire_stats = delta
+            svc, idx, full, records, tombstones, _gc = delta
             key = (svc, idx)
-            view = self._views[key]
-            if not view.apply(delta, stats=wire_stats, window=window):
+            if not self._views[key].apply(delta, window=window):
                 stale += 1
                 continue
             if full:
@@ -1573,13 +1386,6 @@ class ShardedFleet:
             for gid in tombstones:
                 scorer.on_tombstone(key, gid)
             total_records += len(records)
-            if wire_stats is not None:
-                wire_fed.add(key)
-                slot = self._slots[key]
-                self._rows.overrides[slot] = raw_from_stats(
-                    wire_stats, shard, window
-                )
-                self._rows.view_skip.add(slot)
         reg = obs.default_registry()
         if stale:
             self.stale_deltas += stale
@@ -1594,70 +1400,17 @@ class ShardedFleet:
                 "Goroutine records shipped in delta snapshots",
             ).inc(total_records)
 
-    def _finish_sweep(self, expected: int) -> None:
-        """Publish this ingest's stat sweep into the row cache.
-
-        :func:`~repro.fleet.shm.sweep_plane` grabs the whole plane in
-        one copy and validates every row's ``(shard, window)`` watermark
-        with two C-level ``array`` column compares (the vectorized sweep
-        — gated ≥2x over the per-key loop at 10k instances in
-        ``bench_fleet_scale.py``).  On the fast path no per-slot Python
-        work happens at all; rows an exchange didn't touch (an ``only=``
-        advance), rows a replaying respawned worker wrote at an old
-        window, and rows of unattached shards keep their previously
-        committed copy.  Slots fed inline during :meth:`_apply_deltas`
-        were already overridden — their truth rode the wire — and views
-        pull their rows lazily, at query time, keyed on the cache epoch.
-        """
-        plane = self._stat_plane
-        if plane is not None and any(self._shard_attached):
-            sweep_plane(
-                plane, self._next_ordinal, self._rows, expected,
-                self._shard_col(), self._shard_attached,
-            )
-        else:
-            # No plane to sweep: every slot inherits wire truth or its
-            # previous row; the epoch still advances.
-            self._rows.finalize(b"", expected, range(self._next_ordinal))
-
-    def _shard_col(self) -> array:
-        """Expected slot→shard owner column for the sweep's compare."""
-        col = self._shard_col_cache
-        if col is None or len(col) != self._next_ordinal:
-            col = array("q", bytes(8 * self._next_ordinal))
-            slots = self._slots
-            for key, shard in self._key_shard.items():
-                col[slots[key]] = shard
-            self._shard_col_cache = col
-        return col
-
     # -- windows -------------------------------------------------------------
 
     def _advance(self, window: float, only: Optional[str] = None) -> None:
-        shards = list(range(self.num_shards))
-        if self.mode != "streaming":
-            self._ingest(self._exchange([
-                (shard, ("advance", window, only, False)) for shard in shards
-            ]), shards)
-            for service in self.services.values():
-                if only is None or service.config.name == only:
-                    self._sample(service)
-            if only is None:
-                self._windows_advanced += 1
-                if (
-                    self.checkpoint_every
-                    and self._windows_advanced % self.checkpoint_every == 0
-                ):
-                    self.checkpoint()
-            return
-        # Streaming: a lockstep advance is the synchronous special case
-        # of the async machinery — barrier, advance every shard one
-        # window (stats via the shm plane), commit, run cadence work.
+        # A lockstep advance is the synchronous special case of the
+        # async machinery — barrier, advance every shard one window,
+        # commit, run cadence work.
         self.barrier()
         nxt = self._shard_window[0] + 1
         self._window_args[nxt] = (window, only)
-        for shard in shards:
-            self._begin(shard, ("advance", window, only, False))
+        for shard in range(self.num_shards):
+            self._begin(shard, ("advance", window, only))
         self.drain()
         self._run_maintenance()
 
@@ -1666,40 +1419,25 @@ class ShardedFleet:
 
         Delegates to the shared ``aggregate_sample`` — literally the
         same arithmetic ``Service.advance_window`` runs, which is the
-        byte-identical-histories guarantee made structural.  Streaming
-        mode aggregates straight off the committed row cache (one
-        contiguous slice per service); batch mode walks the mirrors.
+        byte-identical-histories guarantee made structural.  Aggregates
+        straight off the committed row cache (one contiguous slice per
+        service).
         """
-        if self.mode == "streaming":
-            base = service.slot_base
-            count = len(service.instances)
-            ts, cpu, rss, blocked, goroutines = self._rows.sample_columns(
-                self._next_ordinal
-            )
-            sample = aggregate_sample(
-                ts[base] if count else 0.0,
-                zip(
-                    rss[base: base + count],
-                    blocked[base: base + count],
-                    cpu[base: base + count],
-                    goroutines[base: base + count],
-                ),
-                service.config.instances_represented,
-            )
-        else:
-            sample = aggregate_sample(
-                service.now,
-                (
-                    (
-                        mirror.rss_bytes,
-                        mirror.blocked,
-                        mirror.cpu_percent,
-                        mirror.goroutines,
-                    )
-                    for mirror in service.instances
-                ),
-                service.config.instances_represented,
-            )
+        base = service.slot_base
+        count = len(service.instances)
+        ts, cpu, rss, blocked, goroutines = self._rows.sample_columns(
+            self._next_ordinal
+        )
+        sample = aggregate_sample(
+            ts[base] if count else 0.0,
+            zip(
+                rss[base: base + count],
+                blocked[base: base + count],
+                cpu[base: base + count],
+                goroutines[base: base + count],
+            ),
+            service.config.instances_represented,
+        )
         service.history.append(sample)
         return sample
 
@@ -1719,10 +1457,9 @@ class ShardedFleet:
                 for shard, shard_indices in by_shard.items()
             ]
         )
-        if self.mode == "streaming":
-            for shard, payload in zip(list(by_shard), payloads):
-                self._note_window(shard, payload[1], advance=False)
-        self._ingest(payloads, list(by_shard))
+        for shard, payload in zip(by_shard, payloads):
+            self._note_window(shard, payload[0], advance=False)
+        self._ingest(payloads)
         for index in indices:
             service.instances[index].mix = mix
 
@@ -1736,16 +1473,14 @@ class ShardedFleet:
         correctness requirement.  Counted in ``full_resyncs`` and the
         ``repro_fleet_full_resync_total`` metric.
         """
-        if self.mode != "streaming":
-            raise RuntimeError("resync requires mode='streaming'")
         self.barrier()
         shards = list(range(self.num_shards))
         payloads = self._exchange([
             (shard, ("resync", None)) for shard in shards
         ])
         for shard, payload in zip(shards, payloads):
-            self._note_window(shard, payload[1], advance=False)
-        self._ingest(payloads, shards)
+            self._note_window(shard, payload[0], advance=False)
+        self._ingest(payloads)
         self.full_resyncs += 1
         reg = obs.default_registry()
         if reg.enabled:
@@ -1760,7 +1495,8 @@ class ShardedFleet:
         Returns how many shards accepted.  A shard whose instances
         cannot be serialized exactly (see
         :class:`repro.fleet.checkpoint.CheckpointUnsupported`) declines;
-        its journal keeps growing and ``checkpoints_declined`` counts it.
+        its journal keeps growing, ``checkpoints_declined`` counts it, and
+        ``repro_fleet_checkpoints_total{result}`` exports both outcomes.
         """
         self.barrier()
         reg = obs.default_registry()
@@ -1796,6 +1532,15 @@ class ShardedFleet:
                 taken=taken, declined=self.num_shards - taken
             )
             if reg.enabled:
+                outcomes = reg.counter(
+                    "repro_fleet_checkpoints_total",
+                    "Shard checkpoints requested, by result",
+                    ("result",),
+                )
+                if taken:
+                    outcomes.labels("taken").inc(taken)
+                if taken < self.num_shards:
+                    outcomes.labels("declined").inc(self.num_shards - taken)
                 reg.histogram(
                     "repro_fleet_checkpoint_seconds",
                     "Wall-clock duration of one fleet-wide checkpoint",
@@ -1815,8 +1560,6 @@ class ShardedFleet:
         windows (the parity the streaming plane is gated on), no matter
         how far ahead individual shards are running.
         """
-        if self.mode != "streaming":
-            raise RuntimeError("online scoring requires mode='streaming'")
         from repro.leakprof.detector import DEFAULT_THRESHOLD
 
         keys = [
@@ -1874,7 +1617,7 @@ class ShardedFleet:
         with host load, but *what the fleet computes* never does.
         Rate-limited by ``rebalance_cooldown`` committed windows.
         """
-        if self.mode != "streaming" or self.num_shards < 2:
+        if self.num_shards < 2:
             return {}
         if (
             self._committed_window - self._last_rebalance_window
@@ -1915,8 +1658,6 @@ class ShardedFleet:
         :class:`~repro.fleet.checkpoint.CheckpointUnsupported` is
         raised: fleet state is unchanged.  Returns the applied moves.
         """
-        if self.mode != "streaming":
-            raise RuntimeError("rebalance requires mode='streaming'")
         if not self._started:
             raise RuntimeError("fleet not started")
         self.barrier()
@@ -1974,11 +1715,13 @@ class ShardedFleet:
                     self._adopt(target, by_target[target])
             for key, target in moves.items():
                 svc, idx = key
+                slot = self._slots[key]
+                self._owned[self._key_shard[key]].discard(slot)
+                self._owned[target].add(slot)
                 self._key_shard[key] = target
                 service = self.services[svc]
                 service.shard_of[idx] = target
                 service.instances[idx].shard = target
-            self._shard_col_cache = None
             self.rebalances += 1
             self.instances_moved += len(moves)
             self._last_rebalance_window = self._committed_window
@@ -2042,8 +1785,6 @@ class ShardedFleet:
         ``rebalance_lag`` enables the lag-triggered rebalancer
         (:meth:`maybe_rebalance`) between pump rounds.
         """
-        if self.mode != "streaming":
-            raise RuntimeError("async windows require mode='streaming'")
         if not self._started:
             raise RuntimeError("fleet not started")
         windows = int(days * 86_400.0 / window)
@@ -2071,26 +1812,15 @@ class ShardedFleet:
     ) -> List[InstanceSnapshot]:
         """Every instance's snapshot, in the same (service-add, index)
         order ``Fleet.all_instances()`` yields — so a LeakProf daily run
-        over a sharded fleet sees byte-identical input.  Streaming mode
-        materializes them from the parent-side views — zero wire
-        traffic, answered at the fleet watermark; batch mode ships full
-        pickled snapshots back."""
-        if self.mode == "streaming":
-            return [
-                self._views[(name, index)].snapshot()
-                for name, svc in self.services.items()
-                if service is None or name == service
-                for index in range(len(svc.instances))
-            ]
-        collected: List[Tuple[str, int, InstanceSnapshot]] = []
-        for payload in self._exchange(
-            [(shard, ("snapshots", service))
-             for shard in range(self.num_shards)]
-        ):
-            collected.extend(payload)
-        service_order = {name: pos for pos, name in enumerate(self.services)}
-        collected.sort(key=lambda item: (service_order[item[0]], item[1]))
-        return [snap for _svc, _idx, snap in collected]
+        over a sharded fleet sees byte-identical input.  Materialized
+        from the parent-side views — zero wire traffic, answered at the
+        fleet watermark."""
+        return [
+            self._views[(name, index)].snapshot()
+            for name, svc in self.services.items()
+            if service is None or name == service
+            for index in range(len(svc.instances))
+        ]
 
     def history(self, service: str) -> List[ServiceSample]:
         return self.services[service].history

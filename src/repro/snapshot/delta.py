@@ -36,33 +36,36 @@ out-of-phase ingestion safe: a late or replayed delta arriving after a
 tombstone (or after any newer state) cannot resurrect dead records.
 Equal-window re-application stays idempotent, which is what crash replay
 relies on.
+
+Stat rows: an instance's O(1) counters travel as one fixed-layout
+``_ROW`` (:func:`pack_row`), never as a pickled object.  A worker's reply
+carries the packed rows of every instance its command touched as one
+compressed **stat block**; the parent copies them into the slots of one
+:class:`RowCache` buffer, and views read their counters back out of it
+lazily (:func:`stats_from_raw`).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.profiling import GoroutineRecord, snapshot_goroutine
+from repro.runtime import GoroutineState
 
 from .model import GCSnapshot, InstanceSnapshot, RuntimeSnapshot
-
-#: Lazily bound ``repro.fleet.shm`` helpers (import cycle guard: shm
-#: imports this module for :class:`InstanceStats`).
-_stats_from_raw = None
-_row_window = None
 
 #: One record on the wire: (template with wait_seconds=0, blocked_since).
 WireRecord = Tuple[GoroutineRecord, Optional[float]]
 
 #: One instance's delta payload:
-#: (service, index, full, records, tombstones, gc, stats) — ``full=True``
+#: (service, index, full, records, tombstones, gc) — ``full=True``
 #: replaces the view wholesale (init / restart / anti-entropy resync),
-#: ``gc`` is a GCSnapshot field tuple or None, ``stats`` rides the pipe
-#: only when the shared-memory stat plane is unavailable.
+#: ``gc`` is a GCSnapshot field tuple or None.  The counters ride the
+#: reply's stat block, not the delta.
 WireDelta = Tuple[
-    str, int, bool, List[WireRecord], Tuple[int, ...],
-    Optional[Tuple], Optional["InstanceStats"],
+    str, int, bool, List[WireRecord], Tuple[int, ...], Optional[Tuple],
 ]
 
 
@@ -70,12 +73,10 @@ WireDelta = Tuple[
 class InstanceStats:
     """One instance's O(1) counters at a ship boundary.
 
-    The streaming replacement for the per-window stat row *and* the
-    snapshot's counter block: everything here is a counter read, and the
-    fields are exactly what :meth:`InstanceView.snapshot` needs to
-    rebuild ``RuntimeSnapshot``'s eager half plus ``last_metrics``.
-    Normally these live in the shared-memory stat plane
-    (:mod:`repro.fleet.shm`) and never transit a pipe.
+    The unpacked form of one stat row: everything here is a counter
+    read, and the fields are exactly what :meth:`InstanceView.snapshot`
+    needs to rebuild ``RuntimeSnapshot``'s eager half plus
+    ``last_metrics``.
     """
 
     t: float
@@ -112,6 +113,146 @@ def instance_stats(instance: Any) -> InstanceStats:
             for state, count in runtime.state_census().items()
         ),
     )
+
+
+_STATES = tuple(GoroutineState)
+_STATE_VALUES = tuple(state.value for state in _STATES)
+#: shard, window (the watermark), then t, cpu_percent (doubles), then
+#: rss, blocked, goroutines, requests_window, requests_total, steps,
+#: windows, census[...]
+_ROW = struct.Struct("=qqdd" + "q" * (7 + len(_STATES)))
+
+ROW_BYTES = _ROW.size
+
+#: Every field is 8 bytes wide, so a run of stat rows is also a flat
+#: sequence of ``NUM_FIELDS`` machine words — which is what lets
+#: :meth:`RowCache.sample_columns` read a strided slice as a *column*.
+NUM_FIELDS = ROW_BYTES // 8
+
+#: The leading fields (watermark + the sample-relevant gauges) as their
+#: own struct, for cheap partial unpacks of a raw row.
+_HEAD = struct.Struct("=qqddqqq")
+
+#: Field indices into one unpacked row tuple.
+F_SHARD = 0
+F_WINDOW = 1
+F_T = 2
+F_CPU = 3
+F_RSS = 4
+F_BLOCKED = 5
+F_GOROUTINES = 6
+F_CENSUS = 11
+
+
+def pack_row(instance: Any, shard: int, window: int) -> bytes:
+    """Pack one live instance's counters into a stat row.
+
+    The worker hot path: the same reads as :func:`instance_stats`,
+    without building the intermediate :class:`InstanceStats` (and its
+    census tuple) for every instance every window.
+    """
+    runtime = instance.runtime
+    metrics = instance.metrics
+    census = runtime.state_census()
+    return _ROW.pack(
+        shard, window,
+        runtime.now, instance.cpu_utilization(), instance.rss(),
+        runtime.blocked_goroutines_count, runtime.num_goroutines,
+        metrics[-1].requests_served if metrics else 0,
+        instance.requests_served, runtime.steps, len(metrics),
+        *(census.get(state, 0) for state in _STATES),
+    )
+
+
+def stats_from_raw(raw: bytes) -> InstanceStats:
+    """Materialize one raw stat row into an :class:`InstanceStats`."""
+    row = _ROW.unpack(raw)
+    (t, cpu_percent, rss_bytes, blocked, goroutines,
+     requests_window, requests_total, steps, windows) = row[F_T:F_CENSUS]
+    return InstanceStats(
+        t=t, rss_bytes=rss_bytes, blocked=blocked,
+        cpu_percent=cpu_percent, goroutines=goroutines,
+        requests_window=requests_window, requests_total=requests_total,
+        steps=steps, windows=windows,
+        census=tuple(
+            (value, count)
+            for value, count in zip(_STATE_VALUES, row[F_CENSUS:])
+            if count
+        ),
+    )
+
+
+class RowCache:
+    """The parent's committed stat rows: one buffer, one row per slot.
+
+    :meth:`write` copies a reply's rows into their slots; every other
+    slot keeps its previous row, so an ``only=`` advance or a restart
+    touches exactly the instances it ran.  :meth:`commit` bumps
+    ``epoch``, the key consumers — materialized
+    :class:`InstanceView`\\ s, the instance mirrors, per-service sampling
+    — use to notice new rows and read them through lazily.
+    """
+
+    __slots__ = ("buf", "epoch", "_cols", "_cols_epoch")
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.epoch = 0
+        self._cols: Optional[Tuple[list, ...]] = None
+        self._cols_epoch = -1
+
+    def allocate(self, count: int) -> None:
+        """Size the buffer for ``count`` slots (zeroed until written)."""
+        self.buf = bytearray(count * ROW_BYTES)
+
+    def write(self, slots: Sequence[int], rows: bytes) -> None:
+        """Copy ``rows`` (one per slot, in ``slots`` order) into place."""
+        buf = self.buf
+        src = memoryview(rows)
+        for pos, slot in enumerate(slots):
+            off = slot * ROW_BYTES
+            buf[off:off + ROW_BYTES] = src[
+                pos * ROW_BYTES:(pos + 1) * ROW_BYTES
+            ]
+
+    def commit(self) -> None:
+        self.epoch += 1
+
+    def raw(self, slot: int) -> Optional[bytes]:
+        """The slot's current raw row (None before the buffer exists)."""
+        off = slot * ROW_BYTES
+        if off + ROW_BYTES > len(self.buf):
+            return None
+        return bytes(self.buf[off:off + ROW_BYTES])
+
+    def head(self, slot: int) -> Optional[Tuple]:
+        """The slot's leading fields, ``F_SHARD..F_GOROUTINES``."""
+        off = slot * ROW_BYTES
+        if off + ROW_BYTES > len(self.buf):
+            return None
+        return _HEAD.unpack_from(self.buf, off)
+
+    def sample_columns(self, count: int) -> Tuple[list, ...]:
+        """``(t, cpu, rss, blocked, goroutines)`` columns, one value per
+        slot — the per-service sample aggregation reads slices of these.
+
+        Built once per epoch with zero-copy ``memoryview`` casts and
+        C-level strided ``tolist`` extraction.
+        """
+        if self._cols_epoch == self.epoch and self._cols is not None:
+            return self._cols
+        region = memoryview(self.buf)[: count * ROW_BYTES]
+        as_q = region.cast("q")
+        as_d = region.cast("d")
+        self._cols = (
+            as_d[F_T::NUM_FIELDS].tolist(),
+            as_d[F_CPU::NUM_FIELDS].tolist(),
+            as_q[F_RSS::NUM_FIELDS].tolist(),
+            as_q[F_BLOCKED::NUM_FIELDS].tolist(),
+            as_q[F_GOROUTINES::NUM_FIELDS].tolist(),
+        )
+        self._cols_epoch = self.epoch
+        return self._cols
 
 
 class DeltaTracker:
@@ -225,21 +366,21 @@ class InstanceView:
         #: Highest shard window folded into this view (the watermark).
         self.window: int = -1
         self._stats: Optional[InstanceStats] = None
-        #: Raw stat-plane row bytes backing ``stats`` (lazy unpack).
+        #: Raw stat row backing ``stats`` (lazy unpack).
         self._row: Optional[bytes] = None
-        #: Bound ``repro.fleet.shm.RowCache`` the view reads counters
-        #: through, plus its slot there and the last epoch pulled.
-        self._cache = None
+        #: Bound :class:`RowCache` the view reads counters through, plus
+        #: its slot there and the last epoch pulled.
+        self._cache: Optional[RowCache] = None
         self._slot = -1
         self._epoch = -1
 
-    def bind_cache(self, cache, slot: int) -> None:
-        """Attach the view to the fleet's published row cache.
+    def bind_cache(self, cache: RowCache, slot: int) -> None:
+        """Attach the view to the fleet's committed row cache.
 
-        The fleet's vectorized sweep publishes one validated buffer per
-        window instead of pushing ~20-field tuples into every view; the
-        view pulls its own row out lazily, only when a snapshot or
-        suspect query actually asks for :attr:`stats`.
+        The fleet commits one buffer of stat rows per window instead of
+        pushing ~20-field tuples into every view; the view pulls its own
+        row out lazily, only when a snapshot or suspect query actually
+        asks for :attr:`stats`.
         """
         self._cache = cache
         self._slot = slot
@@ -249,17 +390,12 @@ class InstanceView:
         if cache is None or cache.epoch == self._epoch:
             return
         self._epoch = cache.epoch
-        raw = cache.view_raw(self._slot)
+        raw = cache.raw(self._slot)
         if raw is None or raw == self._row:
             return
         self._stats = None
         self._row = raw
-        global _row_window
-        if _row_window is None:
-            from repro.fleet.shm import row_window
-
-            _row_window = row_window
-        window = _row_window(raw)
+        window = _HEAD.unpack_from(raw)[F_WINDOW]
         if window > self.window:
             self.window = window
 
@@ -267,42 +403,23 @@ class InstanceView:
     def stats(self) -> Optional[InstanceStats]:
         self._refresh()
         if self._stats is None and self._row is not None:
-            global _stats_from_raw
-            if _stats_from_raw is None:
-                from repro.fleet.shm import stats_from_raw
-
-                _stats_from_raw = stats_from_raw
-            self._stats = _stats_from_raw(self._row)
+            self._stats = stats_from_raw(self._row)
         return self._stats
 
-    @stats.setter
-    def stats(self, value: Optional[InstanceStats]) -> None:
-        self._stats = value
-        self._row = None
-
-    def apply(
-        self,
-        delta: WireDelta,
-        stats: Optional[InstanceStats] = None,
-        window: Optional[int] = None,
-    ) -> bool:
-        """Fold one wire delta in (``stats`` overrides the shm read).
+    def apply(self, delta: WireDelta, window: Optional[int] = None) -> bool:
+        """Fold one wire delta in.
 
         ``window`` is the shard watermark the delta was shipped at; a
         delta older than the view's own watermark is dropped and
         ``False`` returned (the caller must then skip scorer feeding
         too).  ``window=None`` (untagged legacy ingest) always applies.
         """
-        _svc, _idx, full, records, tombstones, gc, wire_stats = delta
+        _svc, _idx, full, records, tombstones, gc = delta
         if window is not None:
             if window < self.window and not full:
                 return False
             if window > self.window:
                 self.window = window
-        if stats is None:
-            stats = wire_stats
-        if stats is not None:
-            self.stats = stats
         if full:
             self.records.clear()
             self.gc = GCSnapshot(*gc) if gc is not None else None

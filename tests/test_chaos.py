@@ -9,6 +9,8 @@ intact report funnel anyway.
 """
 
 import json
+import pickle
+import zlib
 from urllib import error as urlerror
 
 import pytest
@@ -44,6 +46,7 @@ from repro.ingest import (
     RetryPolicy,
 )
 from repro.patterns import healthy, timeout_leak
+from repro.snapshot import snapshot_instance
 
 
 @pytest.fixture(autouse=True)
@@ -187,6 +190,32 @@ def _sharded_run(
         fleet.close()
 
 
+class _TamperOnce:
+    """A shard pipe whose next delta reply has its stat block spoiled."""
+
+    def __init__(self, conn, tamper):
+        self._conn = conn
+        self._tamper = tamper
+
+    def recv_bytes(self):
+        buf = self._conn.recv_bytes()
+        kind, payload = pickle.loads(buf)
+        if self._tamper is None or kind != "delta":
+            return buf
+        window, slots, block, entries = payload
+        if self._tamper == "truncated":
+            block = zlib.compress(zlib.decompress(block)[:-1], 1)
+        elif self._tamper == "foreign_slot":
+            slots = (slots[0] + 1,) + slots[1:]
+        else:
+            block = b"not a zlib stream"
+        self._tamper = None
+        return pickle.dumps((kind, (window, slots, block, entries)))
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 class TestShardSupervision:
     def test_worker_kill_mid_week_keeps_history_byte_identical(self):
         """The acceptance gate: SIGKILL a worker with an advance in
@@ -218,27 +247,62 @@ class TestShardSupervision:
         """A non-mutating command is re-sent (not replayed) after the
         respawn; the LeakProf sweep sees a complete snapshot set.
 
-        Batch mode: streaming answers ``snapshots()`` from the parent's
-        materialized views without touching the wire, so there is no
-        op 2 for the pinned kill to land on.
+        The read is a ``resync()`` — every worker reships its full
+        snapshot state — since ``snapshots()`` itself is answered from
+        the parent's views without touching the wire.
         """
+        reference = Fleet()
+        for config, seed in _configs():
+            reference.add(Service(config, seed=seed))
+        reference.advance_window(3600.0)
         schedule = FaultSchedule().pin(FaultKind.KILL_WORKER, 1, 2)
         fleet = ShardedFleet(
-            shards=2,
-            chaos=ShardChaos(schedule),
-            worker_deadline=10.0,
-            mode="batch",
+            shards=2, chaos=ShardChaos(schedule), worker_deadline=10.0
         )
         for config, seed in _configs():
             fleet.add_service(config, seed=seed)
         fleet.start()
         try:
             fleet.advance_window(3600.0)
-            snaps = fleet.snapshots()  # op 2 on each shard: kill in flight
+            fleet.resync()  # op 2 on each shard: kill in flight
+            snaps = fleet.snapshots()
+        finally:
+            fleet.close()
+        assert schedule.fired_count(FaultKind.KILL_WORKER) == 1
+        assert fleet.worker_restarts == 1
+        assert fleet.full_resyncs == 1
+        assert snaps == [
+            snapshot_instance(inst) for inst in reference.all_instances()
+        ]
+
+    @pytest.mark.parametrize(
+        "tamper", ["truncated", "foreign_slot", "not_zlib"]
+    )
+    def test_bad_stat_block_respawns_worker(self, tamper):
+        """Negative controls for the stat-block checks: a reply whose
+        block is short, names a slot another shard owns, or does not
+        inflate is a garbling worker — respawned and replayed, with the
+        results unchanged."""
+        reference = _reference_histories(3)
+        fleet = ShardedFleet(shards=2, worker_deadline=10.0)
+        for config, seed in _configs():
+            fleet.add_service(config, seed=seed)
+        fleet.start()
+        try:
+            fleet.advance_window(3600.0)
+            # shard 0 owns the even slots, shard 1 the odd ones
+            fleet._conns[0] = _TamperOnce(fleet._conns[0], tamper)
+            fleet.advance_window(3600.0)
+            fleet.advance_window(3600.0)
+            histories = {n: s.history for n, s in fleet.services.items()}
         finally:
             fleet.close()
         assert fleet.worker_restarts == 1
-        assert len(snaps) == 5  # 3 payments + 2 search, none lost
+        spans = obs.default_tracer().find("chaos.respawn")
+        assert [span.attributes["reason"] for span in spans] == [
+            "undecodable reply"
+        ]
+        assert histories == reference
 
     def test_crash_loop_trips_max_respawns(self):
         schedule = FaultSchedule().rate(FaultKind.KILL_WORKER, 1.0)

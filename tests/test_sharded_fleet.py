@@ -29,6 +29,7 @@ from repro.fleet import (
 from repro.leakprof import LeakProf
 from repro.patterns import healthy, timeout_leak
 from repro.remedy import StagedRollout
+from repro.snapshot import snapshot_instance
 
 
 def leaky_mix(payload=32 * 1024):
@@ -168,6 +169,48 @@ class TestShardDeterminism:
             assert {
                 n: s.history for n, s in sharded.services.items()
             } == reference
+
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_single_service_advances_interleave_with_fleet_advances(
+        self, shards
+    ):
+        """``ShardedService.advance_window`` runs only that service's
+        instances (an ``only=`` advance); the other service's stat rows
+        must keep their committed values across it, before and after a
+        rebalance moves instances of both services."""
+        serial = Fleet()
+        for config, seed in _configs():
+            serial.add(Service(config, seed=seed))
+
+        def steps(fleet, rebalance):
+            yield fleet.advance_window
+            yield fleet.services["payments"].advance_window
+            yield fleet.advance_window
+            yield rebalance
+            yield fleet.services["search"].advance_window
+            yield fleet.services["payments"].advance_window
+            yield fleet.advance_window
+
+        with ShardedFleet(shards=shards) as sharded:
+            for config, seed in _configs():
+                sharded.add_service(config, seed=seed)
+            sharded.start()
+            moves = {("payments", 2): shards - 1, ("search", 1): shards - 1}
+            pairs = zip(
+                steps(serial, lambda *_: None),
+                steps(sharded, lambda *_: sharded.rebalance(moves)),
+            )
+            for serial_step, sharded_step in pairs:
+                serial_step(3600.0)
+                sharded_step(3600.0)
+                assert sharded.snapshots() == [
+                    snapshot_instance(inst) for inst in serial.all_instances()
+                ]
+                assert {
+                    n: s.history for n, s in sharded.services.items()
+                } == {n: s.history for n, s in serial.services.items()}
+            assert sharded.rebalances == (1 if shards > 1 else 0)
 
 
 class TestShardedServiceSurface:

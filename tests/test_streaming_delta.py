@@ -1,5 +1,5 @@
-"""Streaming detection plane (ISSUE 9): delta snapshots, shared-memory
-counters, checkpoint/restore, and online suspect scoring.
+"""Streaming detection plane: delta snapshots, stat blocks,
+checkpoint/restore, and online suspect scoring.
 
 The load-bearing property: the parent's materialized
 :class:`~repro.snapshot.InstanceView` state — reconstructed purely from
@@ -7,8 +7,10 @@ incremental deltas, tombstones and O(1) stat rows — must be
 **indistinguishable** from ``snapshot_instance`` run in-process, and the
 online scorer's suspect list must be list-equal to the batch
 ``scan_fleet`` sweep over those snapshots.  Everything else (resync,
-checkpoints, shm fallback) preserves that invariant under churn.
+checkpoints, rebalancing) preserves that invariant under churn.
 """
+
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +29,9 @@ from repro.fleet import (
 )
 from repro.leakprof import LeakProf, scan_fleet
 from repro.patterns import healthy, timeout_leak
-from repro.runtime import go, sleep
+from repro.runtime import GoroutineState, go, sleep
 from repro.snapshot import snapshot_instance
+from repro.snapshot.delta import instance_stats, pack_row, stats_from_raw
 
 WINDOW = 3600.0
 
@@ -177,34 +180,24 @@ class TestViewParity:
             assert "repro_fleet_full_resync_total 2" in obs.render()
 
     def test_use_shm_false_ships_stats_inline_with_identical_results(self):
+        """Every advance reply carries its shard's stat rows inline: the
+        fleet has no shared-memory plane, the counters are counted as
+        advance wire bytes, and the results equal the serial fleet's."""
         reference, ref_hist = _serial_reference(3)
-        with ShardedFleet(shards=2, use_shm=False) as fleet:
+        with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
                 fleet.add_service(config, seed=seed)
             fleet.start()
             for w in range(3):
+                before = fleet.wire_bytes_by_command.get("advance", 0)
                 fleet.advance_window(WINDOW)
                 assert fleet.snapshots() == reference[w]
-            assert fleet._stat_plane is None
+                assert fleet.wire_bytes_by_command["advance"] > before
+            assert not hasattr(fleet, "_stat_plane")
             assert fleet.wire_bytes_total > 0
-
-    def test_batch_mode_still_byte_identical(self):
-        """The legacy full-pickle path stays available and correct."""
-        reference, ref_hist = _serial_reference(3)
-        with ShardedFleet(shards=2, mode="batch") as fleet:
-            for config, seed in _configs():
-                fleet.add_service(config, seed=seed)
-            fleet.start()
-            for _ in range(3):
-                fleet.advance_window(WINDOW)
-            assert fleet.snapshots() == reference[-1]
             assert {
                 n: s.history for n, s in fleet.services.items()
             } == ref_hist
-            with pytest.raises(RuntimeError, match="streaming"):
-                fleet.suspects()
-            with pytest.raises(RuntimeError, match="streaming"):
-                fleet.resync()
 
 
 class TestOnlineScorer:
@@ -297,6 +290,14 @@ class TestCheckpointRestore:
         restored.advance_window(WINDOW)
         assert snapshot_instance(restored) == snapshot_instance(original)
         assert restored.metrics == original.metrics
+        # the stat row round-trips through a compressed stat block with
+        # every census field in use (a live runtime never has them all)
+        census = {state: pos + 1 for pos, state in enumerate(GoroutineState)}
+        restored.runtime.state_census = lambda: dict(census)
+        block = zlib.compress(pack_row(restored, 3, 4), 1)
+        assert stats_from_raw(zlib.decompress(block)) == instance_stats(
+            restored
+        )
 
     def test_declines_mid_flight_state(self):
         instance = self._instance()
@@ -467,13 +468,13 @@ class TestCheckpointRestore:
             # replay window 1's records straight at the view: refused
             stale = (
                 "payments", 0, False,
-                [held_at_w1[gid] for gid in sorted(departed)], (), None, None,
+                [held_at_w1[gid] for gid in sorted(departed)], (), None,
             )
             assert view.apply(stale, window=1) is False
             assert not departed & set(view.records), "ghost resurrected"
             # and through the fleet ingest path: counted, scorer unfed
             before = fleet.suspects(threshold=1)
-            fleet._apply_deltas(0, (False, 1, [stale]), set())
+            fleet._apply_deltas((1, (), b"", [stale]))
             assert fleet.stale_deltas == 1
             assert fleet.suspects(threshold=1) == before
             assert fleet.snapshots() == reference[1]
@@ -495,6 +496,10 @@ class TestCheckpointRestore:
             assert fleet.checkpoints_declined == 1
             # the journal survives: replay is still the recovery path
             assert len(fleet._journal[0]) > 0
+        # a decline is surfaced, not just counted on the object
+        assert 'repro_fleet_checkpoints_total{result="declined"} 1' in (
+            obs.render()
+        )
 
 
 class TestRebalance:
