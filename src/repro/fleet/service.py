@@ -26,6 +26,25 @@ WINDOW_SECONDS = 3600.0
 
 _instance_ids = itertools.count()
 
+#: Per-service window series: one set of children per ``service`` label.
+_WINDOW_METRICS = obs.bind(lambda reg, service: (
+    reg.histogram(
+        "repro_fleet_window_seconds",
+        "Wall-clock duration of one instance observation window",
+        ("service",),
+    ).labels(service),
+    reg.counter(
+        "repro_fleet_windows_total",
+        "Observation windows served, by service",
+        ("service",),
+    ).labels(service),
+    reg.counter(
+        "repro_fleet_requests_total",
+        "Requests served inside observation windows, by service",
+        ("service",),
+    ).labels(service),
+))
+
 
 @dataclass
 class InstanceMetrics:
@@ -101,43 +120,36 @@ class ServiceInstance:
 
         Instrumented at window granularity (one observation per call,
         labeled by service — never by instance, which would be
-        unbounded cardinality under churn).
+        unbounded cardinality under churn).  The parked-goroutine count
+        is read once and feeds both the sample and the CPU model.
         """
-        reg = obs.default_registry()
-        started = _monotonic() if reg.enabled else 0.0
-        t = self.runtime.now
+        metrics = _WINDOW_METRICS(self.service)
+        started = _monotonic() if metrics is not None else 0.0
+        runtime = self.runtime
+        t = runtime.now
         request_count = self.traffic.requests_at(t)
         for _ in range(request_count):
-            handler = self.mix.sample(self.runtime.rng)
+            handler = self.mix.sample(runtime.rng)
             self.serve_one(handler)
         # idle the remainder of the window (leaked goroutines just sit)
-        self.runtime.advance(max(0.0, (t + window) - self.runtime.now))
+        runtime.advance(max(0.0, (t + window) - runtime.now))
         # Counter reads only: a sample never touches per-goroutine state.
+        now = runtime.now
+        blocked = runtime.blocked_goroutines_count
         sample = InstanceMetrics(
-            t=self.runtime.now,
-            rss_bytes=self.rss(),
-            goroutines=self.runtime.num_goroutines,
-            cpu_percent=self.cpu_utilization(),
+            t=now,
+            rss_bytes=runtime.rss(),
+            goroutines=runtime.num_goroutines,
+            cpu_percent=self.cpu_model.utilization(now, blocked),
             requests_served=request_count,
-            blocked_goroutines=self.runtime.blocked_goroutines_count,
+            blocked_goroutines=blocked,
         )
         self.metrics.append(sample)
-        if reg.enabled:
-            reg.histogram(
-                "repro_fleet_window_seconds",
-                "Wall-clock duration of one instance observation window",
-                ("service",),
-            ).labels(self.service).observe(_monotonic() - started)
-            reg.counter(
-                "repro_fleet_windows_total",
-                "Observation windows served, by service",
-                ("service",),
-            ).labels(self.service).inc()
-            reg.counter(
-                "repro_fleet_requests_total",
-                "Requests served inside observation windows, by service",
-                ("service",),
-            ).labels(self.service).inc(request_count)
+        if metrics is not None:
+            window_seconds, windows, requests = metrics
+            window_seconds.observe(_monotonic() - started)
+            windows.inc()
+            requests.inc(request_count)
         return sample
 
     # -- observability (what the paper's infra sees) -------------------------

@@ -17,7 +17,11 @@ fleet windows) records into :func:`default_registry` and traces into
 :func:`default_tracer`, so one ``obs.snapshot()`` / ``obs.render()``
 shows the whole pipeline.  ``configure(enabled=False)`` turns all of it
 off — the uninstrumented baseline ``benchmarks/bench_obs_overhead.py``
-measures against (the gate: ≤5% steps/sec overhead with metrics on).
+measures against.  It gates two workloads with metrics on: ≤5% steps/sec
+on a scheduler ping-pong, and ≤20% CPU on an in-process fleet week, where
+runs are a few steps each and per-run recording cannot amortize.  Hot
+paths hold their children through :func:`bind` so a record skips the
+registry lookup.
 
 Ingest daemons additionally keep a *private* registry each (so two
 servers in one process never mix counters); their ``/metrics`` endpoint
@@ -26,7 +30,7 @@ merges the private registry with this module's default.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from .parse import (
     ParsedFamily,
@@ -94,6 +98,52 @@ def reset() -> None:
     """Drop all default-registry metrics and retained traces (tests)."""
     _default_registry.clear()
     _default_tracer.clear()
+
+
+class _Binding:
+    """Metric children resolved once for a hot path (see :func:`bind`)."""
+
+    __slots__ = ("_build", "_bound")
+
+    def __init__(self, build: Callable[..., Any]):
+        self._build = build
+        # (registry, its epoch, key -> children), swapped as one object so
+        # a thread never pairs one registry's children with another.
+        self._bound: tuple = (None, -1, {})
+
+    def __call__(self, *key: Any) -> Any:
+        """The children for ``key``, or ``None`` while metrics are off."""
+        registry = _default_registry
+        if not registry.enabled:
+            return None
+        bound = self._bound
+        if bound[0] is not registry or bound[1] != registry.epoch:
+            bound = self._bound = (registry, registry.epoch, {})
+        children = bound[2].get(key)
+        if children is None:
+            children = bound[2][key] = self._build(registry, *key)
+        return children
+
+
+def bind(build: Callable[..., Any]) -> "_Binding":
+    """Resolve a hot path's metric children once and reuse them.
+
+    ``build(registry, *key)`` looks its series up (``registry.counter(...)
+    .labels(...)`` and so on) and returns whatever the path records into.
+    Calling the returned binding with ``key`` hands back that
+    result, rebuilding it only when :func:`default_registry` is another
+    object (:func:`set_default_registry`) or has been cleared since
+    (:func:`reset` bumps its ``epoch``).  It returns ``None`` whenever the
+    default registry is disabled, so the caller skips recording::
+
+        _RUNS = obs.bind(lambda reg, service: reg.counter(
+            "runs_total", "Runs", ("service",)).labels(service))
+
+        runs = _RUNS(service)
+        if runs is not None:
+            runs.inc()
+    """
+    return _Binding(build)
 
 
 # -- convenience pass-throughs on the defaults ------------------------------
@@ -187,6 +237,7 @@ __all__ = [
     "PromParseError",
     "Span",
     "Tracer",
+    "bind",
     "configure",
     "counter",
     "default_registry",

@@ -2,10 +2,15 @@
 
 Dependency-free self-observability for the detection stack.  The design
 constraint is the paper's own bar: instrumentation must be featherlight
-enough to leave on in production, so every recording path is a dict hit
-plus a float add — no allocation, no formatting, no I/O.  Exposition
-(:func:`render_prometheus`) walks the registry only when something
-actually scrapes it.
+enough to leave on in production.  Looking a series up — the registry's
+get-or-create by name, then ``labels()`` stringifying each label value —
+is the expensive part, so hot paths do it once: :func:`repro.obs.bind`
+resolves a path's children and hands the same objects back until the
+default registry is swapped or cleared (its :attr:`MetricsRegistry.epoch`
+moves).  A bound record is then an ``enabled`` check, a lock and a float
+add; a histogram adds one bisect for its bucket.  No formatting, no I/O.
+Exposition (:func:`render_prometheus`) walks the registry only when
+something actually scrapes it.
 
 Three metric kinds, all label-aware:
 
@@ -25,6 +30,7 @@ against.
 
 from __future__ import annotations
 
+import bisect
 import re
 import threading
 import time
@@ -154,14 +160,16 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         if not self._registry.enabled:
             return
+        # The first bound >= value; NaN compares false against every
+        # bound, so it is pinned to +Inf (bisect alone would say 0).
+        index = (
+            bisect.bisect_left(self._buckets, value)
+            if value == value
+            else len(self._buckets)
+        )
         with self._lock:
             self._sum += value
             self._count += 1
-            index = len(self._buckets)
-            for i, bound in enumerate(self._buckets):
-                if value <= bound:
-                    index = i
-                    break
             self._counts[index] += 1
 
     def time(self) -> _Timer:
@@ -346,6 +354,9 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: Bumped by :meth:`clear`, so bound children (``obs.bind``)
+        #: know the families they hold were dropped.
+        self.epoch = 0
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
@@ -405,6 +416,7 @@ class MetricsRegistry:
         """Drop every metric (tests; a fresh start, not a zeroing)."""
         with self._lock:
             self._metrics.clear()
+            self.epoch += 1
 
     def snapshot(self) -> Dict[str, Dict]:
         """Plain-data view of every metric — the fleet/observer API.

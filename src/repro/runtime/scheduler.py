@@ -81,12 +81,35 @@ _PARK_STATES = {
 _RUNNABLE_IDX = GoroutineState.RUNNABLE.census_index
 _RUNNING_IDX = GoroutineState.RUNNING.census_index
 _BLOCKED_IDXS = tuple(sorted(s.census_index for s in BLOCKED_STATES))
+#: ``(state, census slot)`` in enum order: ``state_census`` walks this
+#: tuple rather than the enum's generator on every snapshot.
+_CENSUS_SLOTS = tuple((s, s.census_index) for s in GoroutineState)
 
 #: Park states the Go deadlock detector ignores (IO may complete externally).
 #: Alias of the shared set in :mod:`repro.runtime.goroutine` so the
 #: scheduler, goleak, and the repro.gc mark engine agree by construction.
 _EXTERNALLY_WAKEABLE = EXTERNALLY_WAKEABLE_STATES
 
+
+#: The scheduler's per-run series, resolved once per default registry.
+_RUN_METRICS = obs.bind(lambda reg: (
+    reg.gauge(
+        "repro_sched_run_queue_depth",
+        "Runnable goroutines queued when the last run started",
+    ).labels(),
+    reg.counter(
+        "repro_sched_runs_total",
+        "run_until_quiescent calls (requests, windows, drains)",
+    ).labels(),
+    reg.counter(
+        "repro_sched_steps_total",
+        "Scheduler steps interpreted across all runtimes",
+    ).labels(),
+    reg.histogram(
+        "repro_sched_run_seconds",
+        "Wall-clock duration of one run_until_quiescent call",
+    ).labels(),
+))
 
 #: Timer-heap compaction: rebuild once the heap holds at least this many
 #: entries AND more than half of them are cancelled tombstones.
@@ -581,18 +604,16 @@ class Runtime:
         ``all goroutines are asleep`` check.
 
         Instrumentation rides at *run* granularity, never per step: one
-        timing observation and one counter delta per call keeps the
-        interpreter hot loop untouched (the bench_obs_overhead gate).
+        timing observation and one counter delta per call, into children
+        bound once (``obs.bind``), keeps the interpreter hot loop
+        untouched (the bench_obs_overhead gates).
         """
         self._steps_base = self.steps
-        reg = obs.default_registry()
-        recording = reg.enabled
-        if recording:
+        metrics = _RUN_METRICS()
+        if metrics is not None:
             started = _monotonic()
-            reg.gauge(
-                "repro_sched_run_queue_depth",
-                "Runnable goroutines queued when the last run started",
-            ).set(len(self._run_queue))
+            queue_depth, runs, steps, run_seconds = metrics
+            queue_depth.set(len(self._run_queue))
         try:
             limit = self.steps + max_steps
             step = self._step
@@ -605,19 +626,10 @@ class Runtime:
                 if not self._advance_clock(deadline):
                     break
         finally:
-            if recording:
-                reg.counter(
-                    "repro_sched_runs_total",
-                    "run_until_quiescent calls (requests, windows, drains)",
-                ).inc()
-                reg.counter(
-                    "repro_sched_steps_total",
-                    "Scheduler steps interpreted across all runtimes",
-                ).inc(self.steps - self._steps_base)
-                reg.histogram(
-                    "repro_sched_run_seconds",
-                    "Wall-clock duration of one run_until_quiescent call",
-                ).observe(_monotonic() - started)
+            if metrics is not None:
+                runs.inc()
+                steps.inc(self.steps - self._steps_base)
+                run_seconds.observe(_monotonic() - started)
         if (
             detect_global_deadlock
             and self.main is not None
@@ -770,9 +782,9 @@ class Runtime:
             return scanned
         census = self._state_census
         return {
-            state: census[state.census_index]
-            for state in GoroutineState
-            if census[state.census_index]
+            state: census[index]
+            for state, index in _CENSUS_SLOTS
+            if census[index]
         }
 
     def rss(self, audit: bool = False) -> int:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.fleet import Fleet, RequestMix, Service, ServiceConfig, TrafficShape
 from repro.ingest import IngestClient, IngestError, IngestServer, IngestStore
 from repro.leakprof import LeakProf
 from repro.obs import MetricsRegistry, Tracer
@@ -16,7 +17,7 @@ from repro.obs.parse import (
     sample_value,
 )
 from repro.obs.registry import render_prometheus
-from repro.patterns import timeout_leak
+from repro.patterns import healthy, timeout_leak
 from repro.profiling import GoroutineProfile, dump_text
 from repro.runtime import Runtime
 
@@ -167,6 +168,28 @@ class TestExposition:
         assert count == 5
         assert total == pytest.approx(104.05)
         assert buckets["+Inf"] == count
+
+    def test_histogram_bucket_placement_at_the_edges(self):
+        bounds = (0.1, 1.0, 5.0)
+
+        def placed(value):
+            """The ``le`` of the bucket a lone observation lands in."""
+            h = MetricsRegistry().histogram("repro_edge", "h", buckets=bounds)
+            h.observe(value)
+            return next(le for le, n in h.labels().bucket_values() if n)
+
+        # a value equal to a bound belongs to that bound's bucket
+        assert placed(0.1) == 0.1
+        assert placed(1.0) == 1.0
+        assert placed(5.0) == 5.0
+        # between bounds: the next bound up; below the first: the first
+        assert placed(0.5) == 1.0
+        assert placed(1.0000001) == 5.0
+        assert placed(-3.0) == 0.1
+        assert placed(float("-inf")) == 0.1
+        # above the last bound, +Inf and NaN all go to +Inf only
+        for value in (5.0000001, 1e300, float("inf"), float("nan")):
+            assert placed(value) == float("inf"), value
 
     def test_scrape_then_reparse_round_trip(self):
         reg = MetricsRegistry()
@@ -319,6 +342,117 @@ class TestPipelineInstrumentation:
         }
         kinds = snap["repro_leakprof_results_total"]["samples"]
         assert kinds["kind=new_report"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Bound metric handles (obs.bind) on the fleet's hot path
+# ---------------------------------------------------------------------------
+
+#: Every instance serves exactly this many requests per window.
+REQUESTS = 3
+
+
+def small_fleet() -> Fleet:
+    fleet = Fleet()
+    for name, body in (("leaky", timeout_leak.leaky),
+                       ("ok", healthy.request_response)):
+        config = ServiceConfig(
+            name=name,
+            mix=RequestMix().add("h", body, weight=1.0),
+            instances=2,
+            traffic=TrafficShape(requests_per_window=REQUESTS,
+                                 diurnal_fraction=0.0),
+        )
+        fleet.add(Service(config, seed=11))
+    return fleet
+
+
+def fleet_series(registry: MetricsRegistry) -> dict:
+    """The window's hot-path series, read back from a scrape."""
+    families = parse_prometheus_text(registry.render())
+    out = {"runs": sample_value(families, "repro_sched_runs_total")}
+    for svc in ("leaky", "ok"):
+        by_service = {"service": svc}
+        out[svc] = (
+            sample_value(families, "repro_fleet_windows_total", by_service),
+            sample_value(families, "repro_fleet_requests_total", by_service),
+            sample_value(families, "repro_fleet_service_health",
+                         {**by_service, "field": "blocked_goroutines"}),
+            sample_value(families, "repro_fleet_service_health",
+                         {**by_service, "field": "instances"}),
+        )
+    return out
+
+
+class TestBoundHandles:
+    def expected_after_one_window(self, fleet: Fleet) -> dict:
+        # one run per request plus the window's idle advance, per instance
+        instances = sum(len(svc.instances) for svc in fleet)
+        return {
+            "runs": instances * (REQUESTS + 1),
+            **{
+                name: (2, 2 * REQUESTS,
+                       svc.history[-1].total_blocked_goroutines, 2)
+                for name, svc in fleet.services.items()
+            },
+        }
+
+    def test_handles_rebind_after_reset(self):
+        fleet = small_fleet()
+        fleet.advance_window()
+        registry = obs.default_registry()
+        # hold the first window's families: reset drops them from the
+        # registry, and nothing may keep recording into them afterwards
+        old = {
+            name: registry.get(name).total
+            for name in ("repro_sched_runs_total",
+                         "repro_fleet_windows_total",
+                         "repro_fleet_requests_total")
+        }
+        held = {name: registry.get(name) for name in old}
+        obs.reset()
+        fleet.advance_window()
+        assert obs.default_registry() is registry
+        assert fleet_series(registry) == self.expected_after_one_window(fleet)
+        assert {name: family.total for name, family in held.items()} == old
+
+    def test_handles_follow_a_swapped_registry(self):
+        fleet = small_fleet()
+        fleet.advance_window()
+        first = obs.default_registry()
+        before = first.render()
+        swapped_out = obs.set_default_registry(MetricsRegistry())
+        assert swapped_out is first
+        fleet.advance_window()
+        assert fleet_series(obs.default_registry()) == (
+            self.expected_after_one_window(fleet)
+        )
+        assert first.render() == before
+
+    def test_disabled_registry_moves_no_series(self):
+        fleet = small_fleet()
+        fleet.advance_window()
+        before = obs.render()
+        obs.configure(enabled=False)
+        fleet.advance_window()
+        assert obs.render() == before
+        obs.configure(enabled=True)
+        fleet.advance_window()
+        assert obs.render() != before
+
+    def test_serial_history_is_identical_with_obs_on_and_off(self):
+        histories = []
+        for enabled in (True, False):
+            obs.configure(enabled=enabled)
+            fleet = small_fleet()
+            for _ in range(4):
+                fleet.advance_window()
+            histories.append(
+                {name: svc.history for name, svc in fleet.services.items()}
+            )
+        obs.configure(enabled=True)
+        assert histories[0] == histories[1]
+        assert histories[0]["leaky"][-1].total_blocked_goroutines > 0
 
 
 # ---------------------------------------------------------------------------
