@@ -217,7 +217,7 @@ def _run_sharded(shards: int):
 
 
 def _run_async(shards: int):
-    """The same week with shards free-running (``run_days_async``).
+    """The same week with shards free-running (``run_days(max_lead=2)``).
 
     Histories and the final daily run only: the suspect set is checked
     per watermark step by the streaming property suites.
@@ -227,7 +227,9 @@ def _run_async(shards: int):
         for config, seed in _configs():
             fleet.add_service(config, seed=seed)
         fleet.start()
-        fleet.run_days_async(WINDOWS * WINDOW / 86_400.0, window=WINDOW)
+        fleet.run_days(
+            WINDOWS * WINDOW / 86_400.0, window=WINDOW, max_lead=2
+        )
         return {
             "histories": {
                 name: svc.history for name, svc in fleet.services.items()

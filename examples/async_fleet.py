@@ -41,7 +41,7 @@ def main():
     print("== async windows: shards free-run behind a watermark ==")
     fleet = _build(shards=2)
     try:
-        fleet.run_days_async(DAYS / 2, window=WINDOW, max_lead=3)
+        fleet.run_days(DAYS / 2, window=WINDOW, max_lead=3)
         # How far shards actually ran apart depends on OS scheduling —
         # only the *bound* is deterministic, and committed results never
         # depend on pacing at all.
@@ -52,14 +52,14 @@ def main():
 
         # -- move an instance between workers, mid-run -------------------
         # (fleet.plan_rebalance() proposes moves from measured per-shard
-        # lag, and run_days_async(rebalance_lag=...) automates it; an
+        # lag, and run_days(rebalance_lag=...) automates it; an
         # explicit move keeps this walkthrough's output deterministic.)
         moves = {("payments", 2): 1}
         fleet.rebalance(moves)
         for (service, index), shard in sorted(moves.items()):
             print(f"   rebalanced {service}[{index}] -> shard {shard}")
 
-        fleet.run_days_async(DAYS / 2, window=WINDOW, max_lead=3)
+        fleet.run_days(DAYS / 2, window=WINDOW, max_lead=3)
         suspects = fleet.suspects(threshold=10)
         histories = {
             name: list(service.history)

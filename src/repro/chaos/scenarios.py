@@ -282,8 +282,8 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
     evict(4), adv(5..7)`` and shard 1 runs ``init(0), adv(1..3),
     adopt(4), adv(5..7)``.  Two pinned kills land *after* the move —
     shard 0 (the eviction source) at op 5 and shard 1 (the adoption
-    target) at op 6 — while the remaining 3 windows run through
-    :meth:`run_days_async`, so both journal replays must re-execute
+    target) at op 6 — while the remaining 3 windows run free with
+    ``run_days(max_lead=2)``, so both journal replays must re-execute
     their half of the rebalance (re-evict / re-adopt the blob) to
     rebuild the post-move topology.  Histories and online-scorer
     suspects must come out byte-identical to a fault-free
@@ -323,7 +323,7 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
         for _ in range(3):
             fleet.advance_window(3600.0)
         applied = fleet.rebalance({moved: 1})
-        fleet.run_days_async(3 * 3600.0 / 86400.0, window=3600.0)
+        fleet.run_days(3 * 3600.0 / 86400.0, window=3600.0, max_lead=2)
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).streaming_run(fleet, now=1.0)
         moved_shard = fleet._key_shard[moved]

@@ -17,7 +17,7 @@ per-instance materialized views (``snapshots()`` never touches a worker)
 and into an **online suspect scorer** (:mod:`repro.leakprof.streaming`)
 whose suspect sets are batch-scan identical, and copies stat blocks into
 one committed row buffer that views, mirrors, and histories read.
-``resync_every`` adds a periodic anti-entropy full reship;
+:meth:`~ShardedFleet.resync` is an on-demand anti-entropy full reship;
 ``checkpoint_every`` bounds crash-replay cost (below).  Deploys, partial
 deploys, and remedy rollouts travel to the owning shards as commands.
 
@@ -35,14 +35,15 @@ committed state, so ``suspects()``/``snapshots()`` answered at
 watermark ``W`` are byte-identical to a lockstep run advanced exactly
 ``W`` windows — property-gated in ``tests/test_streaming_delta.py``.
 
-Drive it with :meth:`begin_advance`/:meth:`poll` (non-blocking),
-:meth:`advance_shard` (one shard, blocking), or
-:meth:`run_days_async` (free-running with a ``max_lead`` bound).
-:meth:`barrier` drains in-flight advances and catches laggards up to
-the fastest shard; every whole-fleet operation that must observe a
-single instant (``checkpoint``/``resync``/deploys/``rebalance``/
-lockstep ``advance_window``) starts with one.  A delta reply whose
-window is not the shard watermark + 1 (an advance) or the watermark
+Windows advance one way: a *pump round* gives every idle shard its
+next registered window if it is within the goal and ``max_lead`` of the
+fleet watermark, then polls.  :meth:`run_days` pumps in lockstep
+(``max_lead=1``) unless given a larger lead; ``advance_window`` pumps
+one window; :meth:`barrier` drains, then pumps laggards up to the
+fastest shard — and every whole-fleet operation that must observe one
+instant (``checkpoint``/``resync``/deploys/``rebalance``/an advance)
+starts with one.  :meth:`begin_advance`/:meth:`poll` let a caller pace
+shards itself.  A delta reply whose window is not the shard watermark + 1 (an advance) or the watermark
 itself (any other command) is rejected as a protocol violation; a delta
 older than a view's own watermark is dropped before it can resurrect
 tombstoned records (``stale_deltas``).
@@ -59,7 +60,7 @@ state, and the parent rewires its key→shard map.  Both ``evict`` and
 byte-identical state (chaos scenario ``rebalance_crash``).  Manual
 moves are explicit; :meth:`maybe_rebalance` triggers the same path when
 one shard's advance-latency EMA lags the fastest by a factor, and
-:meth:`run_days_async` can invoke it per committed window.  Because
+:meth:`run_days` can invoke it between pump rounds.  Because
 results are topology-invariant, *when* a rebalance fires never changes
 what the fleet computes — only wall-clock balance.
 
@@ -119,7 +120,7 @@ import time
 import zlib
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.registry import monotonic as _monotonic
@@ -127,7 +128,6 @@ from repro.snapshot import InstanceSnapshot
 from repro.snapshot.delta import (
     F_BLOCKED,
     F_CPU,
-    F_GOROUTINES,
     F_RSS,
     F_T,
     ROW_BYTES,
@@ -193,6 +193,41 @@ def _shard_worker(conn) -> None:
         trackers[key] = tracker
         instances[key].runtime._delta = tracker
         return tracker
+
+    def _freeze(keys) -> Dict[str, Any]:
+        """Checkpoint ``keys`` with their delta-tracker state, all or
+        nothing: the reply carries every entry, or the reason the first
+        instance that cannot be checkpointed exactly declined."""
+        entries = []
+        try:
+            for key in keys:
+                if key not in instances:
+                    raise CheckpointUnsupported(
+                        f"unknown instance {key[0]}/i-{key[1]}"
+                    )
+                tracker = trackers[key]
+                if tracker.dirty or tracker.finished:  # pragma: no cover
+                    # a barrier precedes every checkpoint and eviction
+                    raise CheckpointUnsupported(
+                        f"unshipped deltas for {key[0]}/i-{key[1]}"
+                    )
+                entries.append((
+                    key[0], key[1], checkpoint_instance(instances[key]),
+                    tuple(sorted(tracker.shipped)), tracker.gc_sweeps,
+                ))
+        except CheckpointUnsupported as exc:
+            return {"ok": False, "reason": str(exc), "window_seq": window_seq}
+        return {"ok": True, "entries": entries, "window_seq": window_seq}
+
+    def _thaw(entries) -> None:
+        """Restore checkpointed instances and resume their delta
+        trackers exactly where the checkpoint left off."""
+        for svc, idx, blob, shipped, gc_sweeps in entries:
+            key = (svc, idx)
+            if key not in instances:
+                order.append(key)
+            instances[key] = restore_instance(blob)
+            _track(key, DeltaTracker(shipped, gc_sweeps))
 
     def _delta_reply(keys, full: bool = False):
         """The reply to a delta command over the instances in ``keys``.
@@ -267,72 +302,20 @@ def _shard_worker(conn) -> None:
                 # Anti-entropy: reship everything, tracker state included.
                 conn.send(_delta_reply(order, full=True))
             elif cmd == "checkpoint":
-                try:
-                    entries = []
-                    for key in order:
-                        tracker = trackers.get(key)
-                        if tracker is not None and (
-                            tracker.dirty or tracker.finished
-                        ):  # pragma: no cover - lockstep makes this unreachable
-                            raise CheckpointUnsupported(
-                                f"unshipped deltas for {key[0]}/i-{key[1]}"
-                            )
-                        entries.append((
-                            key[0], key[1],
-                            checkpoint_instance(instances[key]),
-                            tuple(sorted(tracker.shipped)) if tracker else (),
-                            tracker.gc_sweeps if tracker else 0,
-                        ))
-                    conn.send(("checkpoint", {
-                        "ok": True, "entries": entries,
-                        "window_seq": window_seq,
-                    }))
-                except CheckpointUnsupported as exc:
-                    conn.send(("checkpoint", {
-                        "ok": False, "reason": str(exc),
-                        "window_seq": window_seq,
-                    }))
+                conn.send(("checkpoint", _freeze(order)))
             elif cmd == "evict":
                 # Re-balance, source side: checkpoint the moving
-                # instances (all-or-nothing), then drop them.  A decline
-                # leaves worker state untouched — deterministic, so a
-                # journal replay of a declined evict re-declines.
+                # instances, then drop them.  A decline leaves worker
+                # state untouched — deterministic, so a journal replay
+                # of a declined evict re-declines.
                 keys = [tuple(k) for k in msg[1]]
-                try:
-                    entries = []
-                    for key in keys:
-                        inst = instances.get(key)
-                        if inst is None:
-                            raise CheckpointUnsupported(
-                                f"unknown instance {key[0]}/i-{key[1]}"
-                            )
-                        tracker = trackers.get(key)
-                        if tracker is not None and (
-                            tracker.dirty or tracker.finished
-                        ):  # pragma: no cover - barrier makes this unreachable
-                            raise CheckpointUnsupported(
-                                f"unshipped deltas for {key[0]}/i-{key[1]}"
-                            )
-                        entries.append((
-                            key[0], key[1],
-                            checkpoint_instance(inst),
-                            tuple(sorted(tracker.shipped)) if tracker else (),
-                            tracker.gc_sweeps if tracker else 0,
-                        ))
-                except CheckpointUnsupported as exc:
-                    conn.send(("evicted", {
-                        "ok": False, "reason": str(exc),
-                        "window_seq": window_seq,
-                    }))
-                else:
+                reply = _freeze(keys)
+                if reply["ok"]:
                     for key in keys:
                         del instances[key]
-                        trackers.pop(key, None)
+                        del trackers[key]
                         order.remove(key)
-                    conn.send(("evicted", {
-                        "ok": True, "entries": entries,
-                        "window_seq": window_seq,
-                    }))
+                conn.send(("evicted", reply))
             elif cmd == "adopt":
                 # Re-balance, target side: restore the blobs and resume
                 # their delta trackers exactly where the source left off.
@@ -340,12 +323,7 @@ def _shard_worker(conn) -> None:
                 slots.update(
                     {tuple(k): v for k, v in slot_updates.items()}
                 )
-                for svc, idx, blob, shipped, gc_sweeps in entries:
-                    key = (svc, idx)
-                    instances[key] = restore_instance(blob)
-                    if key not in order:
-                        order.append(key)
-                    _track(key, DeltaTracker(shipped, gc_sweeps))
+                _thaw(entries)
                 conn.send(("adopted", window_seq))
             elif cmd == "restore":
                 state, meta = msg[1], msg[2]
@@ -354,11 +332,7 @@ def _shard_worker(conn) -> None:
                 order.clear()
                 trackers.clear()
                 window_seq = state.get("window_seq", 0)
-                for svc, idx, blob, shipped, gc_sweeps in state["entries"]:
-                    key = (svc, idx)
-                    instances[key] = restore_instance(blob)
-                    order.append(key)
-                    _track(key, DeltaTracker(shipped, gc_sweeps))
+                _thaw(state["entries"])
                 conn.send(("ok", None))
                 cpu_anchor = time.process_time()
             elif cmd == "stop":
@@ -401,30 +375,14 @@ class _RowMirror:
     def t(self) -> float:
         return self._field(F_T, 0.0)
 
-    @property
-    def rss_bytes(self) -> int:
+    def rss(self) -> int:
         return self._field(F_RSS, 0)
 
-    @property
-    def blocked(self) -> int:
+    def leaked_goroutines(self) -> int:
         return self._field(F_BLOCKED, 0)
 
-    @property
-    def cpu_percent(self) -> float:
-        return self._field(F_CPU, 0.0)
-
-    @property
-    def goroutines(self) -> int:
-        return self._field(F_GOROUTINES, 0)
-
-    def rss(self) -> int:
-        return self.rss_bytes
-
-    def leaked_goroutines(self) -> int:
-        return self.blocked
-
     def cpu_utilization(self) -> float:
-        return self.cpu_percent
+        return self._field(F_CPU, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<_RowMirror {self.name!r} shard={self.shard}>"
@@ -502,7 +460,7 @@ class ShardedService:
 
     def advance_window(self, window: float = WINDOW_SECONDS) -> ServiceSample:
         """Advance only this service's instances, fleet-parallel."""
-        self._fleet._advance(window, only=self.config.name)
+        self._fleet._advance(1, window, only=self.config.name)
         return self.history[-1]
 
     def snapshots(self) -> List[InstanceSnapshot]:
@@ -539,6 +497,9 @@ class _WorkerFault(Exception):
 #: blobs.
 _MUTATING = frozenset({"init", "advance", "restart", "evict", "adopt"})
 
+#: Committed windows to wait between lag-triggered rebalances.
+_COOLDOWN_WINDOWS = 2
+
 
 class ShardedFleet:
     """A fleet whose instances live in N worker processes.
@@ -548,8 +509,8 @@ class ShardedFleet:
         with ShardedFleet(shards=4) as fleet:
             payments = fleet.add_service(config, seed=1)
             fleet.start()
-            fleet.run_days(7.0)            # lockstep windows
-            fleet.run_days_async(7.0)      # shards free-run (watermarked)
+            fleet.run_days(7.0)               # lockstep windows
+            fleet.run_days(7.0, max_lead=2)   # shards free-run (watermarked)
             suspects = fleet.suspects(threshold=10_000)   # O(1) wire
             result = leakprof.daily_run(fleet.snapshots(), now=1.0)
 
@@ -559,14 +520,11 @@ class ShardedFleet:
     affects only wall-clock balance, never results — and can be moved
     later with :meth:`rebalance`.
 
-    Streaming knobs:
+    Streaming knob:
 
     * ``checkpoint_every`` — full-fleet windows between worker
       checkpoints (0 = off).  A successful checkpoint truncates that
       shard's journal, bounding crash-replay cost.
-    * ``resync_every`` — windows between anti-entropy full reships
-      (0 = off).  The delta protocol is exact, so resync is a
-      belt-and-braces defense, not a correctness requirement.
 
     Supervision knobs:
 
@@ -583,18 +541,15 @@ class ShardedFleet:
     def __init__(
         self,
         shards: int = 2,
-        start_method: Optional[str] = None,
         chaos: Optional[Any] = None,
         worker_deadline: float = 30.0,
         max_respawns: int = 8,
         checkpoint_every: int = 0,
-        resync_every: int = 0,
     ):
         if shards < 1:
             raise ValueError("need at least one shard")
         self.num_shards = shards
         self.checkpoint_every = checkpoint_every
-        self.resync_every = resync_every
         self.services: Dict[str, ShardedService] = {}
         self._conns: List[Any] = [None] * shards
         self._procs: List[Optional[multiprocessing.Process]] = [None] * shards
@@ -646,7 +601,6 @@ class ShardedFleet:
         #: window index -> (window seconds, only) for catch-up/commit.
         self._window_args: Dict[int, Tuple[float, Optional[str]]] = {}
         self._checkpoint_due = False
-        self._resync_due = False
         #: Widest (max - min) shard-watermark spread ever observed.
         self.max_window_spread = 0
         #: Deltas dropped by the view watermark guard.
@@ -654,8 +608,6 @@ class ShardedFleet:
         # -- re-balancing ----------------------------------------------
         self.rebalances = 0
         self.instances_moved = 0
-        #: Committed windows to wait between lag-triggered rebalances.
-        self.rebalance_cooldown = 2
         self._last_rebalance_window = -(10 ** 9)
         # -- accounting ------------------------------------------------
         self.wire_bytes_total = 0
@@ -673,10 +625,10 @@ class ShardedFleet:
         self._windows_advanced = 0
         self._last_recv_nbytes = 0
         self._last_exchange_nbytes: List[int] = []
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # a platform without fork
+            self._ctx = multiprocessing.get_context("spawn")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -750,14 +702,10 @@ class ShardedFleet:
                     (service.config, service.seed, service.deploys,
                      indices, 0.0)
                 )
-        shards = list(range(self.num_shards))
-        payloads = self._exchange([
+        self._exchange_deltas([
             (shard, ("init", specs[shard], self._worker_meta(shard)))
-            for shard in shards
+            for shard in range(self.num_shards)
         ])
-        for shard, payload in zip(shards, payloads):
-            self._note_window(shard, payload[0], advance=False)
-        self._ingest(payloads)
         for service in self.services.values():
             service.deploys += 1  # matches Service._start_instances
         return self
@@ -858,6 +806,15 @@ class ShardedFleet:
             nbytes_list.append(self._last_recv_nbytes)
         self._last_exchange_nbytes = nbytes_list
         return payloads
+
+    def _exchange_deltas(self, pairs: List[Tuple[int, Tuple]]) -> None:
+        """Exchange delta commands that do not advance a window (init,
+        restart, resync): check each reply carries its shard's current
+        watermark, then fold the replies in."""
+        payloads = self._exchange(pairs)
+        for (shard, _message), payload in zip(pairs, payloads):
+            self._note_window(shard, payload[0], advance=False)
+        self._ingest(payloads)
 
     def _collect_reply(
         self, shard: int, message: Tuple,
@@ -1164,9 +1121,9 @@ class ShardedFleet:
         """Send one shard's next window advance without waiting for it.
 
         Returns the window index the shard will compute.  Collect the
-        reply with :meth:`poll`, :meth:`join_shard`, :meth:`drain`, or
-        :meth:`barrier`.  All shards must advance a given window index
-        with the same ``window`` seconds (determinism), so a conflicting
+        reply with :meth:`poll`, :meth:`drain`, or :meth:`barrier`.
+        All shards must advance a given window index with the same
+        ``window`` seconds (determinism), so a conflicting
         re-registration raises.
         """
         if not self._started:
@@ -1186,24 +1143,6 @@ class ShardedFleet:
             )
         self._begin(shard, ("advance", window, None))
         return nxt
-
-    def join_shard(self, shard: int) -> None:
-        """Block until ``shard``'s in-flight advance is collected."""
-        if self._inflight[shard] is not None:
-            self._collect_shard(shard)
-            self._commit_ready()
-
-    def advance_shard(
-        self, shard: int, window: float = WINDOW_SECONDS
-    ) -> int:
-        """Advance one shard a window and wait for it (other shards idle).
-
-        The blocking single-shard primitive: drives shards deliberately
-        out of phase.  Returns the shard's new window watermark.
-        """
-        self.begin_advance(shard, window)
-        self.join_shard(shard)
-        return self._shard_window[shard]
 
     def poll(self, timeout: float = 0.0) -> int:
         """Collect any ready async replies; commit newly-complete windows.
@@ -1250,21 +1189,33 @@ class ShardedFleet:
 
         After a barrier every shard watermark equals the fleet
         watermark — the required instant for whole-fleet operations
-        (checkpoint, resync, deploys, rebalance, lockstep advances).
+        (checkpoint, resync, deploys, rebalance, advances).  Catch-up
+        pumps with no lead bound: the fastest shard already registered
+        every window a laggard still owes.
         """
         if not self._started:
             return
         self.drain()
-        target = max(self._shard_window)
+        goal = max(self._shard_window)
+        while self._committed_window < goal:
+            self._pump(goal, goal)
+
+    def _pump(self, goal: int, max_lead: int) -> None:
+        """One pump round: send every idle shard its next registered
+        ``(seconds, only)`` window if that window is at most ``goal``
+        and ``max_lead`` past the fleet watermark, then poll (which
+        commits).  ``max_lead=1`` is lockstep."""
+        sent = False
         for shard in range(self.num_shards):
-            while self._shard_window[shard] < target:
-                nxt = self._shard_window[shard] + 1
-                seconds, only = self._window_args.get(
-                    nxt, (WINDOW_SECONDS, None)
-                )
-                self._begin(shard, ("advance", seconds, only))
-                self._collect_shard(shard)
-        self._commit_ready()
+            if self._inflight[shard] is not None:
+                continue
+            nxt = self._shard_window[shard] + 1
+            if nxt > goal or nxt - self._committed_window > max_lead:
+                continue
+            seconds, only = self._window_args[nxt]
+            self._begin(shard, ("advance", seconds, only))
+            sent = True
+        self.poll(timeout=0.0 if sent else 0.05)
 
     def _collect_shard(self, shard: int) -> None:
         """Collect one shard's in-flight advance reply and buffer it."""
@@ -1309,14 +1260,11 @@ class ShardedFleet:
                 payloads.append(queue.popleft()[1])
             self._ingest(payloads)
             self._committed_window = window
-            _seconds, only = self._window_args.pop(
-                window, (WINDOW_SECONDS, None)
-            )
+            _seconds, only = self._window_args.pop(window)
             for service in self.services.values():
                 if only is None or service.config.name == only:
                     self._sample(service)
-            if self.scorer is not None:
-                self.scorer.end_window()
+            self.scorer.end_window()
             if only is None:
                 self._windows_advanced += 1
                 if (
@@ -1324,11 +1272,6 @@ class ShardedFleet:
                     and self._windows_advanced % self.checkpoint_every == 0
                 ):
                     self._checkpoint_due = True
-                if (
-                    self.resync_every
-                    and self._windows_advanced % self.resync_every == 0
-                ):
-                    self._resync_due = True
             if reg.enabled:
                 reg.gauge(
                     "repro_fleet_watermark",
@@ -1336,18 +1279,14 @@ class ShardedFleet:
                 ).set(float(self._committed_window))
 
     def _run_maintenance(self) -> None:
-        """Perform cadence work (checkpoint/resync) flagged by commits.
+        """Take the checkpoint a commit flagged as due.
 
-        Runs at lockstep advance boundaries and between async pump
-        rounds — never inside a commit, because both operations need a
-        quiesced fleet (they barrier internally).
+        Runs between pump rounds — never inside a commit, because a
+        checkpoint needs a quiesced fleet (it barriers internally).
         """
         if self._checkpoint_due:
             self._checkpoint_due = False
             self.checkpoint()
-        if self._resync_due:
-            self._resync_due = False
-            self.resync()
 
     # -- ingest --------------------------------------------------------------
 
@@ -1402,16 +1341,27 @@ class ShardedFleet:
 
     # -- windows -------------------------------------------------------------
 
-    def _advance(self, window: float, only: Optional[str] = None) -> None:
-        # A lockstep advance is the synchronous special case of the
-        # async machinery — barrier, advance every shard one window,
-        # commit, run cadence work.
+    def _advance(
+        self,
+        windows: int,
+        window: float,
+        only: Optional[str] = None,
+        max_lead: int = 1,
+        rebalance_lag: Optional[float] = None,
+    ) -> None:
+        """Barrier, register ``windows`` windows, pump until all commit;
+        cadence work and the optional rebalancer run between rounds."""
+        if not self._started:
+            raise RuntimeError("fleet not started")
         self.barrier()
-        nxt = self._shard_window[0] + 1
-        self._window_args[nxt] = (window, only)
-        for shard in range(self.num_shards):
-            self._begin(shard, ("advance", window, only))
-        self.drain()
+        goal = self._committed_window + windows
+        for nxt in range(self._committed_window + 1, goal + 1):
+            self._window_args[nxt] = (window, only)
+        while self._committed_window < goal:
+            self._pump(goal, max_lead)
+            self._run_maintenance()
+            if rebalance_lag is not None:
+                self.maybe_rebalance(rebalance_lag)
         self._run_maintenance()
 
     def _sample(self, service: ShardedService) -> ServiceSample:
@@ -1450,16 +1400,13 @@ class ShardedFleet:
         by_shard: Dict[int, List[int]] = {}
         for index in indices:
             by_shard.setdefault(service.shard_of[index], []).append(index)
-        payloads = self._exchange(
+        self._exchange_deltas(
             [
                 (shard, ("restart", service.config, service.seed,
                          service.deploys, shard_indices, mix, start_time))
                 for shard, shard_indices in by_shard.items()
             ]
         )
-        for shard, payload in zip(by_shard, payloads):
-            self._note_window(shard, payload[0], advance=False)
-        self._ingest(payloads)
         for index in indices:
             service.instances[index].mix = mix
 
@@ -1474,13 +1421,9 @@ class ShardedFleet:
         ``repro_fleet_full_resync_total`` metric.
         """
         self.barrier()
-        shards = list(range(self.num_shards))
-        payloads = self._exchange([
-            (shard, ("resync", None)) for shard in shards
+        self._exchange_deltas([
+            (shard, ("resync", None)) for shard in range(self.num_shards)
         ])
-        for shard, payload in zip(shards, payloads):
-            self._note_window(shard, payload[0], advance=False)
-        self._ingest(payloads)
         self.full_resyncs += 1
         reg = obs.default_registry()
         if reg.enabled:
@@ -1576,6 +1519,12 @@ class ShardedFleet:
 
     # -- re-balancing --------------------------------------------------------
 
+    def _lags(self, emas: Optional[Dict[int, float]]) -> List[float]:
+        """Per-shard advance-latency EMAs, or ``emas``' overrides."""
+        if emas is None:
+            return list(self._advance_ema)
+        return [emas.get(shard, 0.0) for shard in range(self.num_shards)]
+
     def plan_rebalance(
         self, emas: Optional[Dict[int, float]] = None
     ) -> Dict[Tuple[str, int], int]:
@@ -1589,11 +1538,7 @@ class ShardedFleet:
         """
         if self.num_shards < 2:
             return {}
-        lag = [
-            (emas.get(shard, 0.0) if emas is not None
-             else self._advance_ema[shard])
-            for shard in range(self.num_shards)
-        ]
+        lag = self._lags(emas)
         source = max(range(self.num_shards), key=lambda s: (lag[s], -s))
         target = min(range(self.num_shards), key=lambda s: (lag[s], s))
         if source == target:
@@ -1615,24 +1560,17 @@ class ShardedFleet:
         round-trip EMAs, overridable via ``emas`` for tests), the
         response is :meth:`rebalance` — so *whether* it fires varies
         with host load, but *what the fleet computes* never does.
-        Rate-limited by ``rebalance_cooldown`` committed windows.
+        Rate-limited to one per ``_COOLDOWN_WINDOWS`` (2) committed
+        windows.
         """
-        if self.num_shards < 2:
-            return {}
         if (
             self._committed_window - self._last_rebalance_window
-            < self.rebalance_cooldown
+            < _COOLDOWN_WINDOWS
         ):
             return {}
-        values = [
-            (emas.get(shard, 0.0) if emas is not None
-             else self._advance_ema[shard])
-            for shard in range(self.num_shards)
-        ]
-        fastest = min(value for value in values if value > 0.0) \
-            if any(value > 0.0 for value in values) else 0.0
-        slowest = max(values)
-        if fastest <= 0.0 or slowest < lag * fastest:
+        values = self._lags(emas)
+        measured = [value for value in values if value > 0.0]
+        if not measured or max(values) < lag * min(measured):
             return {}
         moves = self.plan_rebalance(emas)
         if moves:
@@ -1753,59 +1691,30 @@ class ShardedFleet:
 
     def advance_window(self, window: float = WINDOW_SECONDS) -> None:
         """Advance every instance one window, in lockstep."""
-        self._advance(window)
+        self._advance(1, window)
 
     def run_days(
         self,
         days: float,
         window: float = WINDOW_SECONDS,
-        on_window: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """Advance the whole fleet ``days`` of virtual time, in lockstep."""
-        windows = int(days * 86_400.0 / window)
-        for _ in range(windows):
-            self.advance_window(window)
-            if on_window is not None:
-                on_window(next(iter(self.services.values())).now)
-
-    def run_days_async(
-        self,
-        days: float,
-        window: float = WINDOW_SECONDS,
-        max_lead: int = 2,
+        max_lead: int = 1,
         rebalance_lag: Optional[float] = None,
     ) -> None:
-        """Advance ``days`` with shards free-running out of phase.
+        """Advance the whole fleet ``days`` of virtual time.
 
         Every idle shard that is less than ``max_lead`` windows ahead of
-        the fleet watermark is immediately given its next window — no
-        shard ever waits for the slowest one until the lead bound bites.
+        the fleet watermark is immediately given its next window, so
+        with ``max_lead=1`` the fleet runs in lockstep and with a larger
+        lead no shard waits for the slowest one until the bound bites.
         Histories, views, and the scorer advance only at commits, so the
-        result is byte-identical to :meth:`run_days` over the same span.
-        ``rebalance_lag`` enables the lag-triggered rebalancer
-        (:meth:`maybe_rebalance`) between pump rounds.
+        result is byte-identical for every lead.  ``rebalance_lag``
+        enables the lag-triggered rebalancer (:meth:`maybe_rebalance`)
+        between pump rounds.
         """
-        if not self._started:
-            raise RuntimeError("fleet not started")
-        windows = int(days * 86_400.0 / window)
-        self.barrier()
-        goal = self._shard_window[0] + windows
-        max_lead = max(1, int(max_lead))
-        while self._committed_window < goal:
-            sent = False
-            for shard in range(self.num_shards):
-                if self._inflight[shard] is not None:
-                    continue
-                nxt = self._shard_window[shard] + 1
-                if nxt > goal or nxt - self._committed_window > max_lead:
-                    continue
-                self.begin_advance(shard, window)
-                sent = True
-            self.poll(timeout=0.0 if sent else 0.05)
-            self._run_maintenance()
-            if rebalance_lag is not None:
-                self.maybe_rebalance(rebalance_lag)
-        self._run_maintenance()
+        self._advance(
+            int(days * 86_400.0 / window), window,
+            max_lead=max(1, int(max_lead)), rebalance_lag=rebalance_lag,
+        )
 
     def snapshots(
         self, service: Optional[str] = None

@@ -343,6 +343,57 @@ class TestShardSupervision:
         assert len(spans) == 1
         assert spans[0].attributes["shard"] == 0
 
+    def test_fault_coordinates_of_a_lockstep_script_are_pinned(self):
+        """Every canned ``FaultSchedule`` names its faults by
+        ``(shard, op_index)``, so the command each coordinate lands on
+        is part of the contract: a refactor of how windows advance must
+        issue exactly this sequence."""
+
+        class _Log:
+            def __init__(self):
+                self.calls = []
+
+            def plan(self, shard, op_index, command):
+                self.calls.append((shard, op_index, command))
+                return None
+
+        log = _Log()
+        fleet = ShardedFleet(shards=2, chaos=log, checkpoint_every=2)
+        for config, seed in _configs():
+            fleet.add_service(config, seed=seed)
+        fleet.start()
+        try:
+            for _ in range(2):
+                fleet.advance_window(3600.0)
+            fleet.run_days(3 * 3600.0 / 86_400.0, window=3600.0)
+            fleet.services["payments"].advance_window(3600.0)
+            # payments/2 lives on shard 0, search/0 on shard 1
+            fleet.rebalance({("payments", 2): 1, ("search", 0): 0})
+            fleet.resync()
+            fleet.checkpoint()
+        finally:
+            fleet.close()
+
+        def both(op, command):
+            return [(0, op, command), (1, op, command)]
+
+        assert log.calls == [
+            *both(0, "init"),
+            *both(1, "advance"),
+            *both(2, "advance"),
+            *both(3, "checkpoint"),
+            *both(4, "advance"),
+            *both(5, "advance"),
+            *both(6, "checkpoint"),
+            *both(7, "advance"),
+            *both(8, "advance"),  # payments only
+            *both(9, "evict"),
+            (1, 10, "adopt"),
+            (0, 10, "adopt"),
+            *both(11, "resync"),
+            *both(12, "checkpoint"),
+        ]
+
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_fault_storms_never_change_results(self, seed):

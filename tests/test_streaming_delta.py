@@ -166,12 +166,14 @@ class TestViewParity:
 
     def test_anti_entropy_resync_preserves_parity(self):
         reference, ref_hist = _serial_reference(4)
-        with ShardedFleet(shards=2, resync_every=2) as fleet:
+        with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
                 fleet.add_service(config, seed=seed)
             fleet.start()
             for w in range(4):
                 fleet.advance_window(WINDOW)
+                if w % 2 == 1:  # after windows 2 and 4
+                    fleet.resync()
                 assert fleet.snapshots() == reference[w]
             assert fleet.full_resyncs == 2
             assert {
@@ -179,7 +181,7 @@ class TestViewParity:
             } == ref_hist
             assert "repro_fleet_full_resync_total 2" in obs.render()
 
-    def test_use_shm_false_ships_stats_inline_with_identical_results(self):
+    def test_stats_ship_inline_on_every_advance_reply(self):
         """Every advance reply carries its shard's stat rows inline: the
         fleet has no shared-memory plane, the counters are counted as
         advance wire bytes, and the results equal the serial fleet's."""
@@ -366,22 +368,27 @@ class TestCheckpointRestore:
                         [s.profile() for s in reference[w - 1]], threshold=1
                     )
 
-            assert fleet.advance_shard(0, WINDOW) == 1
+            def step(shard):
+                fleet.begin_advance(shard, WINDOW)
+                fleet.drain()
+                return fleet.shard_windows[shard]
+
+            assert step(0) == 1
             assert fleet.shard_windows == (1, 0)
             assert fleet.watermark == 0
-            assert fleet.advance_shard(1, WINDOW) == 1
+            assert step(1) == 1
             assert fleet.watermark == 1
             check()
-            fleet.advance_shard(0, WINDOW)
-            fleet.advance_shard(0, WINDOW)  # shard 0 sprints to window 3
+            step(0)
+            step(0)  # shard 0 sprints to window 3
             assert fleet.shard_windows == (3, 1)
             assert fleet.watermark == 1  # nothing new committed
             assert fleet.max_window_spread == 2
             check()
-            fleet.advance_shard(1, WINDOW)
+            step(1)
             assert fleet.watermark == 2
             check()
-            fleet.advance_shard(1, WINDOW)
+            step(1)
             assert fleet.watermark == 3
             check()
             assert {
@@ -396,7 +403,7 @@ class TestCheckpointRestore:
         seed_offset=st.integers(min_value=0, max_value=10_000),
         max_lead=st.integers(min_value=1, max_value=3),
     )
-    def test_run_days_async_matches_lockstep(self, seed_offset, max_lead):
+    def test_run_days_with_lead_matches_lockstep(self, seed_offset, max_lead):
         windows = 4
         reference, ref_hist = _serial_reference(windows, seed_offset)
         for shards in (1, 2, 4):
@@ -404,7 +411,7 @@ class TestCheckpointRestore:
                 for config, seed in _configs():
                     fleet.add_service(config, seed=seed + seed_offset)
                 fleet.start()
-                fleet.run_days_async(
+                fleet.run_days(
                     windows * WINDOW / 86_400.0,
                     window=WINDOW,
                     max_lead=max_lead,
@@ -418,6 +425,31 @@ class TestCheckpointRestore:
                     n: s.history for n, s in fleet.services.items()
                 } == ref_hist
 
+    def test_checkpoint_cadence_under_a_lead(self):
+        """``checkpoint_every`` still fires while shards run ahead of
+        the watermark: every shard checkpoints, every journal ends
+        shorter than the run, and the results equal the serial run."""
+        windows = 6
+        reference, ref_hist = _serial_reference(windows)
+        with ShardedFleet(shards=2, checkpoint_every=2) as fleet:
+            for config, seed in _configs():
+                fleet.add_service(config, seed=seed)
+            fleet.start()
+            fleet.run_days(windows * WINDOW / 86_400.0, window=WINDOW,
+                           max_lead=3)
+            assert fleet.watermark == windows
+            assert all(ckpt is not None for ckpt in fleet._checkpoints)
+            assert fleet.checkpoints_taken >= fleet.num_shards
+            assert fleet.checkpoints_declined == 0
+            assert all(len(journal) < windows for journal in fleet._journal)
+            assert fleet.snapshots() == reference[-1]
+            assert fleet.suspects(threshold=1) == scan_fleet(
+                [s.profile() for s in reference[-1]], threshold=1
+            )
+            assert {
+                n: s.history for n, s in fleet.services.items()
+            } == ref_hist
+
     def test_begin_advance_guards(self):
         with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
@@ -430,10 +462,12 @@ class TestCheckpointRestore:
             # (public entry points barrier first; the guard is the net)
             with pytest.raises(RuntimeError, match="drain"):
                 fleet._exchange([(1, ("resync", None))])
-            fleet.join_shard(0)
+            fleet.drain()
             # window 2 of shard 0 was registered at 3600 s; shard 1 may
             # not advance its window 1 with different seconds
-            fleet.advance_shard(0, WINDOW)
+            fleet.begin_advance(0, WINDOW)
+            fleet.drain()
+            assert fleet.shard_windows == (2, 0)
             with pytest.raises(ValueError, match="already begun"):
                 fleet.begin_advance(1, WINDOW / 2)
 
@@ -544,7 +578,9 @@ class TestRebalance:
                 fleet.add_service(config, seed=seed)
             fleet.start()
             fleet.advance_window(WINDOW)
-            fleet.advance_shard(0, WINDOW)  # shard 0 ahead: windows (2, 1)
+            fleet.begin_advance(0, WINDOW)
+            fleet.drain()  # shard 0 ahead: windows (2, 1)
+            assert fleet.shard_windows == (2, 1)
             assert fleet.watermark == 1
             before = fleet.suspects(threshold=1)
             assert before == scan_fleet(
@@ -616,7 +652,6 @@ class TestRebalance:
             fleet.advance_window(WINDOW)
             # balanced EMAs: no move
             assert fleet.maybe_rebalance(lag=2.0, emas={0: 1.0, 1: 0.9}) == {}
-            # shard 0 lags 10x: its upper key half moves to shard 1
             # shard 0 lags 10x: the upper half of its sorted keys
             # ([payments/0, payments/2, search/1] -> search/1) moves over
             moves = fleet.maybe_rebalance(lag=2.0, emas={0: 10.0, 1: 1.0})
