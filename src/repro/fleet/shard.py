@@ -1264,7 +1264,6 @@ class ShardedFleet:
             for service in self.services.values():
                 if only is None or service.config.name == only:
                     self._sample(service)
-            self.scorer.end_window()
             if only is None:
                 self._windows_advanced += 1
                 if (
@@ -1320,8 +1319,8 @@ class ShardedFleet:
                 continue
             if full:
                 scorer.reset_instance(key)
-            for template, blocked_since in records:
-                scorer.on_record(key, template, blocked_since)
+            for template, _since in records:
+                scorer.on_record(key, template)
             for gid in tombstones:
                 scorer.on_tombstone(key, gid)
             total_records += len(records)

@@ -1,15 +1,18 @@
-"""Criterion 1: the per-profile blocked-goroutine threshold (§V-A).
+"""The §V-A detector: Criterion 1, Criterion 2 and the proof tier.
 
-"The threshold is set to 10K blocked goroutines at the same source
-location in a program; the threshold was determined empirically by
-starting at a larger number and slowly reducing it as long as the ratio
-of true positives remained high."
+Criterion 1 is the per-profile blocked-goroutine threshold: "The
+threshold is set to 10K blocked goroutines at the same source location
+in a program; the threshold was determined empirically by starting at a
+larger number and slowly reducing it as long as the ratio of true
+positives remained high."  Criterion 2 (the transient filter) lives in
+:mod:`.filters`; all three tiers are applied in one place,
+:meth:`SignatureAccumulator.suspects`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.profiling import GoroutineProfile, GoroutineRecord
 
@@ -40,6 +43,116 @@ class Suspect:
         return (self.state, self.location)
 
 
+#: (state value, blocking location) — Suspect.key.
+Signature = Tuple[str, str]
+
+
+class SignatureAccumulator:
+    """One instance's blocked goroutines filed by signature: the §V-A core.
+
+    The only implementation of Criterion 1 (threshold), Criterion 2
+    (transient filter) and the proof tier.  Members are keyed by an
+    *ordinal* — a profile position for :func:`scan_profile`, a gid for
+    the fleet's online scorer — and :meth:`suspects` orders signatures
+    by their least member, with the least (proven) member as the
+    representative.  For a profile that is first-appearance order, so
+    batch and streaming answers agree by construction.
+    """
+
+    __slots__ = ("_sigs", "_sig_of")
+
+    def __init__(self) -> None:
+        #: signature -> (member ordinals, proven member ordinals).
+        self._sigs: Dict[Signature, Tuple[Set[int], Set[int]]] = {}
+        #: ordinal -> signature it is currently filed under.
+        self._sig_of: Dict[int, Signature] = {}
+
+    def file(self, ordinal: int, record: GoroutineRecord) -> None:
+        """(Re)file ``ordinal`` under channel-blocked ``record``'s signature.
+
+        A record with no user frame has no signature: the ordinal is
+        unfiled instead.
+        """
+        location = record.blocking_location
+        if location is None:
+            self.unfile(ordinal)
+            return
+        signature = (record.state.value, location)
+        sig_of = self._sig_of
+        previous = sig_of.get(ordinal)
+        if previous != signature:
+            if previous is not None:
+                self.unfile(ordinal)
+            sig_of[ordinal] = signature
+            sets = self._sigs.get(signature)
+            if sets is None:
+                sets = self._sigs[signature] = (set(), set())
+            sets[0].add(ordinal)
+        else:
+            sets = self._sigs[signature]
+        proven = sets[1]
+        if record.proof == "proven":
+            proven.add(ordinal)
+        elif proven:
+            proven.discard(ordinal)
+
+    def unfile(self, ordinal: int) -> None:
+        """Drop ``ordinal`` from whatever signature holds it."""
+        signature = self._sig_of.pop(ordinal, None)
+        if signature is None:
+            return
+        members, proven = self._sigs[signature]
+        members.discard(ordinal)
+        proven.discard(ordinal)
+        if not members:
+            del self._sigs[signature]
+
+    def suspects(
+        self,
+        record_at: Callable[[int], GoroutineRecord],
+        service: Optional[str],
+        instance: Optional[str],
+        threshold: int = DEFAULT_THRESHOLD,
+        apply_transient_filter: bool = True,
+    ) -> List[Suspect]:
+        """The signatures that pass the criteria, least member first.
+
+        ``record_at`` maps an ordinal back to its record.  A signature
+        with a repro.gc ``proof=proven`` member is promoted regardless
+        of count or filter — the reachability engine already proved it
+        can never be woken.
+        """
+        suspects: List[Suspect] = []
+        for least, (state, location), proven, count in sorted(
+            (min(members), signature, proven, len(members))
+            for signature, (members, proven) in self._sigs.items()
+        ):
+            if proven:
+                representative = record_at(min(proven))
+                proof: Optional[str] = "proven"
+            else:
+                if count < threshold:
+                    continue
+                representative = record_at(least)
+                if apply_transient_filter and is_trivially_nonblocking(
+                    representative
+                ):
+                    continue
+                proof = None
+            suspects.append(
+                Suspect(
+                    service=service,
+                    instance=instance,
+                    state=state,
+                    location=location,
+                    count=count,
+                    representative=representative,
+                    proof=proof,
+                )
+            )
+        return suspects
+
+
 def scan_profile(
     profile: GoroutineProfile,
     threshold: int = DEFAULT_THRESHOLD,
@@ -47,51 +160,23 @@ def scan_profile(
 ) -> List[Suspect]:
     """Find suspicious blocking concentrations in one goroutine profile.
 
-    Implements both of the paper's criteria: counts below ``threshold``
-    are dropped (Criterion 1), and operations static analysis proves
-    transiently blocking are dropped (Criterion 2).  A third tier
-    overrides both: locations whose goroutines carry a repro.gc
-    ``proof=proven`` annotation are promoted regardless of count — the
-    reachability engine already proved they can never be woken.
+    Implements both of the paper's criteria and the proof tier through
+    :class:`SignatureAccumulator`, filing each blocked record under its
+    profile position.
     """
-    by_signature: Dict[Tuple[str, str], List[GoroutineRecord]] = {}
-    for record in profile.blocked():
-        location = record.blocking_location
-        if location is None:
-            continue
-        by_signature.setdefault((record.state.value, location), []).append(record)
-
-    suspects: List[Suspect] = []
-    for (state, location), records in by_signature.items():
-        proven = [r for r in records if r.proof == "proven"]
-        if proven:
-            suspects.append(
-                Suspect(
-                    service=profile.service,
-                    instance=profile.instance,
-                    state=state,
-                    location=location,
-                    count=len(records),
-                    representative=proven[0],
-                    proof="proven",
-                )
-            )
-            continue
-        if len(records) < threshold:
-            continue
-        if apply_transient_filter and is_trivially_nonblocking(records[0]):
-            continue
-        suspects.append(
-            Suspect(
-                service=profile.service,
-                instance=profile.instance,
-                state=state,
-                location=location,
-                count=len(records),
-                representative=records[0],
-            )
-        )
-    return suspects
+    blocked = profile.blocked()
+    if not blocked:
+        return []
+    acc = SignatureAccumulator()
+    for position, record in enumerate(blocked):
+        acc.file(position, record)
+    return acc.suspects(
+        blocked.__getitem__,
+        profile.service,
+        profile.instance,
+        threshold=threshold,
+        apply_transient_filter=apply_transient_filter,
+    )
 
 
 def scan_fleet(

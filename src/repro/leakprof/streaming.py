@@ -4,21 +4,18 @@ The batch pipeline re-sweeps every instance snapshot on each daily run —
 O(total parked goroutines) per run even though almost none of them
 changed.  The streaming fleet already knows exactly what changed: the
 delta plane ships each goroutine record once (plus a tombstone when it
-finishes).  :class:`OnlineSuspectScorer` folds that stream into
-per-(instance, signature) accumulators so that producing the current
-suspect set is O(signatures), not O(goroutines), and per-window inflow /
-age statistics come for free.
+finishes).  :class:`OnlineSuspectScorer` folds that stream into one
+:class:`~repro.leakprof.detector.SignatureAccumulator` per instance, so
+producing the current suspect set is O(signatures), not O(goroutines).
 
-Parity is the contract: :meth:`OnlineSuspectScorer.suspects` returns a
-list equal to ``scan_fleet([view.snapshot().profile() ...])`` over the
-same views — same ordering, counts, representatives, proofs, and
-transient filtering (asserted per-window by ``bench_fleet_scale.py`` and
-property-tested in ``tests/test_streaming_delta.py``).  The ordering
-argument: batch scan walks records in ascending-gid order and groups
-into signatures by first appearance, so signatures emerge ordered by
-their minimum member gid, and the representative is the minimum-gid
-member (minimum-gid *proven* member when a proof exists).  The scorer
-maintains gid sets per signature and reproduces exactly that.
+Parity holds by construction: ``scan_profile`` and the scorer answer
+through the same accumulator — ``scan_profile`` keyed by profile
+position, the scorer keyed by gid.  A view's profile lists records in
+ascending-gid order, so both orderings agree and
+:meth:`OnlineSuspectScorer.suspects` returns a list equal to
+``scan_fleet([view.snapshot().profile() ...])`` over the same views
+(still asserted per-window by ``bench_fleet_scale.py`` and
+property-tested in ``tests/test_streaming_delta.py``).
 
 Under async fleet windows the scorer's inputs are watermark-ordered:
 the parent feeds it only *committed* windows (every shard reported the
@@ -31,119 +28,43 @@ rules are specified in ``docs/STREAMING_PROTOCOL.md`` §6.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.profiling import GoroutineRecord
 from repro.snapshot.delta import InstanceView
 
-from .detector import DEFAULT_THRESHOLD, Suspect
-from .filters import is_trivially_nonblocking
+from .detector import DEFAULT_THRESHOLD, SignatureAccumulator, Suspect
 
-#: (state value, blocking location) — Suspect.key.
-Signature = Tuple[str, str]
 #: (service, index) — the fleet's instance key.
 InstanceKey = Tuple[str, int]
-
-
-class _SignatureAcc:
-    """Accumulators for one blocking signature in one instance."""
-
-    __slots__ = ("gids", "proven", "inflow_total", "inflow_window",
-                 "first_blocked_since")
-
-    def __init__(self) -> None:
-        self.gids: set = set()
-        self.proven: set = set()
-        #: Goroutines ever filed under this signature (monotone).
-        self.inflow_total = 0
-        #: Arrivals since the last window boundary.
-        self.inflow_window = 0
-        #: Earliest park time ever seen here (age anchor).
-        self.first_blocked_since: Optional[float] = None
-
-
-class _InstanceAcc:
-    __slots__ = ("sigs", "sig_of")
-
-    def __init__(self) -> None:
-        self.sigs: Dict[Signature, _SignatureAcc] = {}
-        #: gid -> signature it is currently filed under.
-        self.sig_of: Dict[int, Signature] = {}
 
 
 class OnlineSuspectScorer:
     """Fold the fleet's delta stream into an always-current suspect index."""
 
     def __init__(self) -> None:
-        self._instances: Dict[InstanceKey, _InstanceAcc] = {}
-        self.windows_scored = 0
+        self._instances: Dict[InstanceKey, SignatureAccumulator] = {}
 
     # -- stream input (called by the fleet during delta application) ----
 
-    def on_record(
-        self,
-        key: InstanceKey,
-        template: GoroutineRecord,
-        blocked_since: Optional[float],
-    ) -> None:
-        """A record upsert: file the gid under its current signature."""
+    def on_record(self, key: InstanceKey, template: GoroutineRecord) -> None:
+        """A record upsert: (re)file the gid under its current signature."""
         acc = self._instances.get(key)
         if acc is None:
-            acc = self._instances[key] = _InstanceAcc()
-        signature: Optional[Signature] = None
-        if template.is_blocked and template.blocking_location is not None:
-            signature = (template.state.value, template.blocking_location)
-        gid = template.gid
-        previous = acc.sig_of.get(gid)
-        if previous is not None and previous != signature:
-            self._unfile(acc, gid, previous)
-        if signature is None:
-            acc.sig_of.pop(gid, None)
-            return
-        sig_acc = acc.sigs.get(signature)
-        if sig_acc is None:
-            sig_acc = acc.sigs[signature] = _SignatureAcc()
-        if gid not in sig_acc.gids:
-            sig_acc.gids.add(gid)
-            sig_acc.inflow_total += 1
-            sig_acc.inflow_window += 1
-            if blocked_since is not None and (
-                sig_acc.first_blocked_since is None
-                or blocked_since < sig_acc.first_blocked_since
-            ):
-                sig_acc.first_blocked_since = blocked_since
-        acc.sig_of[gid] = signature
-        if template.proof == "proven":
-            sig_acc.proven.add(gid)
+            acc = self._instances[key] = SignatureAccumulator()
+        if template.is_blocked:
+            acc.file(template.gid, template)
         else:
-            sig_acc.proven.discard(gid)
+            acc.unfile(template.gid)
 
     def on_tombstone(self, key: InstanceKey, gid: int) -> None:
         acc = self._instances.get(key)
-        if acc is None:
-            return
-        signature = acc.sig_of.pop(gid, None)
-        if signature is not None:
-            self._unfile(acc, gid, signature)
+        if acc is not None:
+            acc.unfile(gid)
 
     def reset_instance(self, key: InstanceKey) -> None:
         """A full (re)ship replaces the instance's state wholesale."""
         self._instances.pop(key, None)
-
-    def end_window(self) -> None:
-        """Window boundary: roll the per-window inflow accumulators."""
-        self.windows_scored += 1
-        for acc in self._instances.values():
-            for sig_acc in acc.sigs.values():
-                sig_acc.inflow_window = 0
-
-    @staticmethod
-    def _unfile(acc: _InstanceAcc, gid: int, signature: Signature) -> None:
-        sig_acc = acc.sigs.get(signature)
-        if sig_acc is None:
-            return
-        sig_acc.gids.discard(gid)
-        sig_acc.proven.discard(gid)
 
     # -- output ---------------------------------------------------------
 
@@ -166,47 +87,13 @@ class OnlineSuspectScorer:
             if acc is None:
                 continue
             view = views[key]
-            ordered = sorted(
-                (
-                    (min(sig_acc.gids), signature, sig_acc)
-                    for signature, sig_acc in acc.sigs.items()
-                    if sig_acc.gids
-                ),
-            )
-            for _min_gid, (state, location), sig_acc in ordered:
-                count = len(sig_acc.gids)
-                if sig_acc.proven:
-                    representative = view.record_at(min(sig_acc.proven))
-                    proof = "proven"
-                else:
-                    if count < threshold:
-                        continue
-                    representative = view.record_at(min(sig_acc.gids))
-                    if apply_transient_filter and is_trivially_nonblocking(
-                        representative
-                    ):
-                        continue
-                    proof = None
-                suspects.append(
-                    Suspect(
-                        service=view.service,
-                        instance=view.name,
-                        state=state,
-                        location=location,
-                        count=count,
-                        representative=representative,
-                        proof=proof,
-                    )
+            suspects.extend(
+                acc.suspects(
+                    view.record_at,
+                    view.service,
+                    view.name,
+                    threshold=threshold,
+                    apply_transient_filter=apply_transient_filter,
                 )
+            )
         return suspects
-
-    def stats(self) -> Dict[InstanceKey, Dict[Signature, Tuple[int, int]]]:
-        """Inflow accumulators: {instance: {signature: (total, window)}}."""
-        return {
-            key: {
-                signature: (sig_acc.inflow_total, sig_acc.inflow_window)
-                for signature, sig_acc in acc.sigs.items()
-                if sig_acc.gids
-            }
-            for key, acc in self._instances.items()
-        }

@@ -406,20 +406,19 @@ class InstanceView:
             self._stats = stats_from_raw(self._row)
         return self._stats
 
-    def apply(self, delta: WireDelta, window: Optional[int] = None) -> bool:
+    def apply(self, delta: WireDelta, window: int) -> bool:
         """Fold one wire delta in.
 
         ``window`` is the shard watermark the delta was shipped at; a
         delta older than the view's own watermark is dropped and
         ``False`` returned (the caller must then skip scorer feeding
-        too).  ``window=None`` (untagged legacy ingest) always applies.
+        too).
         """
         _svc, _idx, full, records, tombstones, gc = delta
-        if window is not None:
-            if window < self.window and not full:
-                return False
-            if window > self.window:
-                self.window = window
+        if window < self.window and not full:
+            return False
+        if window > self.window:
+            self.window = window
         if full:
             self.records.clear()
             self.gc = GCSnapshot(*gc) if gc is not None else None

@@ -11,9 +11,10 @@ from repro.leakprof import (
     rank_by_impact,
     scan_profile,
 )
-from repro.profiling import GoroutineProfile
+from repro.leakprof import OnlineSuspectScorer
+from repro.profiling import GoroutineProfile, GoroutineRecord
 from repro.patterns import healthy, premature_return, timer_loop, timeout_leak
-from repro.runtime import Runtime
+from repro.runtime import Frame, GoroutineState, Runtime
 
 
 def leaky_profile(pattern, n_calls, service="svc", instance="i-0", seed=0,
@@ -121,6 +122,105 @@ class TestCriterion2TransientFilter:
         profile = GoroutineProfile.take(rt)
         (record,) = profile.blocked()
         assert is_trivially_nonblocking(record)
+
+
+def parked(gid, location, proof=None, state=GoroutineState.BLOCKED_SEND):
+    """A hand-built record parked at ``location`` ("file:line")."""
+    file, line = location.split(":")
+    return GoroutineRecord(
+        gid=gid,
+        name=f"g{gid}",
+        state=state,
+        user_frames=(Frame("f", file, int(line)),),
+        creation_ctx=None,
+        proof=proof,
+    )
+
+
+class _StubView:
+    """The slice of ``InstanceView`` the online scorer reads."""
+
+    service = "svc"
+    name = "i-0"
+
+    def __init__(self, live):
+        self.record_at = live.__getitem__
+
+
+class TestScoringCore:
+    def test_order_and_representative_follow_profile_position(self):
+        """Go ``debug=2`` dumps list gids unsorted: signatures come out in
+        first-appearance order, represented by their first (proven)
+        record, not by their least gid."""
+        records = [
+            parked(9, "a:20"),
+            parked(8, "a:10"),
+            parked(7, "a:20", proof="proven"),
+            parked(6, "a:10"),
+            parked(5, "a:20"),
+        ]
+        profile = GoroutineProfile(0.0, "p", records, "svc", "i-0")
+        got = [
+            (s.location, s.count, s.representative.gid, s.proof)
+            for s in scan_profile(profile, threshold=2)
+        ]
+        assert got == [("a:20", 3, 7, "proven"), ("a:10", 2, 8, None)]
+
+    def test_refile_paths_match_batch_scan(self):
+        """Every upsert/tombstone/reset path of the online scorer answers
+        exactly what ``scan_profile`` answers over the surviving records."""
+        key = ("svc", 0)
+        scorer = OnlineSuspectScorer()
+        live = {}
+        view = _StubView(live)
+
+        def upsert(record):
+            live[record.gid] = record
+            scorer.on_record(key, record)
+
+        def assert_parity():
+            profile = GoroutineProfile(
+                0.0, "p", [live[gid] for gid in sorted(live)], "svc", "i-0"
+            )
+            expected = scan_profile(profile, threshold=2)
+            assert scorer.suspects({key: view}, [key], threshold=2) == expected
+            return [(s.location, s.count, s.representative.gid, s.proof)
+                    for s in expected]
+
+        for gid, location in enumerate(
+            ["a:10", "a:20", "a:10", "a:20", "a:10", "a:30"], start=1
+        ):
+            upsert(parked(gid, location))
+        assert assert_parity() == [("a:10", 3, 1, None), ("a:20", 2, 2, None)]
+
+        upsert(parked(1, "a:20"))  # moves to another signature
+        assert assert_parity() == [("a:20", 3, 1, None), ("a:10", 2, 3, None)]
+
+        upsert(parked(4, "a:20", proof="proven"))
+        upsert(parked(6, "a:30", proof="proven"))
+        assert assert_parity() == [
+            ("a:20", 3, 4, "proven"), ("a:10", 2, 3, None),
+            ("a:30", 1, 6, "proven"),
+        ]
+
+        upsert(parked(4, "a:20"))  # proven -> unproven
+        assert assert_parity() == [
+            ("a:20", 3, 1, None), ("a:10", 2, 3, None),
+            ("a:30", 1, 6, "proven"),
+        ]
+
+        for gid in (1, 5):  # unfile; a:10 loses its last member below
+            del live[gid]
+            scorer.on_tombstone(key, gid)
+        upsert(parked(3, "a:10", state=GoroutineState.RUNNABLE))
+        assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
+
+        scorer.reset_instance(key)  # full reship
+        live.clear()
+        assert scorer.suspects({key: view}, [key], threshold=2) == []
+        for gid in (7, 8):
+            upsert(parked(gid, "a:40"))
+        assert assert_parity() == [("a:40", 2, 7, None)]
 
 
 class TestImpactRanking:
