@@ -326,7 +326,7 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
         fleet.run_days(3 * 3600.0 / 86400.0, window=3600.0, max_lead=2)
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).streaming_run(fleet, now=1.0)
-        moved_shard = fleet._key_shard[moved]
+        moved_shard = fleet.services[moved[0]].instances[moved[1]].shard
     finally:
         fleet.close()
 

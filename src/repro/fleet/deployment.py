@@ -70,43 +70,37 @@ class ServiceSample:
     total_goroutines: int = 0
 
 
-class Service:
-    """A named service: config + running instances + its history."""
+class RolloutBase:
+    """The rollout rules every service handle shares, written once.
 
-    def __init__(self, config: ServiceConfig, seed: int = 0):
-        self.config = config
-        self.seed = seed
-        self.deploys = 0
-        self.instances: List[ServiceInstance] = []
-        self.history: List[ServiceSample] = []
-        self._start_instances(start_time=0.0)
+    :class:`Service` (live instances) and
+    :class:`repro.fleet.shard.ShardedService` (remote ones) both derive
+    from it.  A subclass holds ``config``, ``deploys``, ``history`` and
+    ``instances`` (each exposing ``mix``), and implements one hook:
 
-    def _make_instance(
-        self, index: int, mix: RequestMix, start_time: float
-    ) -> ServiceInstance:
-        # The shared helper (repro.fleet.determinism) is what the shard
-        # workers also call: seed derivation and construction cannot
-        # drift between serial and sharded execution.
-        return build_instance(
-            self.config, self.seed, self.deploys, index, mix, start_time
-        )
+    ``_restart(indices, mix)`` restarts exactly the instances at
+    ``indices`` (a non-empty list, except for a full :meth:`deploy` of
+    an empty service) on ``mix`` from the service's current ``now``,
+    built at the current deploy generation, so that afterwards
+    ``instances[i].mix == mix`` for each of them.  The base class bumps
+    ``deploys`` after the hook returns and never touches an instance
+    itself.
+    """
 
-    def _start_instances(self, start_time: float) -> None:
-        self.instances = [
-            self._make_instance(index, self.config.mix, start_time)
-            for index in range(self.config.instances)
-        ]
-        self.deploys += 1
+    config: ServiceConfig
+    deploys: int
+    history: List[ServiceSample]
+    instances: List
 
-    @property
-    def now(self) -> float:
-        return self.instances[0].runtime.now if self.instances else 0.0
+    def _restart(self, indices: List[int], mix: RequestMix) -> None:
+        raise NotImplementedError
 
     def deploy(self, mix: Optional[RequestMix] = None) -> None:
         """Roll out new code: fresh processes, leaks gone, new mix live."""
         if mix is not None:
             self.config = self.config.with_mix(mix)
-        self._start_instances(start_time=self.now)
+        self._restart(list(range(len(self.instances))), self.config.mix)
+        self.deploys += 1
 
     # -- staged rollouts (the repro.remedy hooks) ----------------------------
 
@@ -140,14 +134,13 @@ class Service:
             if count is None:
                 count = len(eligible)
             indices = eligible[: max(0, count)]
-        start_time = self.now
-        for index in indices:
-            self.instances[index] = self._make_instance(index, mix, start_time)
+        indices = list(indices)
         if indices:
+            self._restart(indices, mix)
             self.deploys += 1
         if all(instance.mix == mix for instance in self.instances):
             self.config = self.config.with_mix(mix)
-        return list(indices)
+        return indices
 
     def instances_on(self, mix: RequestMix) -> List[int]:
         """Indices of instances currently serving ``mix`` (structurally)."""
@@ -156,6 +149,47 @@ class Service:
             for index, instance in enumerate(self.instances)
             if instance.mix == mix
         ]
+
+    def peak_rss(self) -> int:
+        """Highest fleet-wide RSS observed so far."""
+        return max((s.total_rss_bytes for s in self.history), default=0)
+
+    def peak_instance_rss(self) -> int:
+        return max((s.peak_instance_rss for s in self.history), default=0)
+
+
+class Service(RolloutBase):
+    """A named service: config + running instances + its history."""
+
+    def __init__(self, config: ServiceConfig, seed: int = 0):
+        self.config = config
+        self.seed = seed
+        self.deploys = 0
+        self.instances: List[ServiceInstance] = [
+            self._make_instance(index, config.mix, 0.0)
+            for index in range(config.instances)
+        ]
+        self.history: List[ServiceSample] = []
+        self.deploys += 1
+
+    def _make_instance(
+        self, index: int, mix: RequestMix, start_time: float
+    ) -> ServiceInstance:
+        # The shared helper (repro.fleet.determinism) is what the shard
+        # workers also call: seed derivation and construction cannot
+        # drift between serial and sharded execution.
+        return build_instance(
+            self.config, self.seed, self.deploys, index, mix, start_time
+        )
+
+    def _restart(self, indices: List[int], mix: RequestMix) -> None:
+        start_time = self.now
+        for index in indices:
+            self.instances[index] = self._make_instance(index, mix, start_time)
+
+    @property
+    def now(self) -> float:
+        return self.instances[0].runtime.now if self.instances else 0.0
 
     def advance_window(self, window: float = WINDOW_SECONDS) -> ServiceSample:
         """Advance every instance one window and aggregate a sample.
@@ -196,13 +230,6 @@ class Service:
         from repro.snapshot import snapshot_service  # deferred import
 
         return snapshot_service(self)
-
-    def peak_rss(self) -> int:
-        """Highest fleet-wide RSS observed so far."""
-        return max((s.total_rss_bytes for s in self.history), default=0)
-
-    def peak_instance_rss(self) -> int:
-        return max((s.peak_instance_rss for s in self.history), default=0)
 
 
 class Fleet:

@@ -55,13 +55,14 @@ the checkpoint path (:mod:`repro.fleet.checkpoint`): the source worker
 checkpoints and evicts the moving instances (all-or-nothing — an
 instance that cannot be checkpointed exactly declines the whole
 eviction), the target worker adopts the blobs plus their delta-tracker
-state, and the parent rewires its key→shard map.  Both ``evict`` and
-``adopt`` are journaled, so a SIGKILL at any boundary replays to
-byte-identical state (chaos scenario ``rebalance_crash``).  Manual
-moves are explicit; :meth:`maybe_rebalance` triggers the same path when
-one shard's advance-latency EMA lags the fastest by a factor, and
-:meth:`run_days` can invoke it between pump rounds.  Because
-results are topology-invariant, *when* a rebalance fires never changes
+state, and the parent sets each moved instance's one record to its
+new shard.  Both ``evict`` and ``adopt`` are journaled, so a SIGKILL
+at any boundary replays to byte-identical state (chaos scenario
+``rebalance_crash``).  Manual moves are explicit;
+:meth:`maybe_rebalance` triggers the same path when one shard's
+advance-latency EMA lags the fastest by a factor, and :meth:`run_days`
+can invoke it between pump rounds.  Because results are
+topology-invariant, *when* a rebalance fires never changes
 what the fleet computes — only wall-clock balance.
 
 Determinism guarantee
@@ -143,7 +144,7 @@ from .checkpoint import (
     checkpoint_instance,
     restore_instance,
 )
-from .deployment import ServiceConfig, ServiceSample
+from .deployment import RolloutBase, ServiceConfig, ServiceSample
 from .determinism import aggregate_sample, build_instance as _build_instance
 from .service import ServiceInstance, WINDOW_SECONDS
 from .workload import RequestMix
@@ -168,9 +169,10 @@ def _shard_worker(conn) -> None:
     phase with each other: each reply (and each stat row in it) is
     tagged with this worker's ``window_seq`` watermark.
     """
+    #: (service, index) -> instance, in service-add then index order
+    #: (init and adopt append, restart overwrites in place, evict
+    #: deletes).  Each runtime's ``_delta`` is its ``DeltaTracker``.
     instances: Dict[Tuple[str, int], ServiceInstance] = {}
-    order: List[Tuple[str, int]] = []  # service-add order, then index
-    trackers: Dict[Tuple[str, int], DeltaTracker] = {}
     slots: Dict[Tuple[str, int], int] = {}
     shard_id = 0
     #: Windows this worker has advanced — the shard watermark.  Tagged
@@ -187,13 +189,6 @@ def _shard_worker(conn) -> None:
         slots = dict(meta["slots"])
         shard_id = meta["shard"]
 
-    def _track(key: Tuple[str, int], tracker: Optional[DeltaTracker] = None):
-        if tracker is None:
-            tracker = DeltaTracker()
-        trackers[key] = tracker
-        instances[key].runtime._delta = tracker
-        return tracker
-
     def _freeze(keys) -> Dict[str, Any]:
         """Checkpoint ``keys`` with their delta-tracker state, all or
         nothing: the reply carries every entry, or the reason the first
@@ -201,18 +196,19 @@ def _shard_worker(conn) -> None:
         entries = []
         try:
             for key in keys:
-                if key not in instances:
+                inst = instances.get(key)
+                if inst is None:
                     raise CheckpointUnsupported(
                         f"unknown instance {key[0]}/i-{key[1]}"
                     )
-                tracker = trackers[key]
+                tracker = inst.runtime._delta
                 if tracker.dirty or tracker.finished:  # pragma: no cover
                     # a barrier precedes every checkpoint and eviction
                     raise CheckpointUnsupported(
                         f"unshipped deltas for {key[0]}/i-{key[1]}"
                     )
                 entries.append((
-                    key[0], key[1], checkpoint_instance(instances[key]),
+                    key[0], key[1], checkpoint_instance(inst),
                     tuple(sorted(tracker.shipped)), tracker.gc_sweeps,
                 ))
         except CheckpointUnsupported as exc:
@@ -220,14 +216,11 @@ def _shard_worker(conn) -> None:
         return {"ok": True, "entries": entries, "window_seq": window_seq}
 
     def _thaw(entries) -> None:
-        """Restore checkpointed instances and resume their delta
-        trackers exactly where the checkpoint left off."""
+        """Restore checkpointed instances and resume each one's delta
+        tracking exactly where the checkpoint left off."""
         for svc, idx, blob, shipped, gc_sweeps in entries:
-            key = (svc, idx)
-            if key not in instances:
-                order.append(key)
-            instances[key] = restore_instance(blob)
-            _track(key, DeltaTracker(shipped, gc_sweeps))
+            inst = instances[(svc, idx)] = restore_instance(blob)
+            inst.runtime._delta = DeltaTracker(shipped, gc_sweeps)
 
     def _delta_reply(keys, full: bool = False):
         """The reply to a delta command over the instances in ``keys``.
@@ -243,7 +236,7 @@ def _shard_worker(conn) -> None:
         entries: List[WireDelta] = []
         for key in keys:
             inst = instances[key]
-            tracker = trackers[key]
+            tracker = inst.runtime._delta
             flag, records, tombstones = tracker.collect(
                 inst.runtime, full=full
             )
@@ -268,23 +261,22 @@ def _shard_worker(conn) -> None:
                 _apply_meta(meta)
                 for config, seed, deploy_gen, indices, start_time in specs:
                     for index in indices:
-                        key = (config.name, index)
-                        instances[key] = _build_instance(
+                        inst = _build_instance(
                             config, seed, deploy_gen, index,
                             config.mix, start_time,
                         )
-                        order.append(key)
-                        _track(key)
-                conn.send(_delta_reply(order, full=True))
+                        inst.runtime._delta = DeltaTracker()
+                        instances[(config.name, index)] = inst
+                conn.send(_delta_reply(instances, full=True))
                 cpu_anchor = time.process_time()
             elif cmd == "advance":
                 window, only = msg[1], msg[2]
                 window_seq += 1
                 advanced: List[Tuple[str, int]] = []
-                for key in order:
+                for key, inst in instances.items():
                     if only is not None and key[0] != only:
                         continue
-                    instances[key].advance_window(window)
+                    inst.advance_window(window)
                     advanced.append(key)
                 conn.send(_delta_reply(advanced))
             elif cmd == "restart":
@@ -292,17 +284,18 @@ def _shard_worker(conn) -> None:
                 restarted: List[Tuple[str, int]] = []
                 for index in indices:
                     key = (config.name, index)
-                    instances[key] = _build_instance(
+                    inst = _build_instance(
                         config, seed, deploy_gen, index, mix, start_time
                     )
+                    inst.runtime._delta = DeltaTracker()  # ships full
+                    instances[key] = inst
                     restarted.append(key)
-                    _track(key)  # fresh tracker: restart ships full
                 conn.send(_delta_reply(restarted, full=True))
             elif cmd == "resync":
                 # Anti-entropy: reship everything, tracker state included.
-                conn.send(_delta_reply(order, full=True))
+                conn.send(_delta_reply(instances, full=True))
             elif cmd == "checkpoint":
-                conn.send(("checkpoint", _freeze(order)))
+                conn.send(("checkpoint", _freeze(instances)))
             elif cmd == "evict":
                 # Re-balance, source side: checkpoint the moving
                 # instances, then drop them.  A decline leaves worker
@@ -313,12 +306,10 @@ def _shard_worker(conn) -> None:
                 if reply["ok"]:
                     for key in keys:
                         del instances[key]
-                        del trackers[key]
-                        order.remove(key)
                 conn.send(("evicted", reply))
             elif cmd == "adopt":
                 # Re-balance, target side: restore the blobs and resume
-                # their delta trackers exactly where the source left off.
+                # their delta tracking exactly where the source left off.
                 entries, slot_updates = msg[1], msg[2]
                 slots.update(
                     {tuple(k): v for k, v in slot_updates.items()}
@@ -329,8 +320,6 @@ def _shard_worker(conn) -> None:
                 state, meta = msg[1], msg[2]
                 _apply_meta(meta)
                 instances.clear()
-                order.clear()
-                trackers.clear()
                 window_seq = state.get("window_seq", 0)
                 _thaw(state["entries"])
                 conn.send(("ok", None))
@@ -345,30 +334,36 @@ def _shard_worker(conn) -> None:
 
 
 class _RowMirror:
-    """Parent-side mirror of one remote instance: O(1) stats only.
+    """The parent's one record of one remote instance.
 
-    Exposes the observability slice of :class:`ServiceInstance`
-    (``rss()``, ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``)
-    so consumers like :class:`repro.remedy.StagedRollout` drive a
-    sharded service exactly as they drive a live one.  Backed by the
-    fleet's committed row cache: a mirror is just a window onto its
-    slot, and a property read unpacks only the row's leading fields.
+    Holds the owning ``shard`` (the only place ownership lives; a
+    rebalance rewrites this one field), the ``mix`` the instance runs,
+    and its materialized :class:`InstanceView`, which carries the
+    instance's key, name and row-cache slot.  Exposes the
+    observability slice of :class:`ServiceInstance` (``rss()``,
+    ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``) so
+    consumers like :class:`repro.remedy.StagedRollout` drive a sharded
+    service exactly as they drive a live one; a property read unpacks
+    only the committed row's leading fields.
     """
 
-    __slots__ = ("name", "mix", "shard", "_fleet", "_slot")
+    __slots__ = ("view", "mix", "shard")
 
-    def __init__(
-        self, name: str, mix: RequestMix, shard: int,
-        fleet: "ShardedFleet", slot: int,
-    ):
-        self.name = name
+    def __init__(self, view: InstanceView, mix: RequestMix, shard: int):
+        self.view = view
         self.mix = mix
         self.shard = shard
-        self._fleet = fleet
-        self._slot = slot
+
+    @property
+    def name(self) -> str:
+        return self.view.name
+
+    @property
+    def key(self) -> Tuple[str, int]:
+        return (self.view.service, self.view.index)
 
     def _field(self, index: int, default):
-        head = self._fleet._rows.head(self._slot)
+        head = self.view.head()
         return head[index] if head is not None else default
 
     @property
@@ -388,14 +383,17 @@ class _RowMirror:
         return f"<_RowMirror {self.name!r} shard={self.shard}>"
 
 
-class ShardedService:
+class ShardedService(RolloutBase):
     """The parent-side handle for one service running across shards.
 
     API-compatible with :class:`~repro.fleet.deployment.Service` for
     everything the observers and remedy rollouts touch: ``config``,
-    ``deploys``, ``history``, ``now``, ``instances`` (stat mirrors),
-    ``deploy``, ``partial_deploy``, ``instances_on``, ``advance_window``,
-    ``peak_rss``, ``peak_instance_rss``.
+    ``deploys``, ``history``, ``now``, ``instances`` (the
+    :class:`_RowMirror` records), ``advance_window``, and — from the
+    shared :class:`~repro.fleet.deployment.RolloutBase` — ``deploy``,
+    ``partial_deploy``, ``instances_on``, ``peak_rss`` and
+    ``peak_instance_rss``.  Its ``_restart`` hook sends the owning
+    shards a ``restart`` command.
     """
 
     def __init__(self, fleet: "ShardedFleet", config: ServiceConfig, seed: int):
@@ -404,59 +402,27 @@ class ShardedService:
         self.seed = seed
         self.deploys = 0
         self.history: List[ServiceSample] = []
-        self.instances: List[Any] = []
-        self.shard_of: List[int] = []  # instance index -> worker id
-        #: First stat-row slot of this service (slots are contiguous
-        #: per service in add order — what lets the parent aggregate a
-        #: sample from one slice of the row cache).
-        self.slot_base = 0
+        self.instances: List[_RowMirror] = []
 
     @property
     def now(self) -> float:
         return self.instances[0].t if self.instances else 0.0
 
-    def deploy(self, mix: Optional[RequestMix] = None) -> None:
-        """Full rollout: every instance restarts as a shard command."""
-        if mix is not None:
-            self.config = self.config.with_mix(mix)
-        self._fleet._restart(
-            self, list(range(len(self.instances))), self.config.mix
-        )
-        self.deploys += 1
-
-    def partial_deploy(
-        self,
-        mix: RequestMix,
-        count: Optional[int] = None,
-        indices: Optional[List[int]] = None,
-    ) -> List[int]:
-        """Canary / ramp restart, semantics identical to ``Service``.
-
-        Eligibility uses structural mix equality — required here, since
-        only pickled copies of a mix ever exist on the worker side.
-        """
-        if indices is None:
-            eligible = [
-                index
-                for index, mirror in enumerate(self.instances)
-                if mirror.mix != mix
-            ]
-            if count is None:
-                count = len(eligible)
-            indices = eligible[: max(0, count)]
-        if indices:
-            self._fleet._restart(self, list(indices), mix)
-            self.deploys += 1
-        if all(mirror.mix == mix for mirror in self.instances):
-            self.config = self.config.with_mix(mix)
-        return list(indices)
-
-    def instances_on(self, mix: RequestMix) -> List[int]:
-        return [
-            index
-            for index, mirror in enumerate(self.instances)
-            if mirror.mix == mix
-        ]
+    def _restart(self, indices: List[int], mix: RequestMix) -> None:
+        """Restart ``indices`` on ``mix`` as shard commands, at a barrier."""
+        fleet = self._fleet
+        fleet.barrier()
+        start_time = self.now
+        by_shard: Dict[int, List[int]] = {}
+        for index in indices:
+            by_shard.setdefault(self.instances[index].shard, []).append(index)
+        fleet._exchange_deltas([
+            (shard, ("restart", self.config, self.seed, self.deploys,
+                     shard_indices, mix, start_time))
+            for shard, shard_indices in by_shard.items()
+        ])
+        for index in indices:
+            self.instances[index].mix = mix
 
     def advance_window(self, window: float = WINDOW_SECONDS) -> ServiceSample:
         """Advance only this service's instances, fleet-parallel."""
@@ -469,12 +435,6 @@ class ShardedService:
 
     def profiles(self):
         return [snap.profile() for snap in self.snapshots()]
-
-    def peak_rss(self) -> int:
-        return max((s.total_rss_bytes for s in self.history), default=0)
-
-    def peak_instance_rss(self) -> int:
-        return max((s.peak_instance_rss for s in self.history), default=0)
 
 
 class _WorkerFault(Exception):
@@ -553,7 +513,6 @@ class ShardedFleet:
         self.services: Dict[str, ShardedService] = {}
         self._conns: List[Any] = [None] * shards
         self._procs: List[Optional[multiprocessing.Process]] = [None] * shards
-        self._next_ordinal = 0
         self._started = False
         self._closed = False
         self.chaos = chaos
@@ -568,13 +527,10 @@ class ShardedFleet:
         #: per shard: the latest accepted checkpoint reply (restore base).
         self._checkpoints: List[Optional[Dict[str, Any]]] = [None] * shards
         # -- streaming state -------------------------------------------
-        #: (service, index) -> parent-side materialized view.
-        self._views: Dict[Tuple[str, int], InstanceView] = {}
-        self._slots: Dict[Tuple[str, int], int] = {}
-        self._key_shard: Dict[Tuple[str, int], int] = {}
-        #: per shard: the slots it owns — a stat block naming any other
-        #: slot is refused; rewired by rebalancing.
-        self._owned: List[set] = [set() for _ in range(shards)]
+        #: Every instance's record, indexed by stat-row slot (service-add
+        #: then index order) and by (service, index) key.
+        self._by_slot: List[_RowMirror] = []
+        self._by_key: Dict[Tuple[str, int], _RowMirror] = {}
         #: The committed stat rows (what mirrors, views, and samples read).
         self._rows = RowCache()
         # Deferred import: repro.leakprof is a downstream consumer of
@@ -638,26 +594,17 @@ class ShardedFleet:
         if config.name in self.services:
             raise ValueError(f"duplicate service {config.name!r}")
         service = ShardedService(self, config, seed)
-        service.slot_base = self._next_ordinal
         for index in range(config.instances):
-            shard = self._next_ordinal % self.num_shards
-            self._next_ordinal += 1
-            service.shard_of.append(shard)
-            name = f"{config.name}/i-{index}"
-            key = (config.name, index)
-            slot = len(self._slots)
-            self._slots[key] = slot
-            self._key_shard[key] = shard
-            self._owned[shard].add(slot)
-            view = InstanceView(config.name, index, name, config.base_rss)
-            view.bind_cache(self._rows, slot)
-            self._views[key] = view
-            service.instances.append(
-                _RowMirror(
-                    name=name, mix=config.mix, shard=shard,
-                    fleet=self, slot=slot,
-                )
+            slot = len(self._by_slot)
+            view = InstanceView(
+                config.name, index, f"{config.name}/i-{index}",
+                config.base_rss,
             )
+            view.bind_cache(self._rows, slot)
+            record = _RowMirror(view, config.mix, slot % self.num_shards)
+            service.instances.append(record)
+            self._by_slot.append(record)
+            self._by_key[record.key] = record
         self.services[config.name] = service
         return service
 
@@ -676,27 +623,24 @@ class ShardedFleet:
         """The metadata one worker needs (init/restore): its shard id,
         stamped on every stat row, and the slots of the instances it
         owns, which order and address its stat blocks."""
-        slots: Dict[Tuple[str, int], int] = {}
-        for service in self.services.values():
-            for index, owner in enumerate(service.shard_of):
-                if owner == shard:
-                    key = (service.config.name, index)
-                    slots[key] = self._slots[key]
-        return {"shard": shard, "slots": slots}
+        return {"shard": shard, "slots": {
+            record.key: record.view.slot
+            for record in self._by_slot if record.shard == shard
+        }}
 
     def start(self) -> "ShardedFleet":
         """Launch the workers and build every instance remotely."""
         if self._started:
             return self
         self._started = True
-        self._rows.allocate(self._next_ordinal)
+        self._rows.allocate(len(self._by_slot))
         for shard in range(self.num_shards):
             self._spawn(shard)
         specs: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
         for service in self.services.values():
             by_shard: Dict[int, List[int]] = {}
-            for index, shard in enumerate(service.shard_of):
-                by_shard.setdefault(shard, []).append(index)
+            for index, record in enumerate(service.instances):
+                by_shard.setdefault(record.shard, []).append(index)
             for shard, indices in by_shard.items():
                 specs[shard].append(
                     (service.config, service.seed, service.deploys,
@@ -707,7 +651,7 @@ class ShardedFleet:
             for shard in range(self.num_shards)
         ])
         for service in self.services.values():
-            service.deploys += 1  # matches Service._start_instances
+            service.deploys += 1  # as Service.__init__ does
         return self
 
     def close(self) -> None:
@@ -939,16 +883,20 @@ class ShardedFleet:
         """Decompress and check one delta reply's stat block.
 
         The block must inflate to exactly one ``ROW_BYTES`` row per
-        named slot, and every named slot must belong to the replying
-        shard.  Anything else is a worker that answered garbage, so it
-        raises :class:`_WorkerFault` and supervision respawns it.
-        Returns the payload with the raw rows in place of the block.
+        named slot, and every named slot must index a record the
+        replying shard owns — a negative, out-of-range or non-integer
+        slot never does.  Anything else is a worker that answered
+        garbage, so it raises :class:`_WorkerFault` and supervision
+        respawns it.  Returns the payload with the raw rows in place of
+        the block.
         """
+        by_slot = self._by_slot
         try:
             window, slots, block, entries = payload
             rows = zlib.decompress(block)
-            valid = len(rows) == len(slots) * ROW_BYTES and (
-                self._owned[shard].issuperset(slots)
+            valid = len(rows) == len(slots) * ROW_BYTES and all(
+                0 <= slot < len(by_slot) and by_slot[slot].shard == shard
+                for slot in slots
             )
         except (TypeError, ValueError, zlib.error):
             valid = False
@@ -1314,7 +1262,7 @@ class ShardedFleet:
         for delta in deltas:
             svc, idx, full, records, tombstones, _gc = delta
             key = (svc, idx)
-            if not self._views[key].apply(delta, window=window):
+            if not self._by_key[key].view.apply(delta, window=window):
                 stale += 1
                 continue
             if full:
@@ -1369,13 +1317,13 @@ class ShardedFleet:
         Delegates to the shared ``aggregate_sample`` — literally the
         same arithmetic ``Service.advance_window`` runs, which is the
         byte-identical-histories guarantee made structural.  Aggregates
-        straight off the committed row cache (one contiguous slice per
-        service).
+        straight off the committed row cache: slots are contiguous per
+        service in add order, so a service is one slice of it.
         """
-        base = service.slot_base
         count = len(service.instances)
+        base = service.instances[0].view.slot if count else 0
         ts, cpu, rss, blocked, goroutines = self._rows.sample_columns(
-            self._next_ordinal
+            len(self._by_slot)
         )
         sample = aggregate_sample(
             ts[base] if count else 0.0,
@@ -1389,25 +1337,6 @@ class ShardedFleet:
         )
         service.history.append(sample)
         return sample
-
-    def _restart(
-        self, service: ShardedService, indices: List[int], mix: RequestMix
-    ) -> None:
-        """Restart ``indices`` on ``mix`` — deploys as shard commands."""
-        self.barrier()
-        start_time = service.now
-        by_shard: Dict[int, List[int]] = {}
-        for index in indices:
-            by_shard.setdefault(service.shard_of[index], []).append(index)
-        self._exchange_deltas(
-            [
-                (shard, ("restart", service.config, service.seed,
-                         service.deploys, shard_indices, mix, start_time))
-                for shard, shard_indices in by_shard.items()
-            ]
-        )
-        for index in indices:
-            service.instances[index].mix = mix
 
     # -- the streaming plane -------------------------------------------------
 
@@ -1504,14 +1433,8 @@ class ShardedFleet:
         """
         from repro.leakprof.detector import DEFAULT_THRESHOLD
 
-        keys = [
-            (name, index)
-            for name, service in self.services.items()
-            for index in range(len(service.instances))
-        ]
         return self.scorer.suspects(
-            self._views,
-            keys,
+            (record.view for record in self._by_slot),
             threshold=DEFAULT_THRESHOLD if threshold is None else threshold,
             apply_transient_filter=apply_transient_filter,
         )
@@ -1543,7 +1466,7 @@ class ShardedFleet:
         if source == target:
             return {}
         keys = sorted(
-            key for key, shard in self._key_shard.items() if shard == source
+            record.key for record in self._by_slot if record.shard == source
         )
         if len(keys) < 2:
             return {}
@@ -1585,9 +1508,10 @@ class ShardedFleet:
         (default: :meth:`plan_rebalance`).  Runs at a barrier; the
         source worker checkpoints and evicts the instances
         (all-or-nothing per shard), the targets adopt blob + tracker
-        state, and the parent rewires its key→shard map.  Views, the
-        scorer, slots, and histories are untouched — the move is
-        invisible to every observer, which is the determinism contract.
+        state, and the parent sets each moved instance's record to its
+        new shard — one field per move.  Views, the scorer, slots, and
+        histories are untouched — the move is invisible to every
+        observer, which is the determinism contract.
 
         If any source declines (an instance that cannot be checkpointed
         exactly — e.g. gc-enabled services), already-evicted instances
@@ -1602,13 +1526,13 @@ class ShardedFleet:
             moves = self.plan_rebalance()
         moves = dict(moves)
         for key, target in moves.items():
-            if key not in self._key_shard:
+            if key not in self._by_key:
                 raise KeyError(f"unknown instance {key!r}")
             if not 0 <= target < self.num_shards:
                 raise ValueError(f"no shard {target}")
         moves = {
             key: target for key, target in moves.items()
-            if self._key_shard[key] != target
+            if self._by_key[key].shard != target
         }
         if not moves:
             return {}
@@ -1618,7 +1542,7 @@ class ShardedFleet:
         ) as span:
             by_source: Dict[int, List[Tuple[str, int]]] = {}
             for key in sorted(moves):
-                by_source.setdefault(self._key_shard[key], []).append(key)
+                by_source.setdefault(self._by_key[key].shard, []).append(key)
             evicted: Dict[int, List[Tuple]] = {}
             declined: Optional[Tuple[int, str]] = None
             for source in sorted(by_source):
@@ -1651,14 +1575,7 @@ class ShardedFleet:
                 for target in sorted(by_target):
                     self._adopt(target, by_target[target])
             for key, target in moves.items():
-                svc, idx = key
-                slot = self._slots[key]
-                self._owned[self._key_shard[key]].discard(slot)
-                self._owned[target].add(slot)
-                self._key_shard[key] = target
-                service = self.services[svc]
-                service.shard_of[idx] = target
-                service.instances[idx].shard = target
+                self._by_key[key].shard = target
             self.rebalances += 1
             self.instances_moved += len(moves)
             self._last_rebalance_window = self._committed_window
@@ -1677,7 +1594,7 @@ class ShardedFleet:
     def _adopt(self, shard: int, entries: List[Tuple]) -> None:
         """Hand checkpointed instances (blobs + tracker state) to a worker."""
         slots = {
-            (entry[0], entry[1]): self._slots[(entry[0], entry[1])]
+            (entry[0], entry[1]): self._by_key[(entry[0], entry[1])].view.slot
             for entry in entries
         }
         payload = self._exchange([(shard, ("adopt", entries, slots))])[0]
@@ -1724,10 +1641,9 @@ class ShardedFleet:
         from the parent-side views — zero wire traffic, answered at the
         fleet watermark."""
         return [
-            self._views[(name, index)].snapshot()
-            for name, svc in self.services.items()
-            if service is None or name == service
-            for index in range(len(svc.instances))
+            record.view.snapshot()
+            for record in self._by_slot
+            if service is None or record.view.service == service
         ]
 
     def history(self, service: str) -> List[ServiceSample]:

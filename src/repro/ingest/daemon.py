@@ -511,11 +511,13 @@ class IngestServer:
         }
 
     def _handle_suspects(self, tenant: Tenant) -> Dict:
-        """Threshold scan over the tenant's archive — read-only (nothing
-        is filed; the scheduler owns report filing)."""
-        profiles = [
-            item.parse() for item in self.store.profiles_for(tenant.name)
-        ]
+        """Threshold scan over the tenant's archive.  Files no reports
+        (the scheduler's daily run owns filing); reads the archive
+        through the scheduler's sweep, so a poison row is dead-lettered
+        exactly as a scan would, never answered with a 500."""
+        profiles, _quarantined = self.scheduler.sweep_archive(
+            tenant, self.clock()
+        )
         suspects = scan_fleet(profiles, threshold=tenant.threshold)
         return {
             "tenant": tenant.name,

@@ -142,12 +142,15 @@ class MultiTenantScheduler:
 
     # -- one tenant ----------------------------------------------------------
 
-    def _sweep_archive(self, tenant: Tenant, now: float):
+    def sweep_archive(self, tenant: Tenant, now: float):
         """Parse the tenant's archive, dead-lettering poison profiles.
 
-        A profile whose parse raises is quarantined (removed from the
-        live archive, bytes kept in the dead-letter table) so it is
-        inspected once and never crashes a sweep again.
+        The one read path from the archive to parsed profiles — daily
+        runs and the daemon's ``/suspects`` both come through here.  A
+        profile whose parse raises is quarantined (removed from the live
+        archive, bytes kept in the dead-letter table, stamped ``now``) so
+        it is inspected once and never crashes a sweep again.  Returns
+        ``(profiles, quarantined)``.
         """
         profiles = []
         quarantined = 0
@@ -182,7 +185,7 @@ class MultiTenantScheduler:
         run_started = _monotonic()
         with tracer.span("ingest.run_tenant", tenant=tenant.name) as root:
             with tracer.span("ingest.sweep", tenant=tenant.name) as sw:
-                profiles, quarantined = self._sweep_archive(tenant, now)
+                profiles, quarantined = self.sweep_archive(tenant, now)
                 sw.attributes.update(
                     profiles=len(profiles), quarantined=quarantined
                 )

@@ -345,28 +345,16 @@ class IngestStore:
             self._conn.commit()
             return int(cursor.lastrowid)
 
-    def profiles_for(
-        self,
-        tenant: str,
-        since: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> List[StoredProfile]:
+    def profiles_for(self, tenant: str) -> List[StoredProfile]:
         """A tenant's archived uploads, oldest first."""
         self._faults("profiles_for")
-        query = (
-            "SELECT id, tenant, received_at, dialect, service, instance,"
-            " goroutines, body FROM profiles WHERE tenant = ?"
-        )
-        params: List = [tenant]
-        if since is not None:
-            query += " AND received_at >= ?"
-            params.append(since)
-        query += " ORDER BY id"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(limit)
         with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
+            rows = self._conn.execute(
+                "SELECT id, tenant, received_at, dialect, service, instance,"
+                " goroutines, body FROM profiles WHERE tenant = ?"
+                " ORDER BY id",
+                (tenant,),
+            ).fetchall()
         return [StoredProfile(*row) for row in rows]
 
     def profile_count(self, tenant: Optional[str] = None) -> int:

@@ -70,23 +70,22 @@ class OnlineSuspectScorer:
 
     def suspects(
         self,
-        views: Dict[InstanceKey, InstanceView],
-        keys: Iterable[InstanceKey],
+        views: Iterable[InstanceView],
         threshold: int = DEFAULT_THRESHOLD,
         apply_transient_filter: bool = True,
     ) -> List[Suspect]:
         """The current fleet-wide suspect set, batch-scan-identical.
 
-        ``keys`` supplies the fleet's instance iteration order (service
-        add order, then index) so output ordering matches
-        ``scan_fleet`` over snapshots taken in that order.
+        ``views`` come in the fleet's instance order (service add
+        order, then index), so output ordering matches ``scan_fleet``
+        over snapshots taken in that order; each view's
+        ``(service, index)`` is its key here.
         """
         suspects: List[Suspect] = []
-        for key in keys:
-            acc = self._instances.get(key)
+        for view in views:
+            acc = self._instances.get((view.service, view.index))
             if acc is None:
                 continue
-            view = views[key]
             suspects.extend(
                 acc.suspects(
                     view.record_at,

@@ -352,7 +352,7 @@ class InstanceView:
     """
 
     __slots__ = ("service", "index", "name", "base_rss", "records",
-                 "gc", "window", "_stats", "_row", "_cache", "_slot",
+                 "gc", "window", "slot", "_stats", "_row", "_cache",
                  "_epoch")
 
     def __init__(self, service: str, index: int, name: str, base_rss: int):
@@ -368,10 +368,11 @@ class InstanceView:
         self._stats: Optional[InstanceStats] = None
         #: Raw stat row backing ``stats`` (lazy unpack).
         self._row: Optional[bytes] = None
-        #: Bound :class:`RowCache` the view reads counters through, plus
-        #: its slot there and the last epoch pulled.
+        #: The view's slot in the bound row cache (-1 until bound).
+        self.slot = -1
+        #: Bound :class:`RowCache` the view reads counters through, and
+        #: the last epoch pulled.
         self._cache: Optional[RowCache] = None
-        self._slot = -1
         self._epoch = -1
 
     def bind_cache(self, cache: RowCache, slot: int) -> None:
@@ -383,14 +384,21 @@ class InstanceView:
         asks for :attr:`stats`.
         """
         self._cache = cache
-        self._slot = slot
+        self.slot = slot
+
+    def head(self) -> Optional[Tuple]:
+        """The committed row's leading fields, ``F_SHARD..F_GOROUTINES``
+        (None while unbound or before rows exist) — an O(1) read that
+        leaves the lazily unpacked :attr:`stats` alone."""
+        cache = self._cache
+        return cache.head(self.slot) if cache is not None else None
 
     def _refresh(self) -> None:
         cache = self._cache
         if cache is None or cache.epoch == self._epoch:
             return
         self._epoch = cache.epoch
-        raw = cache.raw(self._slot)
+        raw = cache.raw(self.slot)
         if raw is None or raw == self._row:
             return
         self._stats = None

@@ -191,11 +191,16 @@ def _sharded_run(
 
 
 class _TamperOnce:
-    """A shard pipe whose next delta reply has its stat block spoiled."""
+    """A shard pipe whose next delta reply has its stat block spoiled.
 
-    def __init__(self, conn, tamper):
+    ``"named_slot"`` makes the reply name ``slot`` in place of its first
+    slot (the rows stay well-formed, so only ownership can refuse it).
+    """
+
+    def __init__(self, conn, tamper, slot=None):
         self._conn = conn
         self._tamper = tamper
+        self._slot = slot
 
     def recv_bytes(self):
         buf = self._conn.recv_bytes()
@@ -207,6 +212,12 @@ class _TamperOnce:
             block = zlib.compress(zlib.decompress(block)[:-1], 1)
         elif self._tamper == "foreign_slot":
             slots = (slots[0] + 1,) + slots[1:]
+        elif self._tamper == "named_slot":
+            slots = (self._slot,) + slots[1:]
+        elif self._tamper == "negative_slot":
+            slots = (-1,) + slots[1:]
+        elif self._tamper == "float_slot":
+            slots = (float(slots[0]),) + slots[1:]
         else:
             block = b"not a zlib stream"
         self._tamper = None
@@ -276,13 +287,16 @@ class TestShardSupervision:
         ]
 
     @pytest.mark.parametrize(
-        "tamper", ["truncated", "foreign_slot", "not_zlib"]
+        "tamper",
+        ["truncated", "foreign_slot", "not_zlib", "negative_slot",
+         "float_slot"],
     )
     def test_bad_stat_block_respawns_worker(self, tamper):
         """Negative controls for the stat-block checks: a reply whose
-        block is short, names a slot another shard owns, or does not
-        inflate is a garbling worker — respawned and replayed, with the
-        results unchanged."""
+        block is short, names a slot another shard owns, names a
+        negative or non-integer slot, or does not inflate is a garbling
+        worker — respawned and replayed, with the results unchanged.
+        (Slot -1 would index shard 0's own last record, slot 4.)"""
         reference = _reference_histories(3)
         fleet = ShardedFleet(shards=2, worker_deadline=10.0)
         for config, seed in _configs():
@@ -302,6 +316,39 @@ class TestShardSupervision:
         assert [span.attributes["reason"] for span in spans] == [
             "undecodable reply"
         ]
+        assert histories == reference
+
+    def test_ownership_check_follows_a_rebalance(self):
+        """After a move, the instance's former shard no longer owns its
+        slot: a block from that shard naming the moved slot is refused
+        (one respawn, histories unchanged), while the new owner's rows
+        for it are accepted."""
+        reference = _reference_histories(3)
+        fleet = ShardedFleet(shards=2, worker_deadline=10.0)
+        for config, seed in _configs():
+            fleet.add_service(config, seed=seed)
+        fleet.start()
+        try:
+            fleet.advance_window(3600.0)
+            moved = ("payments", 2)
+            record = fleet.services["payments"].instances[2]
+            assert record.shard == 0  # round-robin home: slot 2, shard 0
+            assert fleet.rebalance({moved: 1}) == {moved: 1}
+            assert record.shard == 1 and fleet.worker_restarts == 0
+            fleet._conns[0] = _TamperOnce(
+                fleet._conns[0], "named_slot", slot=record.view.slot
+            )
+            fleet.advance_window(3600.0)
+            fleet.advance_window(3600.0)
+            histories = {n: s.history for n, s in fleet.services.items()}
+        finally:
+            fleet.close()
+        assert fleet.worker_restarts == 1
+        spans = obs.default_tracer().find("chaos.respawn")
+        assert [span.attributes["reason"] for span in spans] == [
+            "undecodable reply"
+        ]
+        assert record.shard == 1
         assert histories == reference
 
     def test_crash_loop_trips_max_respawns(self):

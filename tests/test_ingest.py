@@ -279,6 +279,40 @@ class TestDaemon:
         }
         assert store.report_count() == 0  # nothing filed
 
+    def test_suspects_dead_letters_a_poison_row(self, served):
+        """A poison row in the archive must not turn ``/suspects`` into a
+        500: the endpoint reads through the scheduler's sweep, which
+        dead-letters the row, so a later scan has nothing to quarantine."""
+        from repro.chaos import poison_profile_text
+
+        server, store = served
+        store.store_profile(
+            "acme", simulator_leak_text(), dialect="simulator", goroutines=7
+        )
+        (healthy,) = store.profiles_for("acme")
+        store.store_profile(
+            "acme", poison_profile_text(seed=0),
+            dialect="simulator", goroutines=0,
+        )
+        expected = [
+            (s.state, s.location, s.count)
+            for s in scan_profile(healthy.parse(), threshold=3)
+        ]
+        assert expected, "the healthy row reports no suspects; vacuous test"
+
+        body = IngestClient(server.url, "acme", "tok-a").suspects()
+        assert body["profiles_scanned"] == 1
+        assert [
+            (s["state"], s["location"], s["count"]) for s in body["suspects"]
+        ] == expected
+        assert store.quarantine_count("acme") == 1
+        assert store.report_count() == 0  # still files nothing
+
+        scan = IngestClient(server.url, "-", "adm").scan()
+        assert scan["tenants"]["acme"]["profiles_scanned"] == 1
+        assert scan["tenants"]["acme"].get("quarantined", 0) == 0
+        assert store.quarantine_count("acme") == 1
+
     def test_funnel_survives_daemon_restart(self, served, tmp_path):
         server, store = served
         acme, _ = self._upload_fleet(server)

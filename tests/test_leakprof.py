@@ -141,6 +141,7 @@ class _StubView:
     """The slice of ``InstanceView`` the online scorer reads."""
 
     service = "svc"
+    index = 0
     name = "i-0"
 
     def __init__(self, live):
@@ -183,7 +184,7 @@ class TestScoringCore:
                 0.0, "p", [live[gid] for gid in sorted(live)], "svc", "i-0"
             )
             expected = scan_profile(profile, threshold=2)
-            assert scorer.suspects({key: view}, [key], threshold=2) == expected
+            assert scorer.suspects([view], threshold=2) == expected
             return [(s.location, s.count, s.representative.gid, s.proof)
                     for s in expected]
 
@@ -217,7 +218,7 @@ class TestScoringCore:
 
         scorer.reset_instance(key)  # full reship
         live.clear()
-        assert scorer.suspects({key: view}, [key], threshold=2) == []
+        assert scorer.suspects([view], threshold=2) == []
         for gid in (7, 8):
             upsert(parked(gid, "a:40"))
         assert assert_parity() == [("a:40", 2, 7, None)]

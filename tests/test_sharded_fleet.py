@@ -334,7 +334,7 @@ class TestDeterminismHelpers:
     def test_build_instance_matches_service_private_path(self):
         config = ServiceConfig(name="checkout", instances=2, mix=leaky_mix())
         service = Service(config, seed=9)
-        # live instances were built one generation back: _start_instances
+        # live instances were built one generation back: Service.__init__
         # bumps the deploy counter after constructing them
         built = build_instance(
             config, 9, service.deploys - 1, 1, config.mix, service.now

@@ -151,9 +151,8 @@ class TestViewParity:
                 fleet.advance_window(WINDOW)
                 assert fleet.snapshots() == reference[w]
                 gids_per_window.append({
-                    key: set(view.records)
-                    for key, view in fleet._views.items()
-                    if key[0] == "payments"
+                    record.key: set(record.view.records)
+                    for record in fleet.services["payments"].instances
                 })
         # non-vacuity: campers shipped in window 1 died in window 2, so
         # some gids must have *left* a view between consecutive windows
@@ -493,8 +492,7 @@ class TestCheckpointRestore:
                 fleet.add_service(config, seed=seed)
             fleet.start()
             fleet.advance_window(WINDOW)
-            key = ("payments", 0)
-            view = fleet._views[key]
+            view = fleet.services["payments"].instances[0].view
             held_at_w1 = dict(view.records)
             fleet.advance_window(WINDOW)
             departed = set(held_at_w1) - set(view.records)
@@ -548,13 +546,14 @@ class TestRebalance:
             fleet.advance_window(WINDOW)
             fleet.advance_window(WINDOW)
             moved = ("payments", 2)  # round-robin home: shard 0
-            assert fleet._key_shard[moved] == 0
+            record = fleet.services["payments"].instances[2]
+            assert record.shard == 0
             applied = fleet.rebalance({moved: 1})
             assert applied == {moved: 1}
-            assert fleet._key_shard[moved] == 1
-            assert fleet.services["payments"].shard_of[2] == 1
-            assert fleet.services["payments"].instances[2].shard == 1
+            assert record.shard == 1
+            assert fleet.services["payments"].instances[2] is record
             assert fleet.rebalances == 1 and fleet.instances_moved == 1
+            assert fleet.worker_restarts == 0
             # the move itself changed nothing observable
             assert fleet.snapshots() == reference[1]
             for w in (2, 3):
@@ -627,12 +626,19 @@ class TestRebalance:
             fleet.start()
             fleet.advance_window(WINDOW)
             fleet.advance_window(WINDOW)
-            owners = dict(fleet._key_shard)
+            def owners():
+                return {
+                    record.key: record.shard
+                    for service in fleet.services.values()
+                    for record in service.instances
+                }
+
+            before = owners()
             # search/1 lives on shard 0 (clean, evicts fine);
             # payments/1 lives on shard 1 and is gc-enabled (declines)
             with pytest.raises(CheckpointUnsupported, match="declined"):
                 fleet.rebalance({("search", 1): 1, ("payments", 1): 0})
-            assert fleet._key_shard == owners
+            assert owners() == before
             assert fleet.rebalances == 0 and fleet.instances_moved == 0
             fleet.advance_window(WINDOW)
             assert fleet.snapshots() == [
