@@ -163,9 +163,21 @@ class ServiceInstance:
         return self.runtime.blocked_goroutines_count
 
     def cpu_utilization(self) -> float:
-        return self.cpu_model.utilization(
-            self.runtime.now, self.leaked_goroutines()
-        )
+        """The CPU model at the runtime's clock and parked count.
+
+        Between windows this is the last sample's ``cpu_percent``: the
+        model is a pure function of those two readings, so when both
+        still match the sample's, its value is reused.
+        """
+        runtime = self.runtime
+        now = runtime.now
+        blocked = runtime.blocked_goroutines_count
+        metrics = self.metrics
+        if metrics:
+            last = metrics[-1]
+            if last.t == now and last.blocked_goroutines == blocked:
+                return last.cpu_percent
+        return self.cpu_model.utilization(now, blocked)
 
     def profile(self) -> GoroutineProfile:
         """The pprof endpoint LeakProf sweeps."""

@@ -12,7 +12,7 @@ positives remained high."  Criterion 2 (the transient filter) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.profiling import GoroutineProfile, GoroutineRecord
 
@@ -96,6 +96,34 @@ class SignatureAccumulator:
         elif proven:
             proven.discard(ordinal)
 
+    @classmethod
+    def of_profile(
+        cls, records: Sequence[GoroutineRecord]
+    ) -> "SignatureAccumulator":
+        """A fresh accumulator with ``records`` filed by position.
+
+        The same state as calling :meth:`file` on each position in
+        turn, built in one pass: every position is new, so none of
+        :meth:`file`'s re-filing bookkeeping applies.
+        """
+        acc = cls()
+        sigs = acc._sigs
+        sig_of = acc._sig_of
+        for position, record in enumerate(records):
+            frames = record.user_frames
+            if not frames:
+                continue
+            # ``_value_``: Enum's ``value`` is a Python-level descriptor.
+            signature = (record.state._value_, frames[0].location)
+            sig_of[position] = signature
+            sets = sigs.get(signature)
+            if sets is None:
+                sets = sigs[signature] = (set(), set())
+            sets[0].add(position)
+            if record.proof == "proven":
+                sets[1].add(position)
+        return acc
+
     def unfile(self, ordinal: int) -> None:
         """Drop ``ordinal`` from whatever signature holds it."""
         signature = self._sig_of.pop(ordinal, None)
@@ -141,13 +169,13 @@ class SignatureAccumulator:
                 proof = None
             suspects.append(
                 Suspect(
-                    service=service,
-                    instance=instance,
-                    state=state,
-                    location=location,
-                    count=count,
-                    representative=representative,
-                    proof=proof,
+                    service,
+                    instance,
+                    state,
+                    location,
+                    count,
+                    representative,
+                    proof,
                 )
             )
         return suspects
@@ -167,10 +195,7 @@ def scan_profile(
     blocked = profile.blocked()
     if not blocked:
         return []
-    acc = SignatureAccumulator()
-    for position, record in enumerate(blocked):
-        acc.file(position, record)
-    return acc.suspects(
+    return SignatureAccumulator.of_profile(blocked).suspects(
         blocked.__getitem__,
         profile.service,
         profile.instance,

@@ -110,13 +110,24 @@ def is_trivially_nonblocking(record: GoroutineRecord) -> bool:
     frame = record.user_frames[0] if record.user_frames else None
     if frame is None:
         return False
-    tree = _module_ast(frame.file)
+    return _location_verdict(record.state, frame.file, frame.line)
+
+
+@functools.lru_cache(maxsize=4096)
+def _location_verdict(state: GoroutineState, path: str, line: int) -> bool:
+    """Criterion 2 for the operation at ``path:line`` blocked in ``state``.
+
+    Memoized per location: finding the call walks the module's whole
+    AST, and like :func:`_module_ast` the verdict assumes source files
+    do not change within a process.
+    """
+    tree = _module_ast(path)
     if tree is None:
         return False
-    if record.state is GoroutineState.BLOCKED_SELECT:
-        call = _find_blocking_call(tree, frame.line, ("select",))
+    if state is GoroutineState.BLOCKED_SELECT:
+        call = _find_blocking_call(tree, line, ("select",))
         return call is not None and _select_is_trivially_nonblocking(call)
-    if record.state is GoroutineState.BLOCKED_RECV:
-        call = _find_blocking_call(tree, frame.line, ("recv", "recv_ok"))
+    if state is GoroutineState.BLOCKED_RECV:
+        call = _find_blocking_call(tree, line, ("recv", "recv_ok"))
         return call is not None and _recv_is_trivially_nonblocking(call)
     return False

@@ -16,14 +16,10 @@ signal of the paper's Section V.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.runtime.goroutine import (
-    CHANNEL_BLOCKED_STATES,
-    Goroutine,
-    GoroutineState,
-)
+from repro.runtime.goroutine import Goroutine, GoroutineState
 from repro.runtime.stack import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,9 +55,13 @@ def runtime_frames_for(state: GoroutineState) -> Tuple[Frame, ...]:
     return tuple(Frame(name, *_RUNTIME_LOCATION) for name in names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoroutineRecord:
-    """One goroutine's entry in a profile (immutable snapshot)."""
+    """One goroutine's entry in a profile (immutable snapshot).
+
+    The keyword constructor is the public one; the read path builds
+    records through :func:`make_record`, which makes equal objects.
+    """
 
     gid: int
     name: str
@@ -95,34 +95,98 @@ class GoroutineRecord:
 
     @property
     def is_blocked(self) -> bool:
-        return self.state in CHANNEL_BLOCKED_STATES
+        return self.state.channel_blocked
 
     def signature(self) -> Tuple[str, Optional[str]]:
         """The (state, location) pair LeakProf aggregates on."""
         return (self.state.value, self.blocking_location)
 
+    def aged(self, wait_seconds: float) -> "GoroutineRecord":
+        """This record with its ``wait_seconds`` replaced."""
+        return make_record(
+            self.gid,
+            self.name,
+            self.state,
+            self.user_frames,
+            self.creation_ctx,
+            wait_seconds,
+            self.wait_detail,
+            self.proof,
+        )
+
+
+# A profile read builds one record per live goroutine, so records are
+# filled through their slot descriptors: the frozen dataclass
+# ``__init__`` pays one ``object.__setattr__`` per field, well over
+# twice the cost.
+(
+    _set_gid,
+    _set_name,
+    _set_state,
+    _set_user_frames,
+    _set_creation_ctx,
+    _set_wait_seconds,
+    _set_wait_detail,
+    _set_proof,
+) = (getattr(GoroutineRecord, f.name).__set__ for f in fields(GoroutineRecord))
+
+
+def make_record(
+    gid: int,
+    name: str,
+    state: GoroutineState,
+    user_frames: Tuple[Frame, ...],
+    creation_ctx: Optional[Frame],
+    wait_seconds: float,
+    wait_detail: Optional[str],
+    proof: Optional[str],
+) -> GoroutineRecord:
+    """The record constructor of the read path: every field, by position.
+
+    Equal, hash-equal, repr-equal and pickle-equal to the keyword-built
+    ``GoroutineRecord`` with the same fields.
+    """
+    record = object.__new__(GoroutineRecord)
+    _set_gid(record, gid)
+    _set_name(record, name)
+    _set_state(record, state)
+    _set_user_frames(record, user_frames)
+    _set_creation_ctx(record, creation_ctx)
+    _set_wait_seconds(record, wait_seconds)
+    _set_wait_detail(record, wait_detail)
+    _set_proof(record, proof)
+    return record
+
+
+# Enum class attributes are slow lookups; the record walk binds them once.
+_SEND = GoroutineState.BLOCKED_SEND
+_RECV = GoroutineState.BLOCKED_RECV
+_SELECT = GoroutineState.BLOCKED_SELECT
+
 
 def snapshot_goroutine(goro: Goroutine, now: float) -> GoroutineRecord:
     """Record one live goroutine (the ``runtime.Stacks`` API analog)."""
     wait_detail: Optional[str] = None
+    state = goro.state
     waiting_on = goro.waiting_on
-    if goro.state in (GoroutineState.BLOCKED_SEND, GoroutineState.BLOCKED_RECV):
+    if state is _SEND or state is _RECV:
         wait_detail = "nil" if getattr(waiting_on, "is_nil", False) else "chan"
-    elif goro.state is GoroutineState.BLOCKED_SELECT:
+    elif state is _SELECT:
         arms = len(waiting_on) if isinstance(waiting_on, tuple) else 0
         wait_detail = str(arms)
     wait_seconds = 0.0
-    if goro.blocked_since is not None:
-        wait_seconds = max(0.0, now - goro.blocked_since)
-    return GoroutineRecord(
-        gid=goro.gid,
-        name=goro.name,
-        state=goro.state,
-        user_frames=goro.stack(),
-        creation_ctx=goro.creation_ctx,
-        wait_seconds=wait_seconds,
-        wait_detail=wait_detail,
-        proof=goro.gc_verdict,
+    blocked_since = goro.blocked_since
+    if blocked_since is not None:
+        wait_seconds = max(0.0, now - blocked_since)
+    return make_record(
+        goro.gid,
+        goro.name,
+        state,
+        goro.stack(),
+        goro.creation_ctx,
+        wait_seconds,
+        wait_detail,
+        goro.gc_verdict,
     )
 
 
@@ -182,20 +246,14 @@ class GoroutineProfile:
         if exclude:
             excluded = set(exclude)
             records = [r for r in records if r.gid not in excluded]
-        return cls(
-            taken_at=snapshot.taken_at,
-            process=snapshot.process,
-            records=records,
-            service=service,
-            instance=instance,
-        )
+        return cls(snapshot.taken_at, snapshot.process, records, service, instance)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def blocked(self) -> List[GoroutineRecord]:
         """Goroutines blocked on channel operations (leak candidates)."""
-        return [r for r in self.records if r.is_blocked]
+        return [r for r in self.records if r.state.channel_blocked]
 
     def by_state(self) -> Counter:
         """Histogram of wait states (the raw material of Table IV)."""

@@ -69,9 +69,14 @@ DEFAULT_STACK_BYTES = 8 * 1024
 
 # Each state carries a small-int index into the runtime's census array:
 # state transitions are the hottest bookkeeping in the interpreter, and
-# Enum.__hash__ is a Python-level call we cannot afford per step.
+# Enum.__hash__ is a Python-level call we cannot afford per step.  For
+# the same reason each state carries the two predicates every profile
+# read asks per goroutine: ``alive`` (not DONE or PANICKED) and
+# ``channel_blocked`` (in CHANNEL_BLOCKED_STATES).
 for _index, _state in enumerate(GoroutineState):
     _state.census_index = _index
+    _state.alive = _state not in (GoroutineState.DONE, GoroutineState.PANICKED)
+    _state.channel_blocked = _state in CHANNEL_BLOCKED_STATES
 del _index, _state
 
 
@@ -149,7 +154,7 @@ class Goroutine:
     @property
     def alive(self) -> bool:
         """True while the goroutine occupies the process address space."""
-        return self.state not in (GoroutineState.DONE, GoroutineState.PANICKED)
+        return self.state.alive
 
     @property
     def blocked(self) -> bool:
@@ -157,7 +162,7 @@ class Goroutine:
 
     @property
     def channel_blocked(self) -> bool:
-        return self.state in CHANNEL_BLOCKED_STATES
+        return self.state.channel_blocked
 
     # NOTE: every state change below mirrors its delta into the runtime's
     # census array — that invariant is what makes ``num_goroutines``,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import weakref
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -80,10 +81,15 @@ _PARK_STATES = {
 # GoroutineState.census_index in repro.runtime.goroutine).
 _RUNNABLE_IDX = GoroutineState.RUNNABLE.census_index
 _RUNNING_IDX = GoroutineState.RUNNING.census_index
-_BLOCKED_IDXS = tuple(sorted(s.census_index for s in BLOCKED_STATES))
+#: Picks the blocked states' census slots out in one C call.
+_BLOCKED_SLOTS = operator.itemgetter(
+    *sorted(s.census_index for s in BLOCKED_STATES)
+)
 #: ``(state, census slot)`` in enum order: ``state_census`` walks this
 #: tuple rather than the enum's generator on every snapshot.
 _CENSUS_SLOTS = tuple((s, s.census_index) for s in GoroutineState)
+#: ``(state value, census slot)`` in enum order, for ``census_by_value``.
+_CENSUS_VALUE_SLOTS = tuple((s.value, s.census_index) for s in GoroutineState)
 
 #: Park states the Go deadlock detector ignores (IO may complete externally).
 #: Alias of the shared set in :mod:`repro.runtime.goroutine` so the
@@ -746,7 +752,7 @@ class Runtime:
         ``blocked_goroutines_count``, ``rss``, ``state_census``) are
         counter reads and never touch per-goroutine state.
         """
-        return [g for g in self._goroutines.values() if g.alive]
+        return [g for g in self._goroutines.values() if g.state.alive]
 
     @property
     def num_goroutines(self) -> int:
@@ -761,11 +767,7 @@ class Runtime:
     @property
     def blocked_goroutines_count(self) -> int:
         """How many goroutines are parked right now — O(1), no iteration."""
-        census = self._state_census
-        total = 0
-        for index in _BLOCKED_IDXS:
-            total += census[index]
-        return total
+        return sum(_BLOCKED_SLOTS(self._state_census))
 
     def state_census(self, audit: bool = False) -> Dict[GoroutineState, int]:
         """Live goroutines per scheduling state (nonzero entries only).
@@ -784,6 +786,19 @@ class Runtime:
         return {
             state: census[index]
             for state, index in _CENSUS_SLOTS
+            if census[index]
+        }
+
+    def census_by_value(self) -> Dict[str, int]:
+        """:meth:`state_census` keyed by each state's ``value`` string.
+
+        The form snapshots and stat rows carry, built in one pass
+        instead of re-keying the enum-keyed census.
+        """
+        census = self._state_census
+        return {
+            value: census[index]
+            for value, index in _CENSUS_VALUE_SLOTS
             if census[index]
         }
 

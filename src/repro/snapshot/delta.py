@@ -48,13 +48,18 @@ lazily (:func:`stats_from_raw`).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.profiling import GoroutineRecord, snapshot_goroutine
 from repro.runtime import GoroutineState
 
-from .model import GCSnapshot, InstanceSnapshot, RuntimeSnapshot
+from .model import (
+    GCSnapshot,
+    InstanceSnapshot,
+    RuntimeSnapshot,
+    make_instance_snapshot,
+)
 
 #: One record on the wire: (template with wait_seconds=0, blocked_since).
 WireRecord = Tuple[GoroutineRecord, Optional[float]]
@@ -287,7 +292,7 @@ class DeltaTracker:
     def _encode(goro) -> WireRecord:
         template = snapshot_goroutine(goro, 0.0)
         if template.wait_seconds != 0.0:  # pragma: no cover - negative clock
-            template = replace(template, wait_seconds=0.0)
+            template = template.aged(0.0)
         return (template, goro.blocked_since)
 
     def collect(
@@ -446,7 +451,7 @@ class InstanceView:
         age = max(0.0, self.stats.t - blocked_since)
         if age == 0.0:
             return template
-        return replace(template, wait_seconds=age)
+        return template.aged(age)
 
     def snapshot(self) -> InstanceSnapshot:
         """Materialize the full ``InstanceSnapshot``-equivalent state."""
@@ -481,11 +486,11 @@ class InstanceView:
                 requests_served=stats.requests_window,
                 blocked_goroutines=stats.blocked,
             )
-        return InstanceSnapshot(
-            service=self.service,
-            name=self.name,
-            requests_served=stats.requests_total,
-            cpu_percent=stats.cpu_percent,
-            runtime=runtime,
-            last_metrics=last_metrics,
+        return make_instance_snapshot(
+            self.service,
+            self.name,
+            stats.requests_total,
+            stats.cpu_percent,
+            runtime,
+            last_metrics,
         )

@@ -30,7 +30,7 @@ step — the only pattern the tools use — is always exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.profiling import GoroutineProfile, GoroutineRecord, snapshot_goroutine
@@ -111,7 +111,9 @@ class RuntimeSnapshot:
         Counters are copied now; profile records stay lazy — an idle
         runtime (``num_goroutines == 0``) never pays for a record walk,
         and a snapshot whose records are never read costs only the
-        counter copy.
+        counter copy.  The slots are filled directly: every value read
+        here is already a fresh object, so ``__init__``'s defensive
+        copies would only copy them again.
         """
         gc: Optional[GCSnapshot] = None
         reports = runtime.gc_reports
@@ -124,23 +126,20 @@ class RuntimeSnapshot:
                 possibly_leaked=last.possibly_leaked,
                 proven_leaked=last.proven_leaked,
             )
-        source = runtime.live_goroutines() if runtime.num_goroutines else None
-        return cls(
-            process=runtime.name,
-            taken_at=runtime.now,
-            num_goroutines=runtime.num_goroutines,
-            blocked_goroutines=runtime.blocked_goroutines_count,
-            rss_bytes=runtime.rss(),
-            base_rss=runtime.base_rss,
-            state_census={
-                state.value: count
-                for state, count in runtime.state_census().items()
-            },
-            steps=runtime.steps,
-            gc=gc,
-            _source=source,
-            _source_rt=runtime,
-        )
+        snapshot = object.__new__(cls)
+        snapshot.process = runtime.name
+        snapshot.taken_at = runtime.now
+        snapshot.num_goroutines = live = runtime.num_goroutines
+        snapshot.blocked_goroutines = runtime.blocked_goroutines_count
+        snapshot.rss_bytes = runtime.rss()
+        snapshot.base_rss = runtime.base_rss
+        snapshot.state_census = runtime.census_by_value()
+        snapshot.steps = runtime.steps
+        snapshot.gc = gc
+        snapshot._records = None
+        snapshot._source = runtime.live_goroutines() if live else None
+        snapshot._source_rt = runtime
+        return snapshot
 
     # -- the Runtime-compatible monitoring surface ---------------------------
 
@@ -176,12 +175,16 @@ class RuntimeSnapshot:
                     f"(t={source_rt.now:g}/step={source_rt.steps}); "
                     "read .records (or pickle) before resuming the runtime"
                 )
-            source = self._source or ()
+            source = self._source
             self._source = None
             self._source_rt = None
-            self._records = tuple(
-                snapshot_goroutine(goro, self.taken_at) for goro in source
-            )
+            if source:
+                taken_at = self.taken_at
+                self._records = tuple(
+                    [snapshot_goroutine(goro, taken_at) for goro in source]
+                )
+            else:
+                self._records = ()
         return self._records
 
     def profile(
@@ -266,13 +269,14 @@ class RuntimeSnapshot:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceSnapshot:
     """One service instance frozen at an instant.
 
     Satisfies the :class:`repro.leakprof.Profilable` protocol, so a
     LeakProf sweep consumes live instances and shipped snapshots
     identically — which is what lets instances live in worker processes.
+    The read path builds it through :func:`make_instance_snapshot`.
     """
 
     service: str
@@ -285,7 +289,9 @@ class InstanceSnapshot:
 
     def profile(self) -> GoroutineProfile:
         """The pprof endpoint LeakProf sweeps, from the frozen state."""
-        return self.runtime.profile(service=self.service, instance=self.name)
+        return GoroutineProfile.from_snapshot(
+            self.runtime, self.service, self.name
+        )
 
     def rss(self) -> int:
         return self.runtime.rss_bytes
@@ -295,6 +301,37 @@ class InstanceSnapshot:
 
     def cpu_utilization(self) -> float:
         return self.cpu_percent
+
+
+# Filled through slot descriptors, like profile records: one instance
+# snapshot per instance per sweep.
+(
+    _set_service,
+    _set_name,
+    _set_requests_served,
+    _set_cpu_percent,
+    _set_runtime,
+    _set_last_metrics,
+) = (getattr(InstanceSnapshot, f.name).__set__ for f in fields(InstanceSnapshot))
+
+
+def make_instance_snapshot(
+    service: str,
+    name: str,
+    requests_served: int,
+    cpu_percent: float,
+    runtime: RuntimeSnapshot,
+    last_metrics: Optional[Any],
+) -> InstanceSnapshot:
+    """Every field by position; equal to the keyword-built snapshot."""
+    snapshot = object.__new__(InstanceSnapshot)
+    _set_service(snapshot, service)
+    _set_name(snapshot, name)
+    _set_requests_served(snapshot, requests_served)
+    _set_cpu_percent(snapshot, cpu_percent)
+    _set_runtime(snapshot, runtime)
+    _set_last_metrics(snapshot, last_metrics)
+    return snapshot
 
 
 @dataclass(frozen=True)
@@ -318,13 +355,14 @@ def snapshot_runtime(runtime: "Runtime") -> RuntimeSnapshot:
 
 def snapshot_instance(instance: Any) -> InstanceSnapshot:
     """Freeze one :class:`~repro.fleet.ServiceInstance` (duck-typed)."""
-    return InstanceSnapshot(
-        service=instance.service,
-        name=instance.name,
-        requests_served=instance.requests_served,
-        cpu_percent=instance.cpu_utilization(),
-        runtime=snapshot_runtime(instance.runtime),
-        last_metrics=instance.metrics[-1] if instance.metrics else None,
+    metrics = instance.metrics
+    return make_instance_snapshot(
+        instance.service,
+        instance.name,
+        instance.requests_served,
+        instance.cpu_utilization(),
+        RuntimeSnapshot.of(instance.runtime),
+        metrics[-1] if metrics else None,
     )
 
 
