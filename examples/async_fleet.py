@@ -51,9 +51,6 @@ def main():
               f"spread stayed <= max_lead")
 
         # -- move an instance between workers, mid-run -------------------
-        # (fleet.plan_rebalance() proposes moves from measured per-shard
-        # lag, and run_days(rebalance_lag=...) automates it; an
-        # explicit move keeps this walkthrough's output deterministic.)
         moves = {("payments", 2): 1}
         fleet.rebalance(moves)
         for (service, index), shard in sorted(moves.items()):

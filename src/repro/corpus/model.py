@@ -90,19 +90,6 @@ SELECT_CASE_PMF_TESTS: Tuple[Tuple[int, float], ...] = (
 MEDIAN_GOROUTINES_PER_PROCESS = 2_000
 
 
-def group_probabilities() -> Dict[str, float]:
-    """P(package group) for sampling: mp-only, sm-only, both, neither."""
-    mp_only = (MP_PACKAGES - BOTH_PACKAGES) / TOTAL_PACKAGES
-    sm_only = (SM_PACKAGES - BOTH_PACKAGES) / TOTAL_PACKAGES
-    both = BOTH_PACKAGES / TOTAL_PACKAGES
-    return {
-        "mp": mp_only,
-        "sm": sm_only,
-        "both": both,
-        "neither": 1.0 - mp_only - sm_only - both,
-    }
-
-
 def mp_feature_means() -> Dict[str, Tuple[float, float]]:
     """Per-MP-package feature means (source, tests)."""
     return {

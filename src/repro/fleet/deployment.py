@@ -15,7 +15,7 @@ from repro import obs
 
 from .cpu import CpuModel
 from .determinism import aggregate_sample, build_instance
-from .service import ServiceInstance, WINDOW_SECONDS
+from .service import ServiceInstance, WINDOW_SECONDS, windows_in
 from .workload import RequestMix, TrafficShape
 
 #: ``repro_fleet_service_health`` children, one set per service.
@@ -271,8 +271,7 @@ class Fleet:
         on_window: Optional[Callable[[float], None]] = None,
     ) -> None:
         """Advance the whole fleet ``days`` of virtual time."""
-        windows = int(days * 86_400.0 / window)
-        for _ in range(windows):
+        for _ in range(windows_in(days, window)):
             self.advance_window(window)
             if on_window is not None:
                 on_window(next(iter(self.services.values())).now)

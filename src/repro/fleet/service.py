@@ -18,11 +18,22 @@ from repro.obs.registry import monotonic as _monotonic
 from repro.profiling import GoroutineProfile
 from repro.runtime import Runtime
 
-from .cpu import CpuModel
+from .cpu import CpuModel, DAY
 from .workload import RequestMix, TrafficShape
 
 #: Default observation window: one hour of virtual time.
 WINDOW_SECONDS = 3600.0
+
+
+def windows_in(days: float, window: float) -> int:
+    """Whole windows in ``days`` of virtual time.
+
+    Callers write ``days`` as ``k * window / 86_400``; the round trip can
+    land a hair under ``k`` (``23 * 600 / 86_400`` gives
+    22.999999999999996 windows), so a tiny tolerance keeps it at ``k``.
+    """
+    return int(days * DAY / window + 1e-9)
+
 
 _instance_ids = itertools.count()
 

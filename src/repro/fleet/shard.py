@@ -58,12 +58,9 @@ eviction), the target worker adopts the blobs plus their delta-tracker
 state, and the parent sets each moved instance's one record to its
 new shard.  Both ``evict`` and ``adopt`` are journaled, so a SIGKILL
 at any boundary replays to byte-identical state (chaos scenario
-``rebalance_crash``).  Manual moves are explicit;
-:meth:`maybe_rebalance` triggers the same path when one shard's
-advance-latency EMA lags the fastest by a factor, and :meth:`run_days`
-can invoke it between pump rounds.  Because results are
-topology-invariant, *when* a rebalance fires never changes
-what the fleet computes — only wall-clock balance.
+``rebalance_crash``).  Moves are always explicit: because results are
+topology-invariant, a rebalance never changes what the fleet computes —
+only which worker computes it.
 
 Determinism guarantee
 ---------------------
@@ -146,7 +143,7 @@ from .checkpoint import (
 )
 from .deployment import RolloutBase, ServiceConfig, ServiceSample
 from .determinism import aggregate_sample, build_instance as _build_instance
-from .service import ServiceInstance, WINDOW_SECONDS
+from .service import ServiceInstance, WINDOW_SECONDS, windows_in
 from .workload import RequestMix
 
 # _build_instance is repro.fleet.determinism.build_instance — the same
@@ -457,9 +454,6 @@ class _WorkerFault(Exception):
 #: blobs.
 _MUTATING = frozenset({"init", "advance", "restart", "evict", "adopt"})
 
-#: Committed windows to wait between lag-triggered rebalances.
-_COOLDOWN_WINDOWS = 2
-
 
 class ShardedFleet:
     """A fleet whose instances live in N worker processes.
@@ -552,8 +546,6 @@ class ShardedFleet:
         #: per shard: the async advance message awaiting a reply.
         self._inflight: List[Optional[Tuple]] = [None] * shards
         self._sent_at: List[float] = [0.0] * shards
-        #: per shard: EMA of advance round-trip seconds (lag signal).
-        self._advance_ema: List[float] = [0.0] * shards
         #: window index -> (window seconds, only) for catch-up/commit.
         self._window_args: Dict[int, Tuple[float, Optional[str]]] = {}
         self._checkpoint_due = False
@@ -564,7 +556,6 @@ class ShardedFleet:
         # -- re-balancing ----------------------------------------------
         self.rebalances = 0
         self.instances_moved = 0
-        self._last_rebalance_window = -(10 ** 9)
         # -- accounting ------------------------------------------------
         self.wire_bytes_total = 0
         self.wire_bytes_by_command: Dict[str, int] = {}
@@ -1173,11 +1164,6 @@ class ShardedFleet:
             shard, message,
             deadline=self._sent_at[shard] + self.worker_deadline,
         )
-        duration = _monotonic() - self._sent_at[shard]
-        ema = self._advance_ema[shard]
-        self._advance_ema[shard] = (
-            duration if ema == 0.0 else 0.5 * ema + 0.5 * duration
-        )
         window = payload[0]
         self._note_window(shard, window, advance=True)
         self._pending[shard].append((window, payload))
@@ -1294,10 +1280,9 @@ class ShardedFleet:
         window: float,
         only: Optional[str] = None,
         max_lead: int = 1,
-        rebalance_lag: Optional[float] = None,
     ) -> None:
         """Barrier, register ``windows`` windows, pump until all commit;
-        cadence work and the optional rebalancer run between rounds."""
+        cadence work runs between rounds."""
         if not self._started:
             raise RuntimeError("fleet not started")
         self.barrier()
@@ -1307,8 +1292,6 @@ class ShardedFleet:
         while self._committed_window < goal:
             self._pump(goal, max_lead)
             self._run_maintenance()
-            if rebalance_lag is not None:
-                self.maybe_rebalance(rebalance_lag)
         self._run_maintenance()
 
     def _sample(self, service: ShardedService) -> ServiceSample:
@@ -1441,72 +1424,14 @@ class ShardedFleet:
 
     # -- re-balancing --------------------------------------------------------
 
-    def _lags(self, emas: Optional[Dict[int, float]]) -> List[float]:
-        """Per-shard advance-latency EMAs, or ``emas``' overrides."""
-        if emas is None:
-            return list(self._advance_ema)
-        return [emas.get(shard, 0.0) for shard in range(self.num_shards)]
-
-    def plan_rebalance(
-        self, emas: Optional[Dict[int, float]] = None
-    ) -> Dict[Tuple[str, int], int]:
-        """Plan moves from the slowest shard to the fastest (maybe {}).
-
-        ``emas`` overrides the measured advance-latency EMAs (shard →
-        seconds); the plan moves the upper half of the slowest shard's
-        keys to the fastest shard.  Deterministic given the EMAs —
-        and because results are topology-invariant, *any* plan is
-        correctness-neutral.
-        """
-        if self.num_shards < 2:
-            return {}
-        lag = self._lags(emas)
-        source = max(range(self.num_shards), key=lambda s: (lag[s], -s))
-        target = min(range(self.num_shards), key=lambda s: (lag[s], s))
-        if source == target:
-            return {}
-        keys = sorted(
-            record.key for record in self._by_slot if record.shard == source
-        )
-        if len(keys) < 2:
-            return {}
-        moving = keys[(len(keys) + 1) // 2:]
-        return {key: target for key in moving}
-
-    def maybe_rebalance(
-        self, lag: float = 2.0, emas: Optional[Dict[int, float]] = None
-    ) -> Dict[Tuple[str, int], int]:
-        """Rebalance iff one shard's advance EMA lags the fastest by ``lag``.
-
-        The lag signal is wall-clock (measured per-shard advance
-        round-trip EMAs, overridable via ``emas`` for tests), the
-        response is :meth:`rebalance` — so *whether* it fires varies
-        with host load, but *what the fleet computes* never does.
-        Rate-limited to one per ``_COOLDOWN_WINDOWS`` (2) committed
-        windows.
-        """
-        if (
-            self._committed_window - self._last_rebalance_window
-            < _COOLDOWN_WINDOWS
-        ):
-            return {}
-        values = self._lags(emas)
-        measured = [value for value in values if value > 0.0]
-        if not measured or max(values) < lag * min(measured):
-            return {}
-        moves = self.plan_rebalance(emas)
-        if moves:
-            self.rebalance(moves)
-        return moves
-
     def rebalance(
-        self, moves: Optional[Dict[Tuple[str, int], int]] = None
+        self, moves: Dict[Tuple[str, int], int]
     ) -> Dict[Tuple[str, int], int]:
         """Move instances between workers via checkpoint blobs.
 
-        ``moves`` maps ``(service, index)`` keys to target shards
-        (default: :meth:`plan_rebalance`).  Runs at a barrier; the
-        source worker checkpoints and evicts the instances
+        ``moves`` maps ``(service, index)`` keys to target shards; a
+        move onto an instance's current shard is dropped.  Runs at a
+        barrier; the source worker checkpoints and evicts the instances
         (all-or-nothing per shard), the targets adopt blob + tracker
         state, and the parent sets each moved instance's record to its
         new shard — one field per move.  Views, the scorer, slots, and
@@ -1522,8 +1447,6 @@ class ShardedFleet:
         if not self._started:
             raise RuntimeError("fleet not started")
         self.barrier()
-        if moves is None:
-            moves = self.plan_rebalance()
         moves = dict(moves)
         for key, target in moves.items():
             if key not in self._by_key:
@@ -1578,7 +1501,6 @@ class ShardedFleet:
                 self._by_key[key].shard = target
             self.rebalances += 1
             self.instances_moved += len(moves)
-            self._last_rebalance_window = self._committed_window
             span.attributes.update(sources=len(by_source))
             if reg.enabled:
                 reg.counter(
@@ -1614,7 +1536,6 @@ class ShardedFleet:
         days: float,
         window: float = WINDOW_SECONDS,
         max_lead: int = 1,
-        rebalance_lag: Optional[float] = None,
     ) -> None:
         """Advance the whole fleet ``days`` of virtual time.
 
@@ -1623,13 +1544,10 @@ class ShardedFleet:
         with ``max_lead=1`` the fleet runs in lockstep and with a larger
         lead no shard waits for the slowest one until the bound bites.
         Histories, views, and the scorer advance only at commits, so the
-        result is byte-identical for every lead.  ``rebalance_lag``
-        enables the lag-triggered rebalancer (:meth:`maybe_rebalance`)
-        between pump rounds.
+        result is byte-identical for every lead.
         """
         self._advance(
-            int(days * 86_400.0 / window), window,
-            max_lead=max(1, int(max_lead)), rebalance_lag=rebalance_lag,
+            windows_in(days, window), window, max_lead=max(1, int(max_lead))
         )
 
     def snapshots(

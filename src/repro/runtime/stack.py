@@ -68,15 +68,3 @@ def capture_stack(root_gen: Any) -> Tuple[Frame, ...]:
             gen = None
     frames.reverse()
     return tuple(frames)
-
-
-def creation_frame(depth_hint_gen: Any) -> Optional[Frame]:
-    """Frame of the *innermost* suspended generator — the ``go`` call site.
-
-    When a goroutine spawns a child, the spawn happens at the innermost
-    frame of the parent's generator chain (where the ``yield go(...)``
-    statement sits).  That frame is the child's creation context, matching
-    the "created by" line in Go stack traces.
-    """
-    stack = capture_stack(depth_hint_gen)
-    return stack[0] if stack else None

@@ -221,34 +221,3 @@ class Program:
     def add(self, func: FuncDef) -> "Program":
         self.funcs[func.name] = func
         return self
-
-    def all_locations(self) -> Tuple[str, ...]:
-        """Every blocking-op location in the program (sorted)."""
-        locations = []
-
-        def visit(body):
-            for stmt in body:
-                if isinstance(stmt, (Send, Recv)):
-                    locations.append(stmt.loc)
-                elif isinstance(stmt, ForRange):
-                    locations.append(stmt.loc)
-                    visit(stmt.body)
-                elif isinstance(stmt, SelectStmt):
-                    locations.append(stmt.loc)
-                    for case in stmt.cases:
-                        visit(case.body)
-                    if stmt.default:
-                        visit(stmt.default)
-                elif isinstance(stmt, If):
-                    visit(stmt.then)
-                    visit(stmt.orelse)
-                elif isinstance(stmt, Loop):
-                    visit(stmt.body)
-                elif isinstance(stmt, (Go, Call)) and isinstance(
-                    stmt.callee, Anon
-                ):
-                    visit(stmt.callee.body)
-
-        for func in self.funcs.values():
-            visit(func.body)
-        return tuple(sorted(set(locations)))

@@ -215,20 +215,30 @@ class TestShardDeterminism:
 
 class TestShardedServiceSurface:
     def test_run_days_and_history_accessor(self):
-        with ShardedFleet(shards=2) as fleet:
-            fleet.add_service(
-                ServiceConfig(
-                    name="svc",
-                    mix=clean_mix(),
-                    instances=2,
-                    traffic=TrafficShape(requests_per_window=5),
-                ),
-                seed=3,
-            )
-            fleet.start()
-            fleet.run_days(0.25, window=3600.0)  # 6 windows
-            assert len(fleet.history("svc")) == 6
-            assert fleet.history("svc")[-1].t == pytest.approx(6 * 3600.0)
+        config = ServiceConfig(
+            name="svc",
+            mix=clean_mix(),
+            instances=2,
+            traffic=TrafficShape(requests_per_window=5),
+        )
+        # (days, window, windows): 23 * 600 / 86_400 days is
+        # 22.999999999999996 windows in floating point, not 22
+        for days, window, windows in (
+            (0.25, 3600.0, 6),
+            (23 * 600 / 86_400, 600.0, 23),
+        ):
+            serial = Fleet()
+            serial.add(Service(config, seed=3))
+            serial.run_days(days, window=window)
+            assert len(serial.services["svc"].history) == windows
+            with ShardedFleet(shards=2) as fleet:
+                fleet.add_service(config, seed=3)
+                fleet.start()
+                fleet.run_days(days, window=window)
+                assert len(fleet.history("svc")) == windows
+                assert fleet.history("svc")[-1].t == pytest.approx(
+                    windows * window
+                )
 
     def test_add_service_after_start_rejected(self):
         with ShardedFleet(shards=1) as fleet:

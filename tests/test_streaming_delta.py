@@ -648,7 +648,9 @@ class TestRebalance:
                 n: s.history for n, s in fleet.services.items()
             } == {n: s.history for n, s in serial.services.items()}
 
-    def test_maybe_rebalance_lag_trigger_and_cooldown(self):
+    def test_rebalance_input_checks(self):
+        """Bad keys and shards raise before anything moves; moves onto
+        an instance's current shard are a no-op."""
         reference, ref_hist = _serial_reference(3)
         with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
@@ -656,15 +658,24 @@ class TestRebalance:
             fleet.start()
             fleet.advance_window(WINDOW)
             fleet.advance_window(WINDOW)
-            # balanced EMAs: no move
-            assert fleet.maybe_rebalance(lag=2.0, emas={0: 1.0, 1: 0.9}) == {}
-            # shard 0 lags 10x: the upper half of its sorted keys
-            # ([payments/0, payments/2, search/1] -> search/1) moves over
-            moves = fleet.maybe_rebalance(lag=2.0, emas={0: 10.0, 1: 1.0})
-            assert moves == {("search", 1): 1}
-            assert fleet.rebalances == 1
-            # cooldown: an immediate re-trigger is suppressed
-            assert fleet.maybe_rebalance(lag=2.0, emas={1: 10.0, 0: 1.0}) == {}
+            owners = {
+                record.key: record.shard
+                for service in fleet.services.values()
+                for record in service.instances
+            }
+            with pytest.raises(KeyError, match="unknown instance"):
+                fleet.rebalance({("payments", 2): 1, ("payments", 9): 1})
+            with pytest.raises(ValueError, match="no shard 2"):
+                fleet.rebalance({("payments", 2): 1, ("search", 0): 2})
+            # every move targets the instance's current shard
+            assert fleet.rebalance(dict(owners)) == {}
+            assert fleet.rebalances == 0 and fleet.instances_moved == 0
+            assert {
+                record.key: record.shard
+                for service in fleet.services.values()
+                for record in service.instances
+            } == owners
+            assert fleet.worker_restarts == 0
             fleet.advance_window(WINDOW)
             assert fleet.snapshots() == reference[2]
             assert {
