@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro import obs
-from repro.obs.registry import monotonic as _monotonic
+from repro.obs.registry import monotonic as _monotonic, share_lock
 from repro.profiling import GoroutineProfile
 from repro.runtime import Runtime
 
@@ -37,24 +37,42 @@ def windows_in(days: float, window: float) -> int:
 
 _instance_ids = itertools.count()
 
+
+class _WindowSeries:
+    """One service's window series, recorded in one call under one lock."""
+
+    __slots__ = ("registry", "lock", "seconds", "windows", "requests")
+
+    def __init__(self, reg: Any, service: str):
+        self.registry = reg
+        self.seconds = reg.histogram(
+            "repro_fleet_window_seconds",
+            "Wall-clock duration of one instance observation window",
+            ("service",),
+        ).labels(service)
+        self.windows = reg.counter(
+            "repro_fleet_windows_total",
+            "Observation windows served, by service",
+            ("service",),
+        ).labels(service)
+        self.requests = reg.counter(
+            "repro_fleet_requests_total",
+            "Requests served inside observation windows, by service",
+            ("service",),
+        ).labels(service)
+        self.lock = share_lock(self.seconds, self.windows, self.requests)
+
+    def record(self, seconds: float, requests: int) -> None:
+        if not self.registry.enabled:
+            return
+        with self.lock:
+            self.seconds._add(seconds)
+            self.windows._value += 1.0
+            self.requests._value += requests
+
+
 #: Per-service window series: one set of children per ``service`` label.
-_WINDOW_METRICS = obs.bind(lambda reg, service: (
-    reg.histogram(
-        "repro_fleet_window_seconds",
-        "Wall-clock duration of one instance observation window",
-        ("service",),
-    ).labels(service),
-    reg.counter(
-        "repro_fleet_windows_total",
-        "Observation windows served, by service",
-        ("service",),
-    ).labels(service),
-    reg.counter(
-        "repro_fleet_requests_total",
-        "Requests served inside observation windows, by service",
-        ("service",),
-    ).labels(service),
-))
+_WINDOW_SERIES = obs.bind(_WindowSeries)
 
 
 @dataclass
@@ -134,8 +152,8 @@ class ServiceInstance:
         unbounded cardinality under churn).  The parked-goroutine count
         is read once and feeds both the sample and the CPU model.
         """
-        metrics = _WINDOW_METRICS(self.service)
-        started = _monotonic() if metrics is not None else 0.0
+        series = _WINDOW_SERIES(self.service)
+        started = _monotonic() if series is not None else 0.0
         runtime = self.runtime
         t = runtime.now
         request_count = self.traffic.requests_at(t)
@@ -156,11 +174,8 @@ class ServiceInstance:
             blocked_goroutines=blocked,
         )
         self.metrics.append(sample)
-        if metrics is not None:
-            window_seconds, windows, requests = metrics
-            window_seconds.observe(_monotonic() - started)
-            windows.inc()
-            requests.inc(request_count)
+        if series is not None:
+            series.record(_monotonic() - started, request_count)
         return sample
 
     # -- observability (what the paper's infra sees) -------------------------

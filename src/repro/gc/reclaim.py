@@ -165,9 +165,7 @@ def reclaim_goroutines(
     runtime.panic_mode = "record"
     try:
         budget = UNWIND_STEP_BUDGET * max(1, len(victims))
-        while runtime._run_queue and budget > 0:
-            runtime._step()
-            budget -= 1
+        runtime._run(runtime.steps + budget, None, advance=False)
     finally:
         runtime.panic_mode = previous_mode
     stats.unwind_panics = len(runtime.panics) - previous_panics

@@ -34,7 +34,7 @@ import bisect
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Monotonic clock used by every timing helper (never the virtual clock).
 monotonic = time.perf_counter
@@ -160,6 +160,11 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         if not self._registry.enabled:
             return
+        with self._lock:
+            self._add(value)
+
+    def _add(self, value: float) -> None:
+        """Record ``value``; the caller holds ``_lock``."""
         # The first bound >= value; NaN compares false against every
         # bound, so it is pinned to +Inf (bisect alone would say 0).
         index = (
@@ -167,10 +172,9 @@ class _HistogramChild:
             if value == value
             else len(self._buckets)
         )
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            self._counts[index] += 1
+        self._sum += value
+        self._count += 1
+        self._counts[index] += 1
 
     def time(self) -> _Timer:
         """``with hist.time():`` — observe the block's wall duration."""
@@ -201,6 +205,20 @@ class _HistogramChild:
         out.append(("_sum", {}, self._sum))
         out.append(("_count", {}, float(self._count)))
         return out
+
+
+def share_lock(*children: Any) -> Any:
+    """Make ``children`` share the first one's lock, and return it.
+
+    A hot path that records one event into several series takes that
+    lock once and updates them together (a histogram through ``_add``,
+    counters and gauges by their ``_value``), so a scrape never sees the
+    event half recorded.  The children's own methods take the same lock.
+    """
+    lock = children[0]._lock
+    for child in children[1:]:
+        child._lock = lock
+    return lock
 
 
 class _Metric:

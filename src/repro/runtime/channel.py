@@ -35,8 +35,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, List, Optional, Tuple
 
-from .errors import CloseOfClosedChannel, CloseOfNilChannel, SendOnClosedChannel
-from .goroutine import Goroutine
+from .errors import (
+    CloseOfClosedChannel,
+    CloseOfNilChannel,
+    Panic,
+    SendOnClosedChannel,
+)
+from .goroutine import PARKED, Goroutine, GoroutineState
+
+_BLOCKED_SEND = GoroutineState.BLOCKED_SEND
+_BLOCKED_RECV = GoroutineState.BLOCKED_RECV
 
 _chan_ids = itertools.count(1)
 
@@ -126,16 +134,6 @@ class Waiter:
     def stale(self) -> bool:
         return self.ticket is not None and self.ticket.done
 
-    def complete(self) -> bool:
-        """Claim this waiter; returns False if a sibling arm already fired."""
-        if self.ticket is None:
-            return True
-        if self.ticket.done:
-            return False
-        self.ticket.done = True
-        self.ticket.release_payloads()
-        return True
-
     def resume_value(self, received: Any, ok: bool) -> Any:
         """Shape the wakeup value the way the parked op expects it."""
         value = received.value if isinstance(received, Payload) else received
@@ -147,6 +145,25 @@ class Waiter:
         if self.want_ok:
             return (value, ok)
         return value
+
+
+def _claim(waiters: Deque[Waiter]) -> Optional[Waiter]:
+    """Pop and claim the first waiter in ``waiters`` that can still complete.
+
+    A plain op needs no claim.  A select arm claims its ticket, which
+    releases every sibling's registered payload; arms whose select
+    already fired are stale and dropped.
+    """
+    while waiters:
+        waiter = waiters.popleft()
+        ticket = waiter.ticket
+        if ticket is None:
+            return waiter
+        if not ticket.done:
+            ticket.done = True
+            ticket.release_payloads()
+            return waiter
+    return None
 
 
 class Channel:
@@ -253,20 +270,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self.buffer)
 
-    def _pop_recv_waiter(self) -> Optional[Waiter]:
-        while self.recv_waiters:
-            waiter = self.recv_waiters.popleft()
-            if not waiter.stale:
-                return waiter
-        return None
-
-    def _pop_send_waiter(self) -> Optional[Waiter]:
-        while self.send_waiters:
-            waiter = self.send_waiters.popleft()
-            if not waiter.stale:
-                return waiter
-        return None
-
     def _peek_recv_waiter(self) -> Optional[Waiter]:
         for waiter in self.recv_waiters:
             if not waiter.stale:
@@ -299,7 +302,7 @@ class Channel:
         """
         if self.closed:
             return True
-        if self._peek_recv_waiter() is not None:
+        if self.recv_waiters and self._peek_recv_waiter() is not None:
             return True
         return len(self.buffer) < self.capacity
 
@@ -307,7 +310,7 @@ class Channel:
         """Would a receive complete without blocking right now?"""
         if self.buffer:
             return True
-        if self._peek_send_waiter() is not None:
+        if self.send_waiters and self._peek_send_waiter() is not None:
             return True
         return self.closed
 
@@ -320,18 +323,16 @@ class Channel:
         """
         if self.closed:
             raise SendOnClosedChannel()
-        if self.recv_waiters:
-            receiver = self._pop_recv_waiter()
-            while receiver is not None:
-                if receiver.complete():
-                    self.version += 1
-                    self._deliver(receiver, value, ok=True)
-                    return True
-                receiver = self._pop_recv_waiter()
+        receiver = _claim(self.recv_waiters) if self.recv_waiters else None
+        if receiver is not None:
+            self.version += 1
+            self._deliver(receiver, value, ok=True)
+            return True
         if len(self.buffer) < self.capacity:
             self.version += 1
             self.buffer.append(value)
-            self._charge_buffered(payload_bytes(value))
+            if isinstance(value, Payload):
+                self._charge_buffered(value.nbytes)
             return True
         return False
 
@@ -347,34 +348,69 @@ class Channel:
             if isinstance(value, Payload):
                 self._charge(_BUFFERED, -value.nbytes)
             # A parked sender can now move its value into the freed slot.
-            sender = self._pop_send_waiter()
-            while sender is not None:
-                if sender.complete():
-                    moved = sender.value
-                    if isinstance(moved, Payload):
-                        # Select arms settle via the ticket in complete().
-                        if sender.ticket is None:
-                            self._charge(_PENDING, -moved.nbytes)
-                        self._charge(_BUFFERED, moved.nbytes)
-                    self.buffer.append(moved)
-                    self._wake_sender(sender)
-                    break
-                sender = self._pop_send_waiter()
+            sender = _claim(self.send_waiters) if self.send_waiters else None
+            if sender is not None:
+                moved = sender.value
+                if isinstance(moved, Payload):
+                    # Select arms settle via the ticket's claim.
+                    if sender.ticket is None:
+                        self._charge(_PENDING, -moved.nbytes)
+                    self._charge(_BUFFERED, moved.nbytes)
+                self.buffer.append(moved)
+                self._wake_sender(sender)
             return True, value, True
         if self.send_waiters:
-            sender = self._pop_send_waiter()
-            while sender is not None:
-                if sender.complete():
-                    self.version += 1
-                    value = sender.value
-                    if sender.ticket is None and isinstance(value, Payload):
-                        self._charge(_PENDING, -value.nbytes)
-                    self._wake_sender(sender)
-                    return True, value, True
-                sender = self._pop_send_waiter()
+            sender = _claim(self.send_waiters)
+            if sender is not None:
+                self.version += 1
+                value = sender.value
+                if sender.ticket is None and isinstance(value, Payload):
+                    self._charge(_PENDING, -value.nbytes)
+                self._wake_sender(sender)
+                return True, value, True
         if self.closed:
             return True, None, False
         return False, None, False
+
+    def send_op(self, goro: Goroutine, value: Any) -> Any:
+        """``ch <- value`` for the running ``goro``, in one call.
+
+        Hands the value to a parked receiver or the buffer and returns
+        ``None`` (the send's resume value), or parks ``goro`` on the
+        channel — or throws ``send on closed channel`` into it — and
+        returns :data:`PARKED`.
+        """
+        try:
+            if self.try_send(value):
+                return None
+        except Panic as exc:
+            goro.throw(exc)
+            return PARKED
+        self.version += 1
+        if isinstance(value, Payload):
+            self._charge_pending(value.nbytes)
+        self.send_waiters.append(Waiter(goro, value))
+        goro.block(_BLOCKED_SEND, self)
+        return PARKED
+
+    def recv_op(self, goro: Goroutine, want_ok: bool) -> Any:
+        """``<-ch`` for the running ``goro``, in one call.
+
+        Returns the received value (``(value, ok)`` with ``want_ok``), or
+        parks ``goro`` on the channel and returns :data:`PARKED`.  A
+        receive that must park — the common case — never leaves this
+        method.
+        """
+        if self.buffer or self.send_waiters or self.closed:
+            completed, value, ok = self.try_recv()
+            if completed:
+                if isinstance(value, Payload):
+                    value = value.value
+                return (value, ok) if want_ok else value
+        self.version += 1
+        self.recv_waiters.append(Waiter(goro, None, want_ok))
+        goro.block(_BLOCKED_RECV, self)
+        return PARKED
 
     def _settle_pending(self, waiter: Waiter) -> None:
         """A parked sender just completed: its payload leaves the books.
@@ -405,15 +441,9 @@ class Channel:
             raise CloseOfClosedChannel()
         self.closed = True
         self.version += 1
-        while self.recv_waiters:
-            waiter = self.recv_waiters.popleft()
-            if waiter.stale or not waiter.complete():
-                continue
+        while (waiter := _claim(self.recv_waiters)) is not None:
             self._deliver(waiter, None, ok=False)
-        while self.send_waiters:
-            waiter = self.send_waiters.popleft()
-            if waiter.stale or not waiter.complete():
-                continue
+        while (waiter := _claim(self.send_waiters)) is not None:
             # The undelivered payload dies with the panicked send.
             self._settle_pending(waiter)
             waiter.goro.throw(SendOnClosedChannel())
@@ -507,6 +537,14 @@ class NilChannel:
 
     def park_receiver(self, waiter: Waiter) -> None:
         """Parked forever; the waiter is intentionally dropped."""
+
+    def send_op(self, goro: Goroutine, value: Any) -> Any:
+        goro.block(_BLOCKED_SEND, self)
+        return PARKED
+
+    def recv_op(self, goro: Goroutine, want_ok: bool) -> Any:
+        goro.block(_BLOCKED_RECV, self)
+        return PARKED
 
     def close(self) -> None:
         raise CloseOfNilChannel()

@@ -70,18 +70,36 @@ DEFAULT_STACK_BYTES = 8 * 1024
 # Each state carries a small-int index into the runtime's census array:
 # state transitions are the hottest bookkeeping in the interpreter, and
 # Enum.__hash__ is a Python-level call we cannot afford per step.  For
-# the same reason each state carries the two predicates every profile
-# read asks per goroutine: ``alive`` (not DONE or PANICKED) and
-# ``channel_blocked`` (in CHANNEL_BLOCKED_STATES).
+# the same reason each state carries the predicates every profile read
+# asks per goroutine: ``alive`` (not DONE or PANICKED), ``blocked`` (in
+# BLOCKED_STATES) and ``channel_blocked`` (in CHANNEL_BLOCKED_STATES).
 for _index, _state in enumerate(GoroutineState):
     _state.census_index = _index
     _state.alive = _state not in (GoroutineState.DONE, GoroutineState.PANICKED)
+    _state.blocked = _state in BLOCKED_STATES
     _state.channel_blocked = _state in CHANNEL_BLOCKED_STATES
 del _index, _state
 
 
-#: Hot-path constant: the census slot for RUNNABLE.
-_RUNNABLE_INDEX = GoroutineState.RUNNABLE.census_index
+#: Hot-path constants: RUNNABLE and its census slot (a module global is
+#: far cheaper to load than an Enum class attribute).
+_RUNNABLE = GoroutineState.RUNNABLE
+_RUNNABLE_INDEX = _RUNNABLE.census_index
+
+
+class _Parked:
+    """Type of :data:`PARKED` (a named singleton for readable reprs)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PARKED"
+
+
+#: What an op handler returns when it parked the running goroutine or
+#: threw into it.  Any other return value is the goroutine's resume
+#: value: the op completed, and the step loop resumes it with that value.
+PARKED = _Parked()
 
 
 class Goroutine:
@@ -128,7 +146,7 @@ class Goroutine:
         self.name = name
         self.gen = gen
         self.runtime = runtime
-        self.state = GoroutineState.RUNNABLE
+        self.state = _RUNNABLE
         self.created_at = created_at
         self.creation_ctx = creation_ctx
         self.blocked_since: Optional[float] = None
@@ -158,7 +176,7 @@ class Goroutine:
 
     @property
     def blocked(self) -> bool:
-        return self.state in BLOCKED_STATES
+        return self.state.blocked
 
     @property
     def channel_blocked(self) -> bool:
@@ -188,12 +206,18 @@ class Goroutine:
         self._cached_stack = None
 
     def make_runnable(self, value: Any = None) -> None:
-        """Wake the goroutine with ``value`` as the result of its last op."""
+        """Wake the goroutine with ``value`` as the result of its last op.
+
+        Only ever called on *another* goroutine — by a delivery, a timer
+        or a sync primitive.  The running goroutine's own op hands its
+        resume value back to the step loop instead (see
+        :data:`PARKED`).
+        """
         runtime = self.runtime
         census = runtime._state_census
         census[self.state.census_index] -= 1
         census[_RUNNABLE_INDEX] += 1
-        self.state = GoroutineState.RUNNABLE
+        self.state = _RUNNABLE
         self.waiting_on = None
         self.blocked_since = None
         self.pending_value = value
@@ -207,7 +231,7 @@ class Goroutine:
         census = runtime._state_census
         census[self.state.census_index] -= 1
         census[_RUNNABLE_INDEX] += 1
-        self.state = GoroutineState.RUNNABLE
+        self.state = _RUNNABLE
         self.waiting_on = None
         self.blocked_since = None
         self.pending_exception = exc
@@ -230,7 +254,7 @@ class Goroutine:
         cached = self._cached_stack
         if cached is None:
             cached = capture_stack(self.gen)
-            if self.state in BLOCKED_STATES:
+            if self.state.blocked:
                 self._cached_stack = cached
         return cached
 

@@ -25,9 +25,11 @@ only behind ``audit=True`` for the equivalence test suite.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
+import types
 import weakref
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -35,14 +37,15 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 import random
 
 from repro import obs
-from repro.obs.registry import monotonic as _monotonic
+from repro.obs.registry import monotonic as _monotonic, share_lock
 
-from .channel import Channel, NIL_CHANNEL, Payload, Waiter
+from .channel import Channel, NIL_CHANNEL
 from .errors import GlobalDeadlock, LeakReclaimed, Panic, SchedulerExhausted
 from .goroutine import (
     BLOCKED_STATES,
     DEFAULT_STACK_BYTES,
     EXTERNALLY_WAKEABLE_STATES,
+    PARKED,
     Goroutine,
     GoroutineState,
 )
@@ -61,7 +64,7 @@ from .ops import (
     YieldOp,
 )
 from .selects import resolve_select
-from .stack import Frame, capture_stack
+from .stack import Frame, leaf_frame
 
 #: Default per-run scheduling-step budget.
 DEFAULT_MAX_STEPS = 10_000_000
@@ -77,10 +80,17 @@ _PARK_STATES = {
     "sleep": GoroutineState.SLEEPING,
 }
 
-# Census-array slots used on the interpreter hot path (see
+# States and census-array slots used on the interpreter hot path (see
 # GoroutineState.census_index in repro.runtime.goroutine).
-_RUNNABLE_IDX = GoroutineState.RUNNABLE.census_index
-_RUNNING_IDX = GoroutineState.RUNNING.census_index
+# Module globals, not Enum class attributes: the latter cost a
+# metaclass lookup on every load.
+_RUNNABLE = GoroutineState.RUNNABLE
+_RUNNING = GoroutineState.RUNNING
+_SLEEPING = GoroutineState.SLEEPING
+_DONE = GoroutineState.DONE
+_PANICKED = GoroutineState.PANICKED
+_RUNNABLE_IDX = _RUNNABLE.census_index
+_RUNNING_IDX = _RUNNING.census_index
 #: Picks the blocked states' census slots out in one C call.
 _BLOCKED_SLOTS = operator.itemgetter(
     *sorted(s.census_index for s in BLOCKED_STATES)
@@ -97,29 +107,90 @@ _CENSUS_VALUE_SLOTS = tuple((s.value, s.census_index) for s in GoroutineState)
 _EXTERNALLY_WAKEABLE = EXTERNALLY_WAKEABLE_STATES
 
 
-#: The scheduler's per-run series, resolved once per default registry.
-_RUN_METRICS = obs.bind(lambda reg: (
-    reg.gauge(
-        "repro_sched_run_queue_depth",
-        "Runnable goroutines queued when the last run started",
-    ).labels(),
-    reg.counter(
-        "repro_sched_runs_total",
-        "run_until_quiescent calls (requests, windows, drains)",
-    ).labels(),
-    reg.counter(
-        "repro_sched_steps_total",
-        "Scheduler steps interpreted across all runtimes",
-    ).labels(),
-    reg.histogram(
-        "repro_sched_run_seconds",
-        "Wall-clock duration of one run_until_quiescent call",
-    ).labels(),
-))
+class _RunSeries:
+    """The scheduler's four per-run series, recorded in one call.
+
+    The four children share one lock (``share_lock``), so :meth:`record`
+    lands a run's queue depth, count, steps and wall duration together:
+    a scrape sees whole runs only.
+    """
+
+    __slots__ = ("registry", "lock", "depth", "runs", "steps", "seconds")
+
+    def __init__(self, reg: Any):
+        self.registry = reg
+        self.depth = reg.gauge(
+            "repro_sched_run_queue_depth",
+            "Runnable goroutines queued when the last run started",
+        ).labels()
+        self.runs = reg.counter(
+            "repro_sched_runs_total",
+            "run_until_quiescent calls (requests, windows, drains)",
+        ).labels()
+        self.steps = reg.counter(
+            "repro_sched_steps_total",
+            "Scheduler steps interpreted across all runtimes",
+        ).labels()
+        self.seconds = reg.histogram(
+            "repro_sched_run_seconds",
+            "Wall-clock duration of one run_until_quiescent call",
+        ).labels()
+        self.lock = share_lock(self.seconds, self.depth, self.runs, self.steps)
+
+    def record(self, depth: int, steps: int, seconds: float) -> None:
+        if not self.registry.enabled:
+            return
+        with self.lock:
+            self.depth._value = float(depth)
+            self.runs._value += 1.0
+            self.steps._value += steps
+            self.seconds._add(seconds)
+
+
+#: The per-run series, resolved once per default registry.
+_RUN_SERIES = obs.bind(_RunSeries)
 
 #: Timer-heap compaction: rebuild once the heap holds at least this many
 #: entries AND more than half of them are cancelled tombstones.
 _TIMER_COMPACT_MIN = 32
+
+
+def _body_name(fn: Callable[..., Any]) -> str:
+    """A goroutine's default name: its body's ``__qualname__``.
+
+    ``functools.partial`` bodies (parameterised tests and handlers) are
+    named by the function they wrap; ``str(fn)``, which would carry a
+    per-process address, is the last resort.
+    """
+    inner = fn
+    while isinstance(inner, functools.partial):
+        inner = inner.func
+    name = getattr(inner, "__qualname__", None)
+    return name if name is not None else str(fn)
+
+
+class _ChannelSet:
+    """The runtime's channels, held weakly: a lean ``WeakSet``.
+
+    Each channel is held by a ``weakref`` whose death callback is the
+    set's own C-level ``discard``, so registering and retiring a channel
+    never runs Python code (``make_chan`` sits on the per-request path).
+    """
+
+    __slots__ = ("_refs", "_discard")
+
+    def __init__(self) -> None:
+        self._refs: set = set()
+        self._discard = self._refs.discard
+
+    def add(self, channel: Channel) -> None:
+        self._refs.add(weakref.ref(channel, self._discard))
+
+    def __iter__(self):
+        for ref in list(self._refs):
+            channel = ref()
+            if channel is not None:
+                yield channel
 
 
 class _Timer:
@@ -218,7 +289,7 @@ class Runtime:
         self._timers: List[Tuple[float, int, _Timer]] = []
         self._timer_seq = itertools.count()
         self._gid_seq = itertools.count(1)
-        self._channels: "weakref.WeakSet[Channel]" = weakref.WeakSet()
+        self._channels = _ChannelSet()
         self.main: Optional[Goroutine] = None
         self.panics: List[Tuple[Goroutine, BaseException]] = []
         # -- incremental accounting: every introspection read is O(1) ------
@@ -238,11 +309,13 @@ class Runtime:
         self._live_timer_count = 0
         #: Cancelled tombstones still sitting in the heap.
         self._cancelled_in_heap = 0
-        #: Per-op-type interpreter fast path: type(op) -> bound handler.
-        self._handlers: Dict[type, Callable[[Goroutine, Op], None]] = {
+        #: Per-op-type dispatch: type(op) -> handler returning the resume
+        #: value or PARKED (plain sends and receives are dispatched
+        #: inline by the step loop; these entries serve subclasses).
+        self._handlers: Dict[type, Callable[[Goroutine, Op], Any]] = {
             SendOp: self._do_send,
             RecvOp: self._do_recv,
-            SelectOp: self._do_select,
+            SelectOp: resolve_select,
             GoOp: self._do_go,
             SleepOp: self._do_sleep,
             ParkOp: self._do_park,
@@ -292,17 +365,14 @@ class Runtime:
         heapq.heappush(self._timers, (when, next(self._timer_seq), timer))
         return timer
 
-    def _pop_timer_entry(self) -> Tuple[float, int, _Timer]:
-        """Heap pop that keeps the timer census counters exact."""
-        entry = heapq.heappop(self._timers)
-        timer = entry[2]
+    def _popped(self, timer: _Timer) -> None:
+        """Census upkeep for a timer that just left the heap."""
         timer._in_heap = False
         if timer.cancelled:
             self._cancelled_in_heap -= 1
         elif timer._counted:
             self._live_timer_count -= 1
             timer._counted = False
-        return entry
 
     def _exempt_timer(self, timer: _Timer) -> None:
         """Drop a timer from the pending-work census (the GC sweep timer)."""
@@ -314,7 +384,9 @@ class Runtime:
         """Lazily rebuild the heap once >50% of its entries are tombstones.
 
         Keeps the heap size proportional to *live* timers under
-        start/stop ticker churn instead of growing without bound.
+        start/stop ticker churn instead of growing without bound.  The
+        heap is rebuilt in place: a cancel can land while
+        :meth:`_advance_clock` holds the list.
         """
         heap = self._timers
         if len(heap) < _TIMER_COMPACT_MIN or self._cancelled_in_heap * 2 <= len(heap):
@@ -322,8 +394,8 @@ class Runtime:
         for entry in heap:
             if entry[2].cancelled:
                 entry[2]._in_heap = False
-        self._timers = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(self._timers)
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled_in_heap = 0
 
     def after(self, delay: float) -> Channel:
@@ -359,22 +431,33 @@ class Runtime:
         is_main: bool = False,
     ) -> Goroutine:
         """Start ``fn(*args)`` as a goroutine (the external ``go`` keyword)."""
+        return self._spawn(fn, args, name, creation_ctx, stack_bytes, is_main)
+
+    def _spawn(
+        self,
+        fn: Callable[..., Any],
+        args: Tuple[Any, ...],
+        name: Optional[str],
+        creation_ctx: Optional[Frame],
+        stack_bytes: Optional[int],
+        is_main: bool,
+    ) -> Goroutine:
         gen = fn(*args)
-        if not hasattr(gen, "send"):
+        if gen.__class__ is not types.GeneratorType and not hasattr(gen, "send"):
             raise TypeError(
                 f"goroutine body {fn!r} must be a generator function "
                 "(use 'yield' for channel ops; plain functions cannot block)"
             )
         gid = next(self._gid_seq)
         goro = Goroutine(
-            gid=gid,
-            gen=gen,
-            runtime=self,
-            name=name or getattr(fn, "__qualname__", str(fn)),
-            created_at=self.now,
-            creation_ctx=creation_ctx,
-            stack_bytes=stack_bytes or self.default_stack_bytes,
-            is_main=is_main,
+            gid,
+            gen,
+            self,
+            name or _body_name(fn),
+            self.now,
+            creation_ctx,
+            stack_bytes or self.default_stack_bytes,
+            is_main,
         )
         self._goroutines[gid] = goro
         self.goroutines_spawned += 1
@@ -387,17 +470,14 @@ class Runtime:
             self._delta.mark(gid)
         if is_main:
             self.main = goro
-        self._enqueue(goro)
-        return goro
-
-    def _enqueue(self, goro: Goroutine) -> None:
         self._run_queue.append(goro)
+        return goro
 
     def _finish(self, goro: Goroutine, result: Any) -> None:
         self._state_census[goro.state.census_index] -= 1
         self._live_count -= 1
         self._goroutine_bytes -= goro.stack_bytes + goro.retained_bytes
-        goro.state = GoroutineState.DONE
+        goro.state = _DONE
         goro.result = result
         goro.retained_bytes = 0
         goro.gen = None  # release frames so channels/values can be collected
@@ -415,7 +495,7 @@ class Runtime:
         self._state_census[goro.state.census_index] -= 1
         self._live_count -= 1
         self._goroutine_bytes -= goro.stack_bytes + goro.retained_bytes
-        goro.state = GoroutineState.PANICKED
+        goro.state = _PANICKED
         goro.panic = exc
         goro.retained_bytes = 0
         goro.gen = None
@@ -432,153 +512,167 @@ class Runtime:
     # The interpreter
     # ------------------------------------------------------------------
 
-    def _step(self) -> None:
-        goro = self._run_queue.popleft()
-        if goro.state is not GoroutineState.RUNNABLE:
-            return  # stale queue entry (finished or re-parked meanwhile)
-        census = self._state_census
-        census[_RUNNABLE_IDX] -= 1
-        census[_RUNNING_IDX] += 1
-        goro.state = GoroutineState.RUNNING
-        self.steps += 1
-        if self._gc_state is not None:
-            # Frame locals can only change while the goroutine runs, so
-            # this is the one place the reference tracker must be told.
-            self._gc_state.tracker.mark_dirty(goro.gid)
-        if self._delta is not None:
-            self._delta.mark(goro.gid)
-        try:
-            if goro.pending_exception is not None:
-                exc = goro.pending_exception
-                goro.pending_exception = None
-                op = goro.gen.throw(exc)
-            else:
-                value = goro.pending_value
-                goro.pending_value = None
-                op = goro.gen.send(value)
-        except StopIteration as stop:
-            self._finish(goro, stop.value)
-            return
-        except LeakReclaimed:
-            # The reclaimer's controlled unwind reached the top of the
-            # goroutine: a Goexit-style exit, not a crash.
-            self._finish(goro, None)
-            return
-        except Panic as panic:
-            self._record_panic(goro, panic)
-            return
-        # Dispatch inline: a dict keyed on the op's concrete type replaces
-        # the former ``isinstance`` chain — O(1) regardless of op kind.
-        handler = self._handlers.get(op.__class__)
-        if handler is None:
-            self._dispatch(goro, op)
-        else:
-            handler(goro, op)
+    def _run(self, limit: int, deadline: Optional[float], advance: bool) -> bool:
+        """The step loop: run goroutines until the queue is empty.
 
-    def _dispatch(self, goro: Goroutine, op: Op) -> None:
-        """Slow-path dispatch for effect *subclasses* (and bad yields).
+        With ``advance`` the clock then jumps to the next timer and the
+        loop goes on until nothing is runnable and no timer (within
+        ``deadline``) can change that.  Returns True when it stopped
+        because ``self.steps`` reached ``limit`` with work still queued.
 
-        Falls back to one ``isinstance`` walk whose result is cached for
-        the concrete type, so even subclassed effects pay the walk once.
+        Each step resumes one goroutine and interprets the op it yields.
+        A handler returns the goroutine's resume value when the op
+        completed, or :data:`PARKED` when it parked the goroutine (or
+        threw into it).  A completed op re-queues the goroutine — unless
+        the run queue is empty and the step budget allows another step:
+        then the FIFO would pop this same goroutine next, so it runs on
+        in place, skipping the RUNNING -> RUNNABLE -> RUNNING census
+        flips, the ``pending_value`` round trip and the deque append and
+        pop.  Steps and their order are exactly those of the plain FIFO.
+
+        The step count lives in a local and is written back whenever
+        anything else can run: before the clock advances (timer
+        callbacks, e.g. a reclaiming sweep, run nested loops) and on exit.
         """
-        handler = self._resolve_handler(op)
-        if handler is None:
-            raise TypeError(
-                f"goroutine {goro.name!r} yielded non-effect {op!r}"
-            )
-        handler(goro, op)
+        run_queue = self._run_queue
+        popleft = run_queue.popleft
+        census = self._state_census
+        handlers = self._handlers
+        steps = self.steps
+        try:
+            while True:
+                while run_queue:
+                    if steps >= limit:
+                        return True
+                    goro = popleft()
+                    if goro.state is not _RUNNABLE:
+                        continue  # stale queue entry (finished or re-parked)
+                    census[_RUNNABLE_IDX] -= 1
+                    census[_RUNNING_IDX] += 1
+                    goro.state = _RUNNING
+                    gen = goro.gen
+                    gid = goro.gid
+                    value = goro.pending_value
+                    goro.pending_value = None
+                    exc = goro.pending_exception
+                    if exc is not None:
+                        goro.pending_exception = None
+                    while True:
+                        steps += 1
+                        # Frame locals can only change while the goroutine
+                        # runs, so this is where the trackers are told.
+                        if self._gc_state is not None:
+                            self._gc_state.tracker.mark_dirty(gid)
+                        if self._delta is not None:
+                            self._delta.mark(gid)
+                        try:
+                            if exc is None:
+                                op = gen.send(value)
+                            else:
+                                op = gen.throw(exc)
+                                exc = None
+                        except StopIteration as stop:
+                            self._finish(goro, stop.value)
+                            break
+                        except LeakReclaimed:
+                            # The reclaimer's controlled unwind reached the
+                            # top of the goroutine: a Goexit-style exit.
+                            self._finish(goro, None)
+                            break
+                        except Panic as panic:
+                            self._record_panic(goro, panic)
+                            break
+                        kind = op.__class__
+                        if kind is RecvOp:
+                            value = op.channel.recv_op(goro, op.want_ok)
+                        elif kind is SendOp:
+                            value = op.channel.send_op(goro, op.value)
+                        else:
+                            handler = handlers.get(kind)
+                            if handler is None:
+                                handler = self._resolve_handler(goro, op)
+                            value = handler(goro, op)
+                        if value is PARKED:
+                            break
+                        if run_queue or steps >= limit:
+                            census[_RUNNING_IDX] -= 1
+                            census[_RUNNABLE_IDX] += 1
+                            goro.state = _RUNNABLE
+                            goro.pending_value = value
+                            run_queue.append(goro)
+                            break
+                if not advance:
+                    return False
+                self.steps = steps
+                if not self._advance_clock(deadline):
+                    return False
+                steps = self.steps
+        finally:
+            self.steps = steps
 
     def _resolve_handler(
-        self, op: Op
-    ) -> Optional[Callable[[Goroutine, Op], None]]:
-        """Slow path: find a handler for an effect subclass and cache it."""
+        self, goro: Goroutine, op: Op
+    ) -> Callable[[Goroutine, Op], Any]:
+        """Slow path: find a handler for an effect subclass and cache it.
+
+        One ``isinstance`` walk per concrete type; a yield that is not an
+        effect at all is a :class:`TypeError`.
+        """
         for klass, handler in list(self._handlers.items()):
             if isinstance(op, klass):
                 self._handlers[type(op)] = handler
                 return handler
-        return None
+        raise TypeError(f"goroutine {goro.name!r} yielded non-effect {op!r}")
 
-    def _do_select(self, goro: Goroutine, op: SelectOp) -> None:
-        resolve_select(self, goro, op)
+    # Op handlers: each returns the running goroutine's resume value, or
+    # PARKED when the goroutine parked (or was thrown into).
+
+    def _do_send(self, goro: Goroutine, op: SendOp) -> Any:
+        return op.channel.send_op(goro, op.value)
+
+    def _do_recv(self, goro: Goroutine, op: RecvOp) -> Any:
+        return op.channel.recv_op(goro, op.want_ok)
 
     def _do_go(self, goro: Goroutine, op: GoOp) -> None:
-        creation_ctx = None
-        if goro.gen is not None:
-            stack = capture_stack(goro.gen)
-            creation_ctx = stack[0] if stack else None
-        self.spawn(op.fn, *op.args, name=op.name, creation_ctx=creation_ctx)
-        goro.make_runnable(None)
+        self._spawn(op.fn, op.args, op.name, leaf_frame(goro.gen), None, False)
 
     def _do_alloc(self, goro: Goroutine, op: AllocOp) -> None:
         goro.retained_bytes += op.nbytes
         self._goroutine_bytes += op.nbytes
-        goro.make_runnable(None)
 
     def _do_free(self, goro: Goroutine, op: FreeOp) -> None:
         freed = min(goro.retained_bytes, op.nbytes)
         goro.retained_bytes -= freed
         self._goroutine_bytes -= freed
-        goro.make_runnable(None)
 
     def _do_burn(self, goro: Goroutine, op: BurnOp) -> None:
         self.cpu_seconds += op.cpu_seconds
-        goro.make_runnable(None)
 
-    def _do_wait(self, goro: Goroutine, op: WaitOp) -> None:
+    def _do_wait(self, goro: Goroutine, op: WaitOp) -> Any:
         primitive = op.primitive
         if primitive._try_acquire(goro):
-            goro.make_runnable(None)
-        else:
-            primitive._park(goro)
-            goro.block(primitive.wait_state, primitive)
+            return None
+        primitive._park(goro)
+        goro.block(primitive.wait_state, primitive)
+        return PARKED
 
     def _do_yield(self, goro: Goroutine, op: YieldOp) -> None:
-        goro.make_runnable(None)
+        return None
 
-    def _do_send(self, goro: Goroutine, op: SendOp) -> None:
-        channel = op.channel
-        if channel.is_nil:
-            goro.block(GoroutineState.BLOCKED_SEND, channel)
-            return
-        try:
-            sent = channel.try_send(op.value)
-        except Panic as exc:
-            goro.throw(exc)
-            return
-        if sent:
-            goro.make_runnable(None)
-        else:
-            channel.park_sender(Waiter(goro, op.value))
-            goro.block(GoroutineState.BLOCKED_SEND, channel)
-
-    def _do_recv(self, goro: Goroutine, op: RecvOp) -> None:
-        channel = op.channel
-        if channel.is_nil:
-            goro.block(GoroutineState.BLOCKED_RECV, channel)
-            return
-        completed, value, ok = channel.try_recv()
-        if completed:
-            if isinstance(value, Payload):
-                value = value.value
-            goro.make_runnable((value, ok) if op.want_ok else value)
-        else:
-            channel.park_receiver(Waiter(goro, None, op.want_ok))
-            goro.block(GoroutineState.BLOCKED_RECV, channel)
-
-    def _do_sleep(self, goro: Goroutine, op: SleepOp) -> None:
+    def _do_sleep(self, goro: Goroutine, op: SleepOp) -> Any:
         duration = op.duration
         if duration <= 0:
-            goro.make_runnable(None)
-            return
-        goro.block(GoroutineState.SLEEPING, None)
+            return None
+        goro.block(_SLEEPING, None)
 
         def wake() -> None:
-            if goro.state is GoroutineState.SLEEPING:
+            if goro.state is _SLEEPING:
                 goro.make_runnable(None)
 
-        self.call_later(duration, wake)
+        self.call_at(self.now + duration, wake)
+        return PARKED
 
-    def _do_park(self, goro: Goroutine, op: ParkOp) -> None:
+    def _do_park(self, goro: Goroutine, op: ParkOp) -> Any:
         state = _PARK_STATES.get(op.reason)
         if state is None:
             raise ValueError(f"unknown park reason {op.reason!r}")
@@ -591,6 +685,7 @@ class Runtime:
                     goro.make_runnable(None)
 
             self.call_later(op.duration, wake)
+        return PARKED
 
     # ------------------------------------------------------------------
     # Run loops
@@ -610,32 +705,24 @@ class Runtime:
         ``all goroutines are asleep`` check.
 
         Instrumentation rides at *run* granularity, never per step: one
-        timing observation and one counter delta per call, into children
+        record of queue depth, steps and wall time per call, into series
         bound once (``obs.bind``), keeps the interpreter hot loop
         untouched (the bench_obs_overhead gates).
         """
-        self._steps_base = self.steps
-        metrics = _RUN_METRICS()
-        if metrics is not None:
+        series = _RUN_SERIES()
+        depth = len(self._run_queue)
+        steps_before = self.steps
+        if series is not None:
             started = _monotonic()
-            queue_depth, runs, steps, run_seconds = metrics
-            queue_depth.set(len(self._run_queue))
         try:
-            limit = self.steps + max_steps
-            step = self._step
-            run_queue = self._run_queue
-            while True:
-                while run_queue:
-                    if self.steps >= limit:
-                        raise SchedulerExhausted(self.steps)
-                    step()
-                if not self._advance_clock(deadline):
-                    break
+            exhausted = self._run(steps_before + max_steps, deadline, True)
         finally:
-            if metrics is not None:
-                runs.inc()
-                steps.inc(self.steps - self._steps_base)
-                run_seconds.observe(_monotonic() - started)
+            if series is not None:
+                series.record(
+                    depth, self.steps - steps_before, _monotonic() - started
+                )
+        if exhausted:
+            raise SchedulerExhausted(self.steps)
         if (
             detect_global_deadlock
             and self.main is not None
@@ -649,8 +736,6 @@ class Runtime:
                 raise GlobalDeadlock(len(live))
         if deadline is not None and self.now < deadline:
             self.now = deadline
-
-    _steps_base = 0
 
     def _has_pending_timers(self, deadline: Optional[float]) -> bool:
         """Is there scheduled work (excluding the GC sweep timer)?
@@ -674,10 +759,11 @@ class Runtime:
 
     def _advance_clock(self, deadline: Optional[float]) -> bool:
         """Jump to the next timer (within deadline) and fire everything due."""
-        while self._timers:
-            when, _seq, timer = self._timers[0]
+        timers = self._timers
+        while timers:
+            when, _seq, timer = timers[0]
             if timer.cancelled:
-                self._pop_timer_entry()
+                self._popped(heapq.heappop(timers)[2])
                 continue
             if deadline is not None and when > deadline:
                 return False
@@ -695,17 +781,18 @@ class Runtime:
             break
         else:
             return False
-        when, _seq, timer = self._pop_timer_entry()
-        self.now = max(self.now, when)
-        timer.callback()
-        fired = 1
-        # Fire everything else due at (or before) the same instant.
-        while self._timers and self._timers[0][0] <= self.now:
-            _when, _seq, timer = self._pop_timer_entry()
+        now = self.now
+        if when > now:
+            self.now = now = when
+        # Fire the head, then everything else due at the same instant.
+        heappop = heapq.heappop
+        while True:
+            timer = heappop(timers)[2]
+            self._popped(timer)
             if not timer.cancelled:
                 timer.callback()
-                fired += 1
-        return bool(fired)
+            if not timers or timers[0][0] > now:
+                return True
 
     def run(
         self,
@@ -727,10 +814,10 @@ class Runtime:
             max_steps=max_steps,
             detect_global_deadlock=detect_global_deadlock,
         )
-        if goro.state is GoroutineState.PANICKED:
+        if goro.state is _PANICKED:
             raise goro.panic  # pragma: no cover - panic_mode="raise" raises earlier
         result = goro.result
-        if goro.state is GoroutineState.DONE:
+        if goro.state is _DONE:
             self._goroutines.pop(goro.gid, None)
             if self.main is goro:
                 self.main = None

@@ -8,28 +8,28 @@ ticket so that the first arm to fire cancels its siblings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import Any, List
 
 from .channel import SelectTicket, Waiter
 from .errors import Panic
-from .goroutine import Goroutine, GoroutineState
+from .goroutine import PARKED, Goroutine, GoroutineState
 from .ops import DEFAULT_CASE, RecvCase, SelectOp, SendCase
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import Runtime
+_BLOCKED_SELECT = GoroutineState.BLOCKED_SELECT
 
 
-def resolve_select(rt: "Runtime", goro: Goroutine, op: SelectOp) -> None:
-    """Execute one select statement on behalf of ``goro``.
+def resolve_select(goro: Goroutine, op: SelectOp) -> Any:
+    """Execute one select statement on behalf of the running ``goro``.
 
-    Either resumes the goroutine immediately (an arm or the default fired)
-    or parks it across all arms.  A select with zero cases and no default
-    blocks forever, as in Go.
+    Returns the goroutine's resume value ``(index, value)`` when an arm
+    or the default fired, or parks it across all arms and returns
+    :data:`~repro.runtime.goroutine.PARKED`.  A select with zero cases
+    and no default blocks forever, as in Go.
     """
     cases = op.cases
     if not cases and not op.has_default:
-        goro.block(GoroutineState.BLOCKED_SELECT, ())
-        return
+        goro.block(_BLOCKED_SELECT, ())
+        return PARKED
 
     ready: List[int] = []
     for index, case in enumerate(cases):
@@ -44,26 +44,22 @@ def resolve_select(rt: "Runtime", goro: Goroutine, op: SelectOp) -> None:
             raise TypeError(f"not a select case: {case!r}")
 
     if ready:
-        index = ready[0] if len(ready) == 1 else rt.rng.choice(ready)
+        index = ready[0] if len(ready) == 1 else goro.runtime.rng.choice(ready)
         case = cases[index]
         if isinstance(case, RecvCase):
             completed, value, ok = case.channel.try_recv()
             assert completed, "ready recv case must complete"
-            result = (index, (value, ok)) if case.want_ok else (index, value)
-            goro.make_runnable(result)
-        else:
-            try:
-                sent = case.channel.try_send(case.value)
-            except Panic as exc:
-                goro.throw(exc)
-                return
-            assert sent, "ready send case must complete"
-            goro.make_runnable((index, None))
-        return
+            return (index, (value, ok)) if case.want_ok else (index, value)
+        try:
+            sent = case.channel.try_send(case.value)
+        except Panic as exc:
+            goro.throw(exc)
+            return PARKED
+        assert sent, "ready send case must complete"
+        return (index, None)
 
     if op.has_default:
-        goro.make_runnable((DEFAULT_CASE, None))
-        return
+        return (DEFAULT_CASE, None)
 
     ticket = SelectTicket()
     parked_channels = []
@@ -81,4 +77,5 @@ def resolve_select(rt: "Runtime", goro: Goroutine, op: SelectOp) -> None:
             waiter = Waiter(goro, value=case.value, ticket=ticket, case_index=index)
             channel.park_sender(waiter)
         parked_channels.append(channel)
-    goro.block(GoroutineState.BLOCKED_SELECT, tuple(parked_channels))
+    goro.block(_BLOCKED_SELECT, tuple(parked_channels))
+    return PARKED

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import types
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,13 +33,59 @@ class Frame:
         return f"{self.function} ({self.file}:{self.line})"
 
 
+#: Interned frames: ``id(code) -> (code, {line: Frame})``.  Holding the
+#: code object keeps its id from being reused.  Code compiled from a
+#: string (a ``<...>`` filename, e.g. generated fuzz programs) is never
+#: interned, so the table cannot keep such code alive.
+_INTERNED: Dict[int, Tuple[types.CodeType, Dict[int, Frame]]] = {}
+
+_GENERATOR_TYPES = (types.GeneratorType, types.CoroutineType)
+
+
+def _frame_at(code: types.CodeType, line: int) -> Frame:
+    """The one :class:`Frame` for ``(code, line)``."""
+    entry = _INTERNED.get(id(code))
+    if entry is not None:
+        frames = entry[1]
+    else:
+        frames = {}
+        if not code.co_filename.startswith("<"):
+            _INTERNED[id(code)] = (code, frames)
+    frame = frames.get(line)
+    if frame is None:
+        frame = frames[line] = Frame(
+            getattr(code, "co_qualname", code.co_name), code.co_filename, line
+        )
+    return frame
+
+
 def _frame_of(gen: Any) -> Optional[Frame]:
     frame = getattr(gen, "gi_frame", None)
     if frame is None:
         return None
-    code = frame.f_code
-    name = getattr(code, "co_qualname", code.co_name)
-    return Frame(name, code.co_filename, frame.f_lineno)
+    return _frame_at(frame.f_code, frame.f_lineno)
+
+
+def leaf_frame(root_gen: Any) -> Optional[Frame]:
+    """``capture_stack(root_gen)[0]`` without building the other frames.
+
+    The ``go`` effect's creation context: the innermost frame of the
+    spawning goroutine's ``yield from`` chain.
+    """
+    if root_gen.__class__ is not types.GeneratorType:
+        stack = capture_stack(root_gen)
+        return stack[0] if stack else None
+    leaf = root_gen.gi_frame
+    gen = root_gen.gi_yieldfrom
+    # Only generators carry frames (and delegate further).
+    while gen.__class__ is types.GeneratorType:
+        frame = gen.gi_frame
+        if frame is not None:
+            leaf = frame
+        gen = gen.gi_yieldfrom
+    if leaf is None:
+        return None
+    return _frame_at(leaf.f_code, leaf.f_lineno)
 
 
 def capture_stack(root_gen: Any) -> Tuple[Frame, ...]:
@@ -62,9 +108,7 @@ def capture_stack(root_gen: Any) -> Tuple[Frame, ...]:
         gen = getattr(gen, "gi_yieldfrom", None)
         # ``yield from`` can delegate to plain iterators; only generators
         # (and coroutines) carry frames.
-        if gen is not None and not isinstance(
-            gen, (types.GeneratorType, types.CoroutineType)
-        ):
+        if gen is not None and not isinstance(gen, _GENERATOR_TYPES):
             gen = None
     frames.reverse()
     return tuple(frames)

@@ -299,6 +299,37 @@ class TestPipelineInstrumentation:
         assert snap["repro_sched_steps_total"]["samples"][""] > 0
         assert snap["repro_sched_run_seconds"]["samples"][""]["count"] >= 1
 
+    def test_each_run_records_its_four_series_together(self):
+        """One record per run: queue depth at its start, one run, its
+        steps and one duration — also for a run that exhausts its budget."""
+        from repro.runtime import SchedulerExhausted, go, gosched
+
+        def spin(rt):
+            for _ in range(10):
+                yield gosched()
+
+        def main(rt):
+            yield go(spin, rt)
+            yield go(spin, rt)
+
+        rt = Runtime(seed=3)
+        rt.spawn(main, rt)
+        rt.spawn(spin, rt)
+        with pytest.raises(SchedulerExhausted):
+            rt.run_until_quiescent(max_steps=5)
+        snap = obs.snapshot()
+        assert snap["repro_sched_run_queue_depth"]["samples"][""] == 2
+        assert snap["repro_sched_runs_total"]["samples"][""] == 1
+        assert snap["repro_sched_steps_total"]["samples"][""] == 5
+        assert snap["repro_sched_run_seconds"]["samples"][""]["count"] == 1
+        queued = len(rt._run_queue)
+        rt.run_until_quiescent()
+        snap = obs.snapshot()
+        assert snap["repro_sched_run_queue_depth"]["samples"][""] == queued
+        assert snap["repro_sched_runs_total"]["samples"][""] == 2
+        assert snap["repro_sched_steps_total"]["samples"][""] == rt.steps
+        assert snap["repro_sched_run_seconds"]["samples"][""]["count"] == 2
+
     def test_disabled_obs_records_nothing(self):
         obs.configure(enabled=False, trace_enabled=False)
         rt = Runtime(seed=3)

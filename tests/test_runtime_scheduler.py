@@ -1,5 +1,9 @@
 """Scheduler behaviour: virtual clock, timers, deadlock detection, stacks."""
 
+import functools
+import gc
+import weakref
+
 import pytest
 
 from repro.runtime import (
@@ -189,6 +193,17 @@ class TestDeadlockDetection:
 
 
 class TestSchedulerMechanics:
+    def test_state_predicates_match_their_sets(self):
+        from repro.runtime.goroutine import (
+            BLOCKED_STATES,
+            CHANNEL_BLOCKED_STATES,
+            GoroutineState,
+        )
+
+        for state in GoroutineState:
+            assert state.blocked == (state in BLOCKED_STATES)
+            assert state.channel_blocked == (state in CHANNEL_BLOCKED_STATES)
+
     def test_spawn_requires_generator(self):
         rt = Runtime()
 
@@ -293,6 +308,64 @@ class TestSchedulerMechanics:
 
         assert one_run() == one_run()
 
+    def test_partial_bodies_are_named_by_their_function(self):
+        """A ``functools.partial`` body is named by the function it wraps,
+        never by its ``repr`` (which carries a per-process address)."""
+        names = []
+
+        class RecordingRuntime(Runtime):
+            def _spawn(self, fn, args, name, *rest):
+                goro = super()._spawn(fn, args, name, *rest)
+                names.append(goro.name)
+                return goro
+
+        def child(n):
+            yield sleep(0.01 * n)
+
+        def main(rt, n):
+            yield go(functools.partial(child, n))
+            yield go(functools.partial(functools.partial(child), n=n))
+            yield go(child, n)
+            yield sleep(1.0)
+
+        rt = RecordingRuntime()
+        rt.run(functools.partial(main, n=2), rt)
+        child_name = child.__qualname__
+        assert names == [main.__qualname__] + [child_name] * 3
+        assert not any("0x" in name for name in names)
+
+    def test_goleak_targets_and_fleet_handlers_spawn_no_address_names(self):
+        from repro.fleet import RequestMix, ServiceInstance, TrafficShape
+        from repro.goleak import TestCase, TestTarget, verify_test_main
+        from repro.patterns import healthy, timeout_leak
+
+        names = []
+
+        class RecordingRuntime(Runtime):
+            def _spawn(self, fn, args, name, *rest):
+                goro = super()._spawn(fn, args, name, *rest)
+                names.append(goro.name)
+                return goro
+
+        target = TestTarget(package="pkg/names", tests=[
+            TestCase("TestFan", functools.partial(
+                healthy.fan_out_fan_in, n_workers=2, n_items=4)),
+            TestCase("TestBarrier", functools.partial(
+                healthy.waitgroup_barrier, n=3)),
+        ])
+        verify_test_main(target, runtime=RecordingRuntime())
+        mix = RequestMix().add(
+            "checkout", timeout_leak.leaky, payload_bytes=1024
+        )
+        instance = ServiceInstance(
+            service="svc", mix=mix,
+            traffic=TrafficShape(requests_per_window=3), seed=1,
+        )
+        instance.runtime.__class__ = RecordingRuntime
+        instance.advance_window(3600.0)
+        assert "fan_out_fan_in" in names and "leaky" in names
+        assert not any("0x" in name for name in names)
+
 
 class TestStackCapture:
     def test_blocked_stack_has_leaf_first(self):
@@ -345,6 +418,54 @@ class TestStackCapture:
         rt.run(main, rt)
         locs = {g.blocking_frame().location for g in rt.live_goroutines()}
         assert len(locs) == 1  # both blocked at the same source line
+
+    def test_go_creation_context_is_the_spawning_leaf_frame(self):
+        """``go`` records ``capture_stack(spawner)[0]``, one Frame object
+        per source line."""
+        rt = Runtime()
+        seen = []
+
+        def child():
+            # The spawner is still suspended at its ``go``.
+            seen.append(capture_stack(rt.main.gen)[0])
+            yield send(rt.make_chan(0), 1)
+
+        def spawn_two():
+            for _ in range(2):
+                yield go(child)
+
+        def main(rt):
+            yield from spawn_two()
+            yield sleep(0.1)
+
+        rt.run(main, rt)
+        first, second = sorted(rt.live_goroutines(), key=lambda g: g.gid)
+        assert first.creation_ctx == seen[0]
+        assert first.creation_ctx.function.endswith("spawn_two")
+        assert first.creation_ctx is second.creation_ctx
+
+    def test_frame_interning_keeps_no_generated_code_alive(self):
+        source = (
+            "def body(rt):\n"
+            "    yield go(child)\n"
+            "    yield sleep(0.1)\n"
+        )
+        code = compile(source, "<fuzz-interning>", "exec")
+
+        def child():
+            yield send(rt.make_chan(0), 1)
+
+        namespace = {"go": go, "sleep": sleep, "child": child}
+        exec(code, namespace)
+        rt = Runtime()
+        rt.run(namespace["body"], rt)
+        (leaked,) = rt.live_goroutines()
+        assert leaked.creation_ctx.file == "<fuzz-interning>"
+        body_code = weakref.ref(namespace["body"].__code__)
+        del namespace, code, leaked
+        rt = None
+        gc.collect()
+        assert body_code() is None
 
     def test_capture_stack_of_running_generator(self):
         def gen():
