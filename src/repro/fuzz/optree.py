@@ -22,7 +22,7 @@ round-trip through JSON (:func:`program_to_dict` / ``program_from_dict``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: GoroutineState.value strings the truth model speaks (kept as literals
@@ -324,9 +324,3 @@ def program_from_dict(payload: dict) -> FuzzProgram:
             scenario_from_dict(s) for s in payload.get("scenarios", ())
         ),
     )
-
-
-def replace_scenarios(
-    program: FuzzProgram, scenarios: Tuple[Scenario, ...]
-) -> FuzzProgram:
-    return replace(program, scenarios=scenarios)

@@ -130,7 +130,6 @@ def mark(
     runtime: "Runtime",
     tracker: ReferenceTracker,
     skip: FrozenSet[int] = frozenset(),
-    orbit_rule: bool = True,
 ) -> MarkResult:
     """One mark pass; ``skip`` holds gids whose PROVEN verdict stands."""
     result = MarkResult()
@@ -203,10 +202,9 @@ def mark(
 
     # Classification.
     holders: Dict[Parkable, List[int]] = {}
-    if orbit_rule:
-        for gid, objs in refs.items():
-            for obj in objs:
-                holders.setdefault(obj, []).append(gid)
+    for gid, objs in refs.items():
+        for obj in objs:
+            holders.setdefault(obj, []).append(gid)
 
     for gid, goro in goros.items():
         if goro.state in ROOT_STATES:
@@ -214,8 +212,7 @@ def mark(
             continue
         if gid in live:
             if (
-                orbit_rule
-                and gid not in core_live
+                gid not in core_live
                 and gid not in timer_gids
                 and goro.channel_blocked
                 and _isolated(

@@ -76,8 +76,6 @@ class GCPolicy:
     """The sweep-behavior knob handed to ``Runtime.gc``/``enable_gc``."""
 
     mode: ReclaimPolicy = ReclaimPolicy.OBSERVE
-    #: Apply the timer-orbit isolation rule (see repro.gc.mark).
-    orbit_rule: bool = True
 
     @classmethod
     def observe(cls) -> "GCPolicy":
@@ -177,12 +175,7 @@ def run_sweep(
         if gid not in alive_gids:
             state.proven.pop(gid)
 
-    result: MarkResult = mark(
-        runtime,
-        tracker,
-        skip=frozenset(state.proven),
-        orbit_rule=policy.orbit_rule,
-    )
+    result: MarkResult = mark(runtime, tracker, skip=frozenset(state.proven))
     if metrics is not None:
         mark_seconds.observe(time.perf_counter() - mark_started)
 

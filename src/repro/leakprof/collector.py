@@ -59,14 +59,13 @@ def _freeze(instance) -> Optional[InstanceSnapshot]:
 
 def sweep(
     instances: Iterable[Profilable],
-    via_text: bool = True,
 ) -> Tuple[List[GoroutineProfile], SweepStats]:
     """Collect one profile from every instance (live or snapshot).
 
-    With ``via_text`` (the default) each profile goes through the text
-    serialization round-trip, as over the wire.  The blocked-goroutine
-    headline is read from each snapshot's O(1) census rather than
-    recounted from the parsed profile.
+    Each profile goes through the text serialization round-trip, as
+    over the wire.  The blocked-goroutine headline is read from each
+    snapshot's O(1) census rather than recounted from the parsed
+    profile.
     """
     stats = SweepStats()
     profiles: List[GoroutineProfile] = []
@@ -80,10 +79,9 @@ def sweep(
             if runtime is not None:
                 stats.blocked_goroutines += runtime.blocked_goroutines_count
             profile = instance.profile()
-        if via_text:
-            text = dump_text(profile)
-            stats.bytes_transferred += len(text)
-            profile = parse_text(text)
+        text = dump_text(profile)
+        stats.bytes_transferred += len(text)
+        profile = parse_text(text)
         profiles.append(profile)
         stats.instances_swept += 1
         stats.goroutines_seen += len(profile)

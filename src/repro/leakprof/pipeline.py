@@ -251,7 +251,6 @@ class LeakProf:
         self,
         instances: Iterable[Profilable],
         now: float = 0.0,
-        via_text: bool = True,
         memory_footprints=None,
     ) -> DailyRunResult:
         """Sweep the fleet then analyze (the full Fig 3 loop).
@@ -263,7 +262,7 @@ class LeakProf:
         with obs.default_tracer().span("leakprof.daily_run") as root:
             phase_started = _monotonic()
             with obs.default_tracer().span("leakprof.sweep") as sw:
-                profiles, stats = sweep(instances, via_text=via_text)
+                profiles, stats = sweep(instances)
                 sw.attributes.update(
                     instances=stats.instances_swept,
                     goroutines=stats.goroutines_seen,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.runtime.goroutine import Goroutine, GoroutineState
 from repro.runtime.stack import Frame
@@ -207,26 +207,20 @@ class GoroutineProfile:
         runtime: "Runtime",
         service: Optional[str] = None,
         instance: Optional[str] = None,
-        exclude: Iterable[int] = (),
     ) -> "GoroutineProfile":
         """Snapshot ``runtime`` (negligible overhead, like pprof capture).
 
         A thin adapter over the snapshot plane: the runtime is frozen
-        into a :class:`repro.snapshot.RuntimeSnapshot` and the profile is
-        built from that — the same path a profile shipped from a worker
-        process takes.  An idle process is detected from the O(1)
-        goroutine counter, so profiling a fleet of mostly-healthy
-        instances skips the record walk entirely on the instances with
-        nothing to report.
+        into a :class:`repro.snapshot.RuntimeSnapshot`, which holds its
+        records from that instant, and the profile is built from that —
+        the same path a profile shipped from a worker process takes.  An
+        idle process is detected from the O(1) goroutine counter, so
+        profiling a fleet of mostly-healthy instances skips the record
+        walk entirely on the instances with nothing to report.
         """
         from repro.snapshot import snapshot_runtime  # deferred: imports us
 
-        return cls.from_snapshot(
-            snapshot_runtime(runtime),
-            service=service,
-            instance=instance,
-            exclude=exclude,
-        )
+        return cls.from_snapshot(snapshot_runtime(runtime), service, instance)
 
     @classmethod
     def from_snapshot(
@@ -234,7 +228,6 @@ class GoroutineProfile:
         snapshot,
         service: Optional[str] = None,
         instance: Optional[str] = None,
-        exclude: Iterable[int] = (),
     ) -> "GoroutineProfile":
         """Build a profile from a :class:`repro.snapshot.RuntimeSnapshot`.
 
@@ -242,11 +235,13 @@ class GoroutineProfile:
         shard boundary, and a profile built here from a shipped snapshot
         is byte-identical to one taken against the live runtime.
         """
-        records: List[GoroutineRecord] = list(snapshot.records)
-        if exclude:
-            excluded = set(exclude)
-            records = [r for r in records if r.gid not in excluded]
-        return cls(snapshot.taken_at, snapshot.process, records, service, instance)
+        return cls(
+            snapshot.taken_at,
+            snapshot.process,
+            list(snapshot.records),
+            service,
+            instance,
+        )
 
     def __len__(self) -> int:
         return len(self.records)

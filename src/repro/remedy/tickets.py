@@ -71,7 +71,7 @@ class TicketTracker:
         bug_db: Optional[BugDatabase] = None,
         router: Optional[OwnershipRouter] = None,
     ):
-        self.bug_db = bug_db or BugDatabase()
+        self.bug_db = bug_db if bug_db is not None else BugDatabase()
         self.router = router or OwnershipRouter()
         self.tickets: List[RemediationTicket] = []
 

@@ -134,18 +134,6 @@ class Waiter:
     def stale(self) -> bool:
         return self.ticket is not None and self.ticket.done
 
-    def resume_value(self, received: Any, ok: bool) -> Any:
-        """Shape the wakeup value the way the parked op expects it."""
-        value = received.value if isinstance(received, Payload) else received
-        if self.ticket is not None:
-            # Select arm: resume with (case_index, case_value).
-            if self.want_ok:
-                return (self.case_index, (value, ok))
-            return (self.case_index, value)
-        if self.want_ok:
-            return (value, ok)
-        return value
-
 
 def _claim(waiters: Deque[Waiter]) -> Optional[Waiter]:
     """Pop and claim the first waiter in ``waiters`` that can still complete.
@@ -177,7 +165,6 @@ class Channel:
         "send_waiters",
         "recv_waiters",
         "closed",
-        "alloc_site",
         "version",
         "_rt",
         "_acct",
@@ -189,7 +176,6 @@ class Channel:
         self,
         capacity: int = 0,
         label: Optional[str] = None,
-        alloc_site: Optional[str] = None,
     ):
         if capacity < 0:
             raise ValueError("negative channel capacity")
@@ -200,7 +186,6 @@ class Channel:
         self.send_waiters: Deque[Waiter] = deque()
         self.recv_waiters: Deque[Waiter] = deque()
         self.closed = False
-        self.alloc_site = alloc_site
         #: Monotonic mutation counter (buffer, waiter queues, close).  The
         #: repro.gc reference tracker compares it against the version it
         #: last scanned to skip channels whose contents cannot have changed.
@@ -456,9 +441,6 @@ class Channel:
         Delivered values are assumed to be processed and released promptly
         by healthy receivers; heap pinned by *leaked* goroutines is modeled
         explicitly via ``alloc`` and by :attr:`pending_send_bytes`.
-
-        (``Waiter.resume_value`` is inlined here: one wakeup per delivery
-        makes this a per-step call site.)
         """
         if isinstance(value, Payload):
             value = value.value

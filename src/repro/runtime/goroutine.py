@@ -42,9 +42,6 @@ BLOCKED_STATES = frozenset(
     }
 )
 
-#: Blocked states that a timer is guaranteed to eventually exit.
-_TIMED_STATES = frozenset({GoroutineState.SLEEPING})
-
 #: States the runtime cannot prove anything about because the wakeup comes
 #: from outside the process (network readiness, kernel return).  The single
 #: source of truth shared by the scheduler's global-deadlock check, goleak's

@@ -310,11 +310,9 @@ class Runtime:
         #: Cancelled tombstones still sitting in the heap.
         self._cancelled_in_heap = 0
         #: Per-op-type dispatch: type(op) -> handler returning the resume
-        #: value or PARKED (plain sends and receives are dispatched
-        #: inline by the step loop; these entries serve subclasses).
+        #: value or PARKED.  Sends and receives are dispatched inline by
+        #: the step loop; a type found in neither is not an effect.
         self._handlers: Dict[type, Callable[[Goroutine, Op], Any]] = {
-            SendOp: self._do_send,
-            RecvOp: self._do_recv,
             SelectOp: resolve_select,
             GoOp: self._do_go,
             SleepOp: self._do_sleep,
@@ -590,7 +588,10 @@ class Runtime:
                         else:
                             handler = handlers.get(kind)
                             if handler is None:
-                                handler = self._resolve_handler(goro, op)
+                                raise TypeError(
+                                    f"goroutine {goro.name!r} yielded "
+                                    f"non-effect {op!r}"
+                                )
                             value = handler(goro, op)
                         if value is PARKED:
                             break
@@ -610,28 +611,8 @@ class Runtime:
         finally:
             self.steps = steps
 
-    def _resolve_handler(
-        self, goro: Goroutine, op: Op
-    ) -> Callable[[Goroutine, Op], Any]:
-        """Slow path: find a handler for an effect subclass and cache it.
-
-        One ``isinstance`` walk per concrete type; a yield that is not an
-        effect at all is a :class:`TypeError`.
-        """
-        for klass, handler in list(self._handlers.items()):
-            if isinstance(op, klass):
-                self._handlers[type(op)] = handler
-                return handler
-        raise TypeError(f"goroutine {goro.name!r} yielded non-effect {op!r}")
-
     # Op handlers: each returns the running goroutine's resume value, or
     # PARKED when the goroutine parked (or was thrown into).
-
-    def _do_send(self, goro: Goroutine, op: SendOp) -> Any:
-        return op.channel.send_op(goro, op.value)
-
-    def _do_recv(self, goro: Goroutine, op: RecvOp) -> Any:
-        return op.channel.recv_op(goro, op.want_ok)
 
     def _do_go(self, goro: Goroutine, op: GoOp) -> None:
         self._spawn(op.fn, op.args, op.name, leaf_frame(goro.gen), None, False)

@@ -136,8 +136,13 @@ def test_skipped_commands_reference_real_files():
 
 @pytest.mark.parametrize(
     "rel,lineno,cmd",
-    [(f, n, c) for f, n, c in _COMMANDS if _classify(c) == EXEC],
-    ids=lambda v: str(v).replace("/", "_") if isinstance(v, str) else v,
+    [
+        # The id names the file and the command, not the line: an edit
+        # above a command must not rename its test.
+        pytest.param(f, n, c, id=f"{f.replace('/', '_')}-{c}")
+        for f, n, c in _COMMANDS
+        if _classify(c) == EXEC
+    ],
 )
 def test_documented_command_runs(rel, lineno, cmd):
     # Snippets are written for a repo-root shell (PYTHONPATH=src is

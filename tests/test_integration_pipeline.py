@@ -62,8 +62,7 @@ class TestFig3Loop:
         # -- LeakProf: sweep (via text profiles), report, route ----------
         router = OwnershipRouter({"": "checkout-team"})
         leakprof = LeakProf(threshold=100, top_n=5, router=router)
-        run1 = leakprof.daily_run(fleet.all_instances(), now=1.0,
-                                  via_text=True)
+        run1 = leakprof.daily_run(fleet.all_instances(), now=1.0)
         assert len(run1.new_reports) == 1
         report = run1.new_reports[0]
         assert report.owner == "checkout-team"

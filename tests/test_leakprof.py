@@ -359,8 +359,8 @@ class TestPipeline:
         instance = _FakeInstance(
             leaky_profile(premature_return.leaky, 120, service="svc")
         )
-        with_text = LeakProf(threshold=100).daily_run([instance], via_text=True)
-        without = LeakProf(threshold=100).daily_run([instance], via_text=False)
+        with_text = LeakProf(threshold=100).daily_run([instance])
+        without = LeakProf(threshold=100).analyze_profiles([instance.profile()])
         assert len(with_text.new_reports) == len(without.new_reports) == 1
         assert (
             with_text.new_reports[0].candidate.location

@@ -25,13 +25,6 @@ class TestSnapshot:
         assert len(profile) == 1
         assert profile.records[0].state is GoroutineState.BLOCKED_SEND
 
-    def test_excluded_gids_skipped(self):
-        rt = leaky_runtime(unclosed_range.leaky)
-        all_records = GoroutineProfile.take(rt)
-        skip = all_records.records[0].gid
-        profile = GoroutineProfile.take(rt, exclude=[skip])
-        assert len(profile) == len(all_records) - 1
-
     def test_wait_seconds_grows_with_clock(self):
         rt = leaky_runtime()
         first = GoroutineProfile.take(rt).records[0].wait_seconds

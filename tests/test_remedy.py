@@ -417,6 +417,31 @@ class TestTickets:
         funnel = bug_db.funnel()
         assert funnel == {"reported": 1, "acknowledged": 1, "fixed": 1}
 
+    def test_engine_keeps_an_empty_bug_database(self, tmp_path):
+        """An empty database is falsy (``__len__``) but still the one the
+        tracker writes through: a new tenant's transitions persist."""
+        from repro.ingest import IngestStore, PersistentBugDatabase
+
+        bug_db = BugDatabase()
+        assert RemedyEngine(bug_db=bug_db).tracker.bug_db is bug_db
+
+        path = str(tmp_path / "bugs.sqlite")
+        store = IngestStore(path)
+        store.register_tenant("acme", "tok", threshold=3)
+        persistent = PersistentBugDatabase(store, "acme")
+        engine = RemedyEngine(bug_db=persistent)
+        assert engine.tracker.bug_db is persistent
+        report = _filed_report(persistent)
+        diagnosis = diagnose(report.candidate.representative)
+        ticket = engine.tracker.open(report, diagnosis)
+        engine.tracker.propose(ticket, propose_fix(diagnosis))
+        store.close()
+
+        store = IngestStore(path)
+        (reopened,) = PersistentBugDatabase(store, "acme").all_reports()
+        assert reopened.status is ReportStatus.FIX_PROPOSED
+        store.close()
+
     def test_stalled_remediation_may_repropose(self):
         """Retries loop back through FIX_PROPOSED without opening DEPLOYED."""
         bug_db = BugDatabase()

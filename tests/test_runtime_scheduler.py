@@ -213,6 +213,22 @@ class TestSchedulerMechanics:
         with pytest.raises(TypeError):
             rt.run(not_a_generator, rt)
 
+    @pytest.mark.parametrize("yielded", [42, None, "send", object()],
+                             ids=["int", "none", "str", "object"])
+    def test_yielding_a_non_effect_raises_type_error(self, yielded):
+        rt = Runtime()
+
+        def main(rt):
+            yield gosched()
+            yield yielded
+
+        with pytest.raises(TypeError) as raised:
+            rt.run(main, rt)
+        assert str(raised.value) == (
+            f"goroutine {main.__qualname__!r} yielded non-effect {yielded!r}"
+        )
+        assert rt.steps == 2
+
     def test_max_steps_guard(self):
         rt = Runtime()
 
