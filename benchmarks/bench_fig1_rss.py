@@ -10,6 +10,7 @@ same ratio.
 import pytest
 
 from repro.fleet import Fleet, RequestMix, Service, ServiceConfig, TrafficShape
+from repro.fleet.service import windows_in
 from repro.patterns import timeout_leak
 
 from _emit import emit
@@ -22,6 +23,9 @@ MIB = 1024**2
 PAPER_PEAK_GIB = 6.0
 PAPER_AFTER_MIB = 650
 PAPER_REDUCTION = 9.2
+
+#: Sampling window: 3 h of virtual time.
+WINDOW = 3 * 3600.0
 
 
 def run_fig1(days_before=3.0, days_after=1.0, seed=7):
@@ -42,13 +46,17 @@ def run_fig1(days_before=3.0, days_after=1.0, seed=7):
     fleet = Fleet().add(service)
     series = []
 
-    def sample(t):
-        series.append((t / 86_400.0, service.peak_instance_rss()))
+    def run_days(days):
+        for _ in range(windows_in(days, WINDOW)):
+            fleet.advance_window(WINDOW)
+            series.append(
+                (service.now / 86_400.0, service.peak_instance_rss())
+            )
 
-    fleet.run_days(days_before, window=3 * 3600.0, on_window=sample)
+    run_days(days_before)
     peak_before = service.peak_instance_rss()
     service.deploy(fixed)
-    fleet.run_days(days_after, window=3 * 3600.0, on_window=sample)
+    run_days(days_after)
     after = max(i.rss() for i in service.instances)
     return peak_before, after, series
 

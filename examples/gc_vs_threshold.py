@@ -19,7 +19,7 @@ the third detection tier added by ``repro.gc``:
 """
 
 from repro.fleet import Fleet, RequestMix, Service, ServiceConfig, TrafficShape
-from repro.gc import GCPolicy
+from repro.gc import ReclaimPolicy
 from repro.leakprof import LeakProf
 from repro.patterns import healthy, timeout_leak
 from repro.runtime import DEFAULT_BASE_RSS
@@ -90,7 +90,9 @@ def main():
     print("== 4. Vanquish in place: reclaim instead of redeploy ==")
     before_rss = instance.rss() / MIB
     before_blocked = instance.leaked_goroutines()
-    reclaim_report = instance.runtime.gc(policy=GCPolicy.reclaim_and_report())
+    reclaim_report = instance.runtime.gc(
+        policy=ReclaimPolicy.RECLAIM_AND_REPORT
+    )
     after_rss = instance.rss() / MIB
     stats = reclaim_report.reclaim
     print(

@@ -16,7 +16,7 @@ The invariants are the subsystem contracts, not smoke checks:
 * ``checkpoint_crash`` — workers SIGKILL'd both right after a
   checkpoint and mid-delta-ship recover via checkpoint-restore plus a
   journal tail bounded by the checkpoint cadence, with byte-identical
-  histories and online-scorer suspects;
+  histories and suspects;
 * ``rebalance_crash`` — a mid-week :meth:`ShardedFleet.rebalance` moves
   an instance between workers, then *both* the eviction source and the
   adoption target are SIGKILL'd while the week finishes asynchronously;
@@ -195,8 +195,9 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
     shard 0 dies at op 7, mid-week with a checkpoint behind it.  Both
     respawns must restore from the latest checkpoint and replay only
     the journal tail (bounded by the cadence, never the whole run),
-    and the parent's materialized views plus online suspect scorer
-    must come out byte-identical to a fault-free single-process week.
+    and the parent's instance records (materialized views and
+    signature indexes) must come out byte-identical to a fault-free
+    single-process week.
     """
     from repro.fleet import Fleet, Service, ShardedFleet
     from repro.leakprof import LeakProf
@@ -285,10 +286,9 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
     target) at op 6 — while the remaining 3 windows run free with
     ``run_days(max_lead=2)``, so both journal replays must re-execute
     their half of the rebalance (re-evict / re-adopt the blob) to
-    rebuild the post-move topology.  Histories and online-scorer
-    suspects must come out byte-identical to a fault-free
-    single-process week, and the moved instance must still live on
-    shard 1 afterwards.
+    rebuild the post-move topology.  Histories and suspects must come
+    out byte-identical to a fault-free single-process week, and the
+    moved instance must still live on shard 1 afterwards.
     """
     from repro.fleet import Fleet, Service, ShardedFleet
     from repro.leakprof import LeakProf

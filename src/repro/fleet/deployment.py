@@ -9,7 +9,7 @@ deploy cycles and why Fig 1's RSS collapses when the fix lands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 
@@ -17,6 +17,9 @@ from .cpu import CpuModel
 from .determinism import aggregate_sample, build_instance
 from .service import ServiceInstance, WINDOW_SECONDS, windows_in
 from .workload import RequestMix, TrafficShape
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gc import ReclaimPolicy
 
 #: ``repro_fleet_service_health`` children, one set per service.
 _HEALTH_METRICS = obs.bind(lambda reg, service: tuple(
@@ -43,8 +46,8 @@ class ServiceConfig:
     instances_represented: int = 1
     #: Per-instance repro.gc sweep cadence in virtual seconds (None = off).
     gc_interval: Optional[float] = None
-    #: repro.gc.GCPolicy applied by those sweeps (None = observe only).
-    gc_policy: Optional[object] = None
+    #: repro.gc.ReclaimPolicy applied by those sweeps (None = observe only).
+    gc_policy: Optional[ReclaimPolicy] = None
 
     def with_mix(self, mix: RequestMix) -> "ServiceConfig":
         return replace(self, mix=mix)
@@ -268,13 +271,10 @@ class Fleet:
         self,
         days: float,
         window: float = WINDOW_SECONDS,
-        on_window: Optional[Callable[[float], None]] = None,
     ) -> None:
         """Advance the whole fleet ``days`` of virtual time."""
         for _ in range(windows_in(days, window)):
             self.advance_window(window)
-            if on_window is not None:
-                on_window(next(iter(self.services.values())).now)
 
 
 def capacity_for(peak_instance_rss: int, safety: float = 1.3,

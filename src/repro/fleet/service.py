@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro import obs
 from repro.obs.registry import monotonic as _monotonic, share_lock
@@ -20,6 +20,9 @@ from repro.runtime import Runtime
 
 from .cpu import CpuModel, DAY
 from .workload import RequestMix, TrafficShape
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gc import ReclaimPolicy
 
 #: Default observation window: one hour of virtual time.
 WINDOW_SECONDS = 3600.0
@@ -107,7 +110,7 @@ class ServiceInstance:
         name: Optional[str] = None,
         start_time: float = 0.0,
         gc_interval: Optional[float] = None,
-        gc_policy: Optional[object] = None,
+        gc_policy: Optional[ReclaimPolicy] = None,
     ):
         self.service = service
         self.mix = mix

@@ -12,14 +12,16 @@ processes.  Workers ship **delta snapshots**: only the goroutine records
 dirtied since the last ship plus tombstones for finished ones
 (:mod:`repro.snapshot.delta`).  The O(1) counters of every instance a
 command touched ride the same reply as one compressed, slot-ordered
-**stat block** of packed rows.  The parent folds deltas into
-per-instance materialized views (``snapshots()`` never touches a worker)
-and into an **online suspect scorer** (:mod:`repro.leakprof.streaming`)
-whose suspect sets are batch-scan identical, and copies stat blocks into
-one committed row buffer that views, mirrors, and histories read.
-:meth:`~ShardedFleet.resync` is an on-demand anti-entropy full reship;
-``checkpoint_every`` bounds crash-replay cost (below).  Deploys, partial
-deploys, and remedy rollouts travel to the owning shards as commands.
+**stat block** of packed rows.  The parent keeps **one record per
+instance** (:class:`_RowMirror`): its owning shard, its request mix,
+its materialized view (records plus the committed stat row, so
+``snapshots()`` never touches a worker) and its signature index, whose
+suspect sets are batch-scan identical.  A reply's rows become the
+committed rows of the views it names; its deltas fold into the view
+first and the signature index second.  :meth:`~ShardedFleet.resync` is
+an on-demand anti-entropy full reship; ``checkpoint_every`` bounds
+crash-replay cost (below).  Deploys, partial deploys, and remedy
+rollouts travel to the owning shards as commands.
 
 Asynchronous windows and the fleet watermark
 --------------------------------------------
@@ -29,8 +31,8 @@ its delta replies (and every stat row in them) with the
 ``(shard, window)`` watermark.  The parent buffers out-of-phase replies
 per shard, tracks each shard's watermark, and *commits* windows in
 order once every shard has reached them: the **fleet watermark**
-``W = min(shard watermarks)`` (:attr:`ShardedFleet.watermark`).  Views,
-``ServiceSample`` histories, and the online scorer only ever contain
+``W = min(shard watermarks)`` (:attr:`ShardedFleet.watermark`).  The
+instance records and ``ServiceSample`` histories only ever contain
 committed state, so ``suspects()``/``snapshots()`` answered at
 watermark ``W`` are byte-identical to a lockstep run advanced exactly
 ``W`` windows — property-gated in ``tests/test_streaming_delta.py``.
@@ -43,10 +45,12 @@ one window; :meth:`barrier` drains, then pumps laggards up to the
 fastest shard — and every whole-fleet operation that must observe one
 instant (``checkpoint``/``resync``/deploys/``rebalance``/an advance)
 starts with one.  :meth:`begin_advance`/:meth:`poll` let a caller pace
-shards itself.  A delta reply whose window is not the shard watermark + 1 (an advance) or the watermark
-itself (any other command) is rejected as a protocol violation; a delta
-older than a view's own watermark is dropped before it can resurrect
-tombstoned records (``stale_deltas``).
+shards itself.  A delta reply whose window is not the shard
+watermark + 1 (an advance) or the watermark itself (any other command)
+is rejected as a protocol violation.  A committed row raises its view's
+watermark to the row's window, and a delta older than a view's own
+watermark is dropped before it can resurrect tombstoned records or
+reach the signature index (``stale_deltas``).
 
 Re-balancing
 ------------
@@ -118,22 +122,25 @@ import time
 import zlib
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
+from operator import itemgetter
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.leakprof.detector import DEFAULT_THRESHOLD, SignatureAccumulator
 from repro.obs.registry import monotonic as _monotonic
 from repro.snapshot import InstanceSnapshot
 from repro.snapshot.delta import (
     F_BLOCKED,
     F_CPU,
+    F_GOROUTINES,
     F_RSS,
     F_T,
     ROW_BYTES,
     DeltaTracker,
     InstanceView,
-    RowCache,
     WireDelta,
     pack_row,
+    unpack_rows,
 )
 
 from .checkpoint import (
@@ -154,6 +161,9 @@ from .workload import RequestMix
 
 #: Commands whose replies carry delta payloads and a stat block.
 _DELTA_COMMANDS = frozenset({"init", "advance", "restart", "resync"})
+
+#: The row fields ``aggregate_sample`` folds, in its order.
+_SAMPLE_FIELDS = itemgetter(F_RSS, F_BLOCKED, F_CPU, F_GOROUTINES)
 
 
 def _shard_worker(conn) -> None:
@@ -335,21 +345,23 @@ class _RowMirror:
 
     Holds the owning ``shard`` (the only place ownership lives; a
     rebalance rewrites this one field), the ``mix`` the instance runs,
-    and its materialized :class:`InstanceView`, which carries the
-    instance's key, name and row-cache slot.  Exposes the
-    observability slice of :class:`ServiceInstance` (``rss()``,
+    its materialized :class:`InstanceView` (key, name, slot, records and
+    the committed stat row) and ``signatures``, the instance's blocked
+    goroutines filed by gid in LeakProf's scoring core.  :meth:`apply`
+    is the one way a delta reaches either.  Exposes the observability
+    slice of :class:`ServiceInstance` (``rss()``,
     ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``) so
     consumers like :class:`repro.remedy.StagedRollout` drive a sharded
-    service exactly as they drive a live one; a property read unpacks
-    only the committed row's leading fields.
+    service exactly as they drive a live one.
     """
 
-    __slots__ = ("view", "mix", "shard")
+    __slots__ = ("view", "mix", "shard", "signatures")
 
     def __init__(self, view: InstanceView, mix: RequestMix, shard: int):
         self.view = view
         self.mix = mix
         self.shard = shard
+        self.signatures = SignatureAccumulator()
 
     @property
     def name(self) -> str:
@@ -359,9 +371,31 @@ class _RowMirror:
     def key(self) -> Tuple[str, int]:
         return (self.view.service, self.view.index)
 
+    def apply(self, delta: WireDelta, window: int) -> bool:
+        """Fold one delta into the view, then into ``signatures``.
+
+        A delta the view refuses as stale returns ``False`` before it
+        can touch the signature index.  A ``full`` delta replaces the
+        instance's state wholesale, so it starts a fresh index.
+        """
+        if not self.view.apply(delta, window):
+            return False
+        _svc, _idx, full, records, tombstones, _gc = delta
+        if full:
+            self.signatures = SignatureAccumulator()
+        signatures = self.signatures
+        for template, _since in records:
+            if template.is_blocked:
+                signatures.file(template.gid, template)
+            else:
+                signatures.unfile(template.gid)
+        for gid in tombstones:
+            signatures.unfile(gid)
+        return True
+
     def _field(self, index: int, default):
-        head = self.view.head()
-        return head[index] if head is not None else default
+        row = self.view.row
+        return row[index] if row is not None else default
 
     @property
     def t(self) -> float:
@@ -525,19 +559,11 @@ class ShardedFleet:
         #: then index order) and by (service, index) key.
         self._by_slot: List[_RowMirror] = []
         self._by_key: Dict[Tuple[str, int], _RowMirror] = {}
-        #: The committed stat rows (what mirrors, views, and samples read).
-        self._rows = RowCache()
-        # Deferred import: repro.leakprof is a downstream consumer of
-        # repro.fleet in several modules; binding at construction time
-        # keeps module import order acyclic.
-        from repro.leakprof.streaming import OnlineSuspectScorer
-
-        self.scorer = OnlineSuspectScorer()
         # -- async window state ----------------------------------------
         #: per shard: highest window received (the shard watermark).
         self._shard_window: List[int] = [0] * shards
-        #: Fleet watermark W: highest window folded into views/scorer/
-        #: histories — always min(shard watermarks).
+        #: Fleet watermark W: highest window folded into the instance
+        #: records and histories — always min(shard watermarks).
         self._committed_window = 0
         #: per shard: buffered (window, payload) replies not yet committed.
         self._pending: List[Deque[Tuple[int, Any]]] = [
@@ -589,9 +615,8 @@ class ShardedFleet:
             slot = len(self._by_slot)
             view = InstanceView(
                 config.name, index, f"{config.name}/i-{index}",
-                config.base_rss,
+                config.base_rss, slot,
             )
-            view.bind_cache(self._rows, slot)
             record = _RowMirror(view, config.mix, slot % self.num_shards)
             service.instances.append(record)
             self._by_slot.append(record)
@@ -624,7 +649,6 @@ class ShardedFleet:
         if self._started:
             return self
         self._started = True
-        self._rows.allocate(len(self._by_slot))
         for shard in range(self.num_shards):
             self._spawn(shard)
         specs: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
@@ -749,7 +773,8 @@ class ShardedFleet:
         payloads = self._exchange(pairs)
         for (shard, _message), payload in zip(pairs, payloads):
             self._note_window(shard, payload[0], advance=False)
-        self._ingest(payloads)
+        for payload in payloads:
+            self._apply_deltas(payload)
 
     def _collect_reply(
         self, shard: int, message: Tuple,
@@ -1009,7 +1034,7 @@ class ShardedFleet:
 
     @property
     def watermark(self) -> int:
-        """The fleet watermark W: windows committed into views/scorer."""
+        """The fleet watermark W: windows committed into the views."""
         return self._committed_window
 
     @property
@@ -1171,7 +1196,7 @@ class ShardedFleet:
     def _commit_ready(self) -> None:
         """Fold every window all shards have reached into parent state.
 
-        The commit is the only place views, the scorer, and
+        The commit is the only place views, signature indexes, and
         ``ServiceSample`` histories move — always one whole window at a
         time, in window order, with every shard's contribution — which
         is why a query at watermark W is byte-identical to a lockstep
@@ -1192,7 +1217,8 @@ class ShardedFleet:
                         f"{window} at commit"
                     )
                 payloads.append(queue.popleft()[1])
-            self._ingest(payloads)
+            for payload in payloads:
+                self._apply_deltas(payload)
             self._committed_window = window
             _seconds, only = self._window_args.pop(window)
             for service in self.services.values():
@@ -1223,41 +1249,29 @@ class ShardedFleet:
 
     # -- ingest --------------------------------------------------------------
 
-    def _ingest(self, payloads: List[Any]) -> None:
-        """Fold one window's (or exchange's) delta replies in, then
-        commit the row cache so views and mirrors see the new rows."""
-        for payload in payloads:
-            self._apply_deltas(payload)
-        self._rows.commit()
-
     def _apply_deltas(
         self, payload: Tuple[int, Tuple[int, ...], bytes, List[WireDelta]],
     ) -> None:
-        """Fold one worker's opened delta reply into views, scorer, rows.
+        """Fold one worker's opened delta reply into the instance records.
 
-        The stat rows overwrite exactly the slots the reply names, so an
-        instance the command did not touch keeps its committed row.  A
-        delta the view rejects as stale (older than its watermark) is
-        dropped *before* it can feed the scorer.
+        Each stat row becomes the committed row of the view in its slot;
+        an instance the reply does not name keeps its row.  Each delta
+        goes through its record's :meth:`_RowMirror.apply`, which drops
+        a stale one (older than the view's watermark) before it reaches
+        the signature index.
         """
-        scorer = self.scorer
         window, slots, rows, deltas = payload
-        self._rows.write(slots, rows)
+        by_slot = self._by_slot
+        for slot, row in zip(slots, unpack_rows(rows)):
+            by_slot[slot].view.row = row
+        by_key = self._by_key
         total_records = 0
         stale = 0
         for delta in deltas:
-            svc, idx, full, records, tombstones, _gc = delta
-            key = (svc, idx)
-            if not self._by_key[key].view.apply(delta, window=window):
+            if not by_key[(delta[0], delta[1])].apply(delta, window):
                 stale += 1
                 continue
-            if full:
-                scorer.reset_instance(key)
-            for template, _since in records:
-                scorer.on_record(key, template)
-            for gid in tombstones:
-                scorer.on_tombstone(key, gid)
-            total_records += len(records)
+            total_records += len(delta[3])
         reg = obs.default_registry()
         if stale:
             self.stale_deltas += stale
@@ -1300,22 +1314,12 @@ class ShardedFleet:
         Delegates to the shared ``aggregate_sample`` — literally the
         same arithmetic ``Service.advance_window`` runs, which is the
         byte-identical-histories guarantee made structural.  Aggregates
-        straight off the committed row cache: slots are contiguous per
-        service in add order, so a service is one slice of it.
+        the committed rows of the service's views.
         """
-        count = len(service.instances)
-        base = service.instances[0].view.slot if count else 0
-        ts, cpu, rss, blocked, goroutines = self._rows.sample_columns(
-            len(self._by_slot)
-        )
+        rows = [record.view.row for record in service.instances]
         sample = aggregate_sample(
-            ts[base] if count else 0.0,
-            zip(
-                rss[base: base + count],
-                blocked[base: base + count],
-                cpu[base: base + count],
-                goroutines[base: base + count],
-            ),
+            rows[0][F_T] if rows else 0.0,
+            map(_SAMPLE_FIELDS, rows),
             service.config.instances_represented,
         )
         service.history.append(sample)
@@ -1406,21 +1410,30 @@ class ShardedFleet:
         threshold: Optional[int] = None,
         apply_transient_filter: bool = True,
     ):
-        """The current LeakProf suspect set from the online scorer.
+        """The current LeakProf suspect set from the instance records.
 
+        Each record's ``signatures`` answers through the same
+        :class:`~repro.leakprof.detector.SignatureAccumulator` batch
+        ``scan_profile`` uses, keyed by gid — and a view's profile lists
+        records in ascending-gid order, so both agree by construction.
         O(signatures) parent-side work and zero wire traffic — answered
         at the fleet watermark ``W``: list-equal to ``scan_fleet`` over
         the ``snapshots()`` of a lockstep run advanced exactly ``W``
         windows (the parity the streaming plane is gated on), no matter
-        how far ahead individual shards are running.
+        how far ahead individual shards are running.  Records are
+        walked in slot order, which is the ``snapshots()`` order.
         """
-        from repro.leakprof.detector import DEFAULT_THRESHOLD
-
-        return self.scorer.suspects(
-            (record.view for record in self._by_slot),
-            threshold=DEFAULT_THRESHOLD if threshold is None else threshold,
-            apply_transient_filter=apply_transient_filter,
-        )
+        if threshold is None:
+            threshold = DEFAULT_THRESHOLD
+        suspects = []
+        for record in self._by_slot:
+            view = record.view
+            suspects.extend(record.signatures.suspects(
+                view.record_at, view.service, view.name,
+                threshold=threshold,
+                apply_transient_filter=apply_transient_filter,
+            ))
+        return suspects
 
     # -- re-balancing --------------------------------------------------------
 
@@ -1434,8 +1447,8 @@ class ShardedFleet:
         barrier; the source worker checkpoints and evicts the instances
         (all-or-nothing per shard), the targets adopt blob + tracker
         state, and the parent sets each moved instance's record to its
-        new shard — one field per move.  Views, the scorer, slots, and
-        histories are untouched — the move is invisible to every
+        new shard — one field per move.  Views, signature indexes, slots,
+        and histories are untouched — the move is invisible to every
         observer, which is the determinism contract.
 
         If any source declines (an instance that cannot be checkpointed
@@ -1543,8 +1556,8 @@ class ShardedFleet:
         the fleet watermark is immediately given its next window, so
         with ``max_lead=1`` the fleet runs in lockstep and with a larger
         lead no shard waits for the slowest one until the bound bites.
-        Histories, views, and the scorer advance only at commits, so the
-        result is byte-identical for every lead.
+        Histories, views, and signature indexes advance only at
+        commits, so the result is byte-identical for every lead.
         """
         self._advance(
             windows_in(days, window), window, max_lead=max(1, int(max_lead))

@@ -19,12 +19,12 @@ Layers::
                 proof for self-sustaining timer loops
     reclaim.py  LeakReclaimed unwinds behind ReclaimPolicy
                 (observe / reclaim / reclaim-and-report)
-    sweep.py    sweep orchestration, GCPolicy/GCReport, per-runtime state
+    sweep.py    sweep orchestration, GCReport, per-runtime state
 
 Entry points live on the runtime itself::
 
     report = rt.gc()                          # one observe sweep
-    rt.gc(policy=GCPolicy.reclaim())          # sweep + unwind proven leaks
+    rt.gc(policy=ReclaimPolicy.RECLAIM)       # sweep + unwind proven leaks
     rt.enable_gc(interval=3600.0, policy=...) # periodic sweeps
 
 and the proofs flow outward automatically: goroutine profiles carry a
@@ -38,10 +38,9 @@ the unreachable channel and park site.
 from .mark import LeakProof, MarkResult, ROOT_STATES, Verdict, mark
 from .reclaim import ReclaimPolicy, ReclaimStats, reclaim_goroutines
 from .refs import ReferenceTracker, scan_values
-from .sweep import GCPolicy, GCReport, GCState, run_sweep
+from .sweep import GCReport, GCState, run_sweep
 
 __all__ = [
-    "GCPolicy",
     "GCReport",
     "GCState",
     "LeakProof",

@@ -71,25 +71,6 @@ _RECLAIM_METRICS = obs.bind(lambda reg: (
 ))
 
 
-@dataclass(frozen=True)
-class GCPolicy:
-    """The sweep-behavior knob handed to ``Runtime.gc``/``enable_gc``."""
-
-    mode: ReclaimPolicy = ReclaimPolicy.OBSERVE
-
-    @classmethod
-    def observe(cls) -> "GCPolicy":
-        return cls(mode=ReclaimPolicy.OBSERVE)
-
-    @classmethod
-    def reclaim(cls) -> "GCPolicy":
-        return cls(mode=ReclaimPolicy.RECLAIM)
-
-    @classmethod
-    def reclaim_and_report(cls) -> "GCPolicy":
-        return cls(mode=ReclaimPolicy.RECLAIM_AND_REPORT)
-
-
 @dataclass
 class GCReport:
     """Everything one sweep observed and did."""
@@ -145,13 +126,13 @@ def ensure_state(runtime: "Runtime") -> GCState:
 def run_sweep(
     runtime: "Runtime",
     full: bool = False,
-    policy: Optional[GCPolicy] = None,
+    policy: Optional[ReclaimPolicy] = None,
 ) -> GCReport:
-    """Execute one sweep over ``runtime`` (the ``Runtime.gc`` backend)."""
-    if policy is None:
-        policy = GCPolicy()
-    elif isinstance(policy, ReclaimPolicy):
-        policy = GCPolicy(mode=policy)
+    """Execute one sweep over ``runtime`` (the ``Runtime.gc`` backend).
+
+    ``policy`` decides what happens to proven leaks; ``None`` is
+    ``ReclaimPolicy.OBSERVE``.
+    """
     state = ensure_state(runtime)
     tracker = state.tracker
     started = time.perf_counter()
@@ -200,7 +181,7 @@ def run_sweep(
 
     reclaim_stats: Optional[ReclaimStats] = None
     reclaim_metrics = None
-    if policy.mode.reclaims and state.proven:
+    if policy is not None and policy.reclaims and state.proven:
         reclaim_metrics = _RECLAIM_METRICS()
         reclaim_started = time.perf_counter()
         targets = [
@@ -212,7 +193,7 @@ def run_sweep(
             runtime,
             targets,
             proofs=state.proven,
-            keep_reports=policy.mode is ReclaimPolicy.RECLAIM_AND_REPORT,
+            keep_reports=policy is ReclaimPolicy.RECLAIM_AND_REPORT,
         )
         if reclaim_metrics is not None:
             reclaim_seconds, reclaimed, released = reclaim_metrics

@@ -27,7 +27,7 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.leakprof.detector import DEFAULT_THRESHOLD
 from repro.leakprof.impact import LeakCandidate
@@ -543,40 +543,3 @@ class PersistentBugDatabase(BugDatabase):
 
     def _persist(self, report: LeakReport) -> None:
         self._store.save_report(self._tenant, report)
-
-    # Every path that mutates a report writes through.  ``_advance``
-    # covers the whole enforced remediation lifecycle (propose/verify/
-    # deploy); the three simple triage setters are wrapped explicitly.
-
-    def file(
-        self,
-        candidate: LeakCandidate,
-        owner: Optional[str] = None,
-        filed_at: float = 0.0,
-        memory_footprint: Optional[Sequence[Tuple[float, int]]] = None,
-    ) -> Optional[LeakReport]:
-        report = super().file(
-            candidate,
-            owner=owner,
-            filed_at=filed_at,
-            memory_footprint=memory_footprint,
-        )
-        if report is not None:
-            self._persist(report)
-        return report
-
-    def _advance(self, report: LeakReport, to: ReportStatus) -> None:
-        super()._advance(report, to)
-        self._persist(report)
-
-    def acknowledge(self, report: LeakReport) -> None:
-        super().acknowledge(report)
-        self._persist(report)
-
-    def mark_fixed(self, report: LeakReport) -> None:
-        super().mark_fixed(report)
-        self._persist(report)
-
-    def reject(self, report: LeakReport) -> None:
-        super().reject(report)
-        self._persist(report)

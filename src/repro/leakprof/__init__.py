@@ -7,7 +7,6 @@ from .impact import LeakCandidate, aggregate, rank_by_impact
 from .ownership import OwnershipRouter
 from .pipeline import DailyRunResult, LeakProf
 from .reports import BugDatabase, LeakReport, ReportStatus
-from .streaming import OnlineSuspectScorer
 
 __all__ = [
     "BugDatabase",
@@ -16,7 +15,6 @@ __all__ = [
     "LeakCandidate",
     "LeakProf",
     "LeakReport",
-    "OnlineSuspectScorer",
     "OwnershipRouter",
     "Profilable",
     "ReportStatus",

@@ -53,7 +53,8 @@ class SignatureAccumulator:
     The only implementation of Criterion 1 (threshold), Criterion 2
     (transient filter) and the proof tier.  Members are keyed by an
     *ordinal* — a profile position for :func:`scan_profile`, a gid for
-    the fleet's online scorer — and :meth:`suspects` orders signatures
+    a sharded fleet's per-instance signature index — and
+    :meth:`suspects` orders signatures
     by their least member, with the least (proven) member as the
     representative.  For a profile that is first-appearance order, so
     batch and streaming answers agree by construction.

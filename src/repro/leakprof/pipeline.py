@@ -109,8 +109,9 @@ class LeakProf:
     ) -> DailyRunResult:
         """Rank/file/remediate an already-computed suspect set.
 
-        The streaming entry point: suspects come from the fleet's
-        online scorer (:mod:`repro.leakprof.streaming`), so there is no
+        The streaming entry point: suspects come from a sharded fleet's
+        per-instance signature indexes
+        (:meth:`repro.fleet.ShardedFleet.suspects`), so there is no
         scan phase to run — everything downstream (impact ranking,
         Bug-DB dedup, ownership routing, remediation retry) is the same
         code path as :meth:`analyze_profiles`, with identical metrics
@@ -214,8 +215,9 @@ class LeakProf:
     ) -> DailyRunResult:
         """One detection run against a streaming :class:`ShardedFleet`.
 
-        Takes the online scorer's current suspect set — zero wire
-        traffic, O(signatures) parent-side work — and runs the shared
+        Takes the fleet's current suspect set from its per-instance
+        signature indexes — zero wire traffic, O(signatures) parent-side
+        work — and runs the shared
         rank/file/remediate back half.  Results are batch-identical to
         ``daily_run`` over the same fleet's snapshots (minus
         ``sweep_stats``, since nothing was swept).

@@ -95,6 +95,13 @@ class BugDatabase:
         """
         return next(_report_ids)
 
+    def _persist(self, report: LeakReport) -> None:
+        """Record ``report``'s new state.
+
+        Called after every filing and every status transition.  A no-op
+        here; persistent stores override it to write through.
+        """
+
     def __len__(self) -> int:
         return len(self._by_key)
 
@@ -119,6 +126,7 @@ class BugDatabase:
             memory_footprint=list(memory_footprint or ()),
         )
         self._by_key[candidate.key] = report
+        self._persist(report)
         return report
 
     def get(self, candidate: LeakCandidate) -> Optional[LeakReport]:
@@ -135,12 +143,15 @@ class BugDatabase:
     def acknowledge(self, report: LeakReport) -> None:
         if report.status is ReportStatus.OPEN:
             report.status = ReportStatus.ACKNOWLEDGED
+        self._persist(report)
 
     def mark_fixed(self, report: LeakReport) -> None:
         report.status = ReportStatus.FIXED
+        self._persist(report)
 
     def reject(self, report: LeakReport) -> None:
         report.status = ReportStatus.REJECTED
+        self._persist(report)
 
     # -- remediation transitions (enforced ordering) ------------------------
 
@@ -153,6 +164,7 @@ class BugDatabase:
                 f"{sorted(s.value for s in allowed)})"
             )
         report.status = to
+        self._persist(report)
 
     def propose_fix(self, report: LeakReport) -> None:
         """A remediation candidate exists (remedy engine or human)."""

@@ -898,7 +898,8 @@ class Runtime:
 
         Classifies every parked goroutine as LIVE / POSSIBLY_LEAKED /
         PROVEN_LEAKED from the runtime's own books (see
-        :mod:`repro.gc.mark`) and — depending on ``policy`` — reclaims
+        :mod:`repro.gc.mark`) and — depending on ``policy``, a
+        :class:`repro.gc.ReclaimPolicy` (``None`` observes) — reclaims
         proven leaks in place.  Incremental by default: only subgraphs
         dirtied since the previous sweep are re-scanned and goroutines
         already proven leaked are never re-marked (a proof is stable: an

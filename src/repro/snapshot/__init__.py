@@ -3,7 +3,7 @@ instances, and services that every detection tool consumes — the contract
 that lets fleet instances run in worker processes (see repro.fleet.shard).
 """
 
-from .delta import DeltaTracker, InstanceStats, InstanceView, instance_stats
+from .delta import DeltaTracker, InstanceView
 from .model import (
     GCSnapshot,
     InstanceSnapshot,
@@ -18,11 +18,9 @@ __all__ = [
     "DeltaTracker",
     "GCSnapshot",
     "InstanceSnapshot",
-    "InstanceStats",
     "InstanceView",
     "RuntimeSnapshot",
     "ServiceSnapshot",
-    "instance_stats",
     "snapshot_instance",
     "snapshot_runtime",
     "snapshot_service",

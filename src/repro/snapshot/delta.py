@@ -40,16 +40,20 @@ relies on.
 Stat rows: an instance's O(1) counters travel as one fixed-layout
 ``_ROW`` (:func:`pack_row`), never as a pickled object.  A worker's reply
 carries the packed rows of every instance its command touched as one
-compressed **stat block**; the parent copies them into the slots of one
-:class:`RowCache` buffer, and views read their counters back out of it
-lazily (:func:`stats_from_raw`).
+compressed **stat block**.  When the reply commits, the parent unpacks
+each row (:func:`unpack_rows`) and sets it as the committed
+:attr:`InstanceView.row` of the view in its slot.  Setting a row raises
+the view's watermark to the row's window tag, so every view the commit
+touched reads the committed window at once, whether or not its reply
+carried a delta entry for it.  The fleet's one parent record per
+instance (``repro.fleet.shard``) owns the view, next to the instance's
+signature index.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.profiling import GoroutineRecord, snapshot_goroutine
 from repro.runtime import GoroutineState
@@ -74,52 +78,6 @@ WireDelta = Tuple[
 ]
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    """One instance's O(1) counters at a ship boundary.
-
-    The unpacked form of one stat row: everything here is a counter
-    read, and the fields are exactly what :meth:`InstanceView.snapshot`
-    needs to rebuild ``RuntimeSnapshot``'s eager half plus
-    ``last_metrics``.
-    """
-
-    t: float
-    rss_bytes: int
-    blocked: int
-    cpu_percent: float
-    goroutines: int
-    requests_window: int
-    requests_total: int
-    steps: int
-    windows: int
-    #: Nonzero census entries as (state-value, count) pairs, in
-    #: GoroutineState definition order — the same content and order
-    #: ``RuntimeSnapshot.of`` derives from ``state_census()``.
-    census: Tuple[Tuple[str, int], ...]
-
-
-def instance_stats(instance: Any) -> InstanceStats:
-    """Read one live instance's counters (all O(1) reads)."""
-    runtime = instance.runtime
-    metrics = instance.metrics
-    return InstanceStats(
-        t=runtime.now,
-        rss_bytes=instance.rss(),
-        blocked=runtime.blocked_goroutines_count,
-        cpu_percent=instance.cpu_utilization(),
-        goroutines=runtime.num_goroutines,
-        requests_window=metrics[-1].requests_served if metrics else 0,
-        requests_total=instance.requests_served,
-        steps=runtime.steps,
-        windows=len(metrics),
-        census=tuple(
-            (state.value, count)
-            for state, count in runtime.state_census().items()
-        ),
-    )
-
-
 _STATES = tuple(GoroutineState)
 _STATE_VALUES = tuple(state.value for state in _STATES)
 #: shard, window (the watermark), then t, cpu_percent (doubles), then
@@ -128,15 +86,6 @@ _STATE_VALUES = tuple(state.value for state in _STATES)
 _ROW = struct.Struct("=qqdd" + "q" * (7 + len(_STATES)))
 
 ROW_BYTES = _ROW.size
-
-#: Every field is 8 bytes wide, so a run of stat rows is also a flat
-#: sequence of ``NUM_FIELDS`` machine words — which is what lets
-#: :meth:`RowCache.sample_columns` read a strided slice as a *column*.
-NUM_FIELDS = ROW_BYTES // 8
-
-#: The leading fields (watermark + the sample-relevant gauges) as their
-#: own struct, for cheap partial unpacks of a raw row.
-_HEAD = struct.Struct("=qqddqqq")
 
 #: Field indices into one unpacked row tuple.
 F_SHARD = 0
@@ -152,9 +101,8 @@ F_CENSUS = 11
 def pack_row(instance: Any, shard: int, window: int) -> bytes:
     """Pack one live instance's counters into a stat row.
 
-    The worker hot path: the same reads as :func:`instance_stats`,
-    without building the intermediate :class:`InstanceStats` (and its
-    census tuple) for every instance every window.
+    The worker hot path: every field is an O(1) counter read.  The
+    census is one count per ``GoroutineState``, in definition order.
     """
     runtime = instance.runtime
     metrics = instance.metrics
@@ -169,95 +117,9 @@ def pack_row(instance: Any, shard: int, window: int) -> bytes:
     )
 
 
-def stats_from_raw(raw: bytes) -> InstanceStats:
-    """Materialize one raw stat row into an :class:`InstanceStats`."""
-    row = _ROW.unpack(raw)
-    (t, cpu_percent, rss_bytes, blocked, goroutines,
-     requests_window, requests_total, steps, windows) = row[F_T:F_CENSUS]
-    return InstanceStats(
-        t=t, rss_bytes=rss_bytes, blocked=blocked,
-        cpu_percent=cpu_percent, goroutines=goroutines,
-        requests_window=requests_window, requests_total=requests_total,
-        steps=steps, windows=windows,
-        census=tuple(
-            (value, count)
-            for value, count in zip(_STATE_VALUES, row[F_CENSUS:])
-            if count
-        ),
-    )
-
-
-class RowCache:
-    """The parent's committed stat rows: one buffer, one row per slot.
-
-    :meth:`write` copies a reply's rows into their slots; every other
-    slot keeps its previous row, so an ``only=`` advance or a restart
-    touches exactly the instances it ran.  :meth:`commit` bumps
-    ``epoch``, the key consumers — materialized
-    :class:`InstanceView`\\ s, the instance mirrors, per-service sampling
-    — use to notice new rows and read them through lazily.
-    """
-
-    __slots__ = ("buf", "epoch", "_cols", "_cols_epoch")
-
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.epoch = 0
-        self._cols: Optional[Tuple[list, ...]] = None
-        self._cols_epoch = -1
-
-    def allocate(self, count: int) -> None:
-        """Size the buffer for ``count`` slots (zeroed until written)."""
-        self.buf = bytearray(count * ROW_BYTES)
-
-    def write(self, slots: Sequence[int], rows: bytes) -> None:
-        """Copy ``rows`` (one per slot, in ``slots`` order) into place."""
-        buf = self.buf
-        src = memoryview(rows)
-        for pos, slot in enumerate(slots):
-            off = slot * ROW_BYTES
-            buf[off:off + ROW_BYTES] = src[
-                pos * ROW_BYTES:(pos + 1) * ROW_BYTES
-            ]
-
-    def commit(self) -> None:
-        self.epoch += 1
-
-    def raw(self, slot: int) -> Optional[bytes]:
-        """The slot's current raw row (None before the buffer exists)."""
-        off = slot * ROW_BYTES
-        if off + ROW_BYTES > len(self.buf):
-            return None
-        return bytes(self.buf[off:off + ROW_BYTES])
-
-    def head(self, slot: int) -> Optional[Tuple]:
-        """The slot's leading fields, ``F_SHARD..F_GOROUTINES``."""
-        off = slot * ROW_BYTES
-        if off + ROW_BYTES > len(self.buf):
-            return None
-        return _HEAD.unpack_from(self.buf, off)
-
-    def sample_columns(self, count: int) -> Tuple[list, ...]:
-        """``(t, cpu, rss, blocked, goroutines)`` columns, one value per
-        slot — the per-service sample aggregation reads slices of these.
-
-        Built once per epoch with zero-copy ``memoryview`` casts and
-        C-level strided ``tolist`` extraction.
-        """
-        if self._cols_epoch == self.epoch and self._cols is not None:
-            return self._cols
-        region = memoryview(self.buf)[: count * ROW_BYTES]
-        as_q = region.cast("q")
-        as_d = region.cast("d")
-        self._cols = (
-            as_d[F_T::NUM_FIELDS].tolist(),
-            as_d[F_CPU::NUM_FIELDS].tolist(),
-            as_q[F_RSS::NUM_FIELDS].tolist(),
-            as_q[F_BLOCKED::NUM_FIELDS].tolist(),
-            as_q[F_GOROUTINES::NUM_FIELDS].tolist(),
-        )
-        self._cols_epoch = self.epoch
-        return self._cols
+def unpack_rows(rows: bytes) -> Iterator[Tuple]:
+    """The rows of an opened stat block, one unpacked tuple each."""
+    return _ROW.iter_unpack(rows)
 
 
 class DeltaTracker:
@@ -347,85 +209,52 @@ class DeltaTracker:
 class InstanceView:
     """Parent-side materialized view of one remote instance.
 
-    Holds the record templates the deltas built up plus the latest
-    counter block; :meth:`snapshot` reconstructs the full
-    ``InstanceSnapshot`` without touching the worker.  Application is
-    idempotent, so a crash-replayed window lands harmlessly; application
-    of a delta *older* than the view's window watermark is refused
-    (:meth:`apply` returns ``False``), so a late delta arriving after a
-    tombstone cannot resurrect dead records.
+    Holds the record templates the deltas built up plus the committed
+    stat row; :meth:`snapshot` reconstructs the full ``InstanceSnapshot``
+    without touching the worker.  Application is idempotent, so a
+    crash-replayed window lands harmlessly; application of a delta
+    *older* than the view's window watermark is refused (:meth:`apply`
+    returns ``False``), so a late delta arriving after a tombstone
+    cannot resurrect dead records.
     """
 
-    __slots__ = ("service", "index", "name", "base_rss", "records",
-                 "gc", "window", "slot", "_stats", "_row", "_cache",
-                 "_epoch")
+    __slots__ = ("service", "index", "name", "base_rss", "slot",
+                 "records", "gc", "window", "_row")
 
-    def __init__(self, service: str, index: int, name: str, base_rss: int):
+    def __init__(
+        self, service: str, index: int, name: str, base_rss: int, slot: int
+    ):
         self.service = service
         self.index = index
         self.name = name
         self.base_rss = base_rss
+        #: The instance's stat-row slot in its fleet.
+        self.slot = slot
         #: gid -> (template with wait_seconds=0, blocked_since)
         self.records: Dict[int, WireRecord] = {}
         self.gc: Optional[GCSnapshot] = None
         #: Highest shard window folded into this view (the watermark).
         self.window: int = -1
-        self._stats: Optional[InstanceStats] = None
-        #: Raw stat row backing ``stats`` (lazy unpack).
-        self._row: Optional[bytes] = None
-        #: The view's slot in the bound row cache (-1 until bound).
-        self.slot = -1
-        #: Bound :class:`RowCache` the view reads counters through, and
-        #: the last epoch pulled.
-        self._cache: Optional[RowCache] = None
-        self._epoch = -1
-
-    def bind_cache(self, cache: RowCache, slot: int) -> None:
-        """Attach the view to the fleet's committed row cache.
-
-        The fleet commits one buffer of stat rows per window instead of
-        pushing ~20-field tuples into every view; the view pulls its own
-        row out lazily, only when a snapshot or suspect query actually
-        asks for :attr:`stats`.
-        """
-        self._cache = cache
-        self.slot = slot
-
-    def head(self) -> Optional[Tuple]:
-        """The committed row's leading fields, ``F_SHARD..F_GOROUTINES``
-        (None while unbound or before rows exist) — an O(1) read that
-        leaves the lazily unpacked :attr:`stats` alone."""
-        cache = self._cache
-        return cache.head(self.slot) if cache is not None else None
-
-    def _refresh(self) -> None:
-        cache = self._cache
-        if cache is None or cache.epoch == self._epoch:
-            return
-        self._epoch = cache.epoch
-        raw = cache.raw(self.slot)
-        if raw is None or raw == self._row:
-            return
-        self._stats = None
-        self._row = raw
-        window = _HEAD.unpack_from(raw)[F_WINDOW]
-        if window > self.window:
-            self.window = window
+        self._row: Optional[Tuple] = None
 
     @property
-    def stats(self) -> Optional[InstanceStats]:
-        self._refresh()
-        if self._stats is None and self._row is not None:
-            self._stats = stats_from_raw(self._row)
-        return self._stats
+    def row(self) -> Optional[Tuple]:
+        """The committed stat row, unpacked (None before the first
+        commit); index it with the ``F_*`` field constants."""
+        return self._row
+
+    @row.setter
+    def row(self, row: Tuple) -> None:
+        self._row = row
+        if row[F_WINDOW] > self.window:
+            self.window = row[F_WINDOW]
 
     def apply(self, delta: WireDelta, window: int) -> bool:
         """Fold one wire delta in.
 
         ``window`` is the shard watermark the delta was shipped at; a
         delta older than the view's own watermark is dropped and
-        ``False`` returned (the caller must then skip scorer feeding
-        too).
+        ``False`` returned.
         """
         _svc, _idx, full, records, tombstones, gc = delta
         if window < self.window and not full:
@@ -448,49 +277,55 @@ class InstanceView:
         template, blocked_since = self.records[gid]
         if blocked_since is None:
             return template
-        age = max(0.0, self.stats.t - blocked_since)
+        age = max(0.0, self._row[F_T] - blocked_since)
         if age == 0.0:
             return template
         return template.aged(age)
 
     def snapshot(self) -> InstanceSnapshot:
         """Materialize the full ``InstanceSnapshot``-equivalent state."""
-        stats = self.stats
-        if stats is None:
+        row = self._row
+        if row is None:
             raise RuntimeError(
                 f"view of {self.name!r} has no stats yet (not initialized)"
             )
+        (t, cpu_percent, rss_bytes, blocked, goroutines,
+         requests_window, requests_total, steps, windows) = row[F_T:F_CENSUS]
         runtime = RuntimeSnapshot(
             process=self.name,
-            taken_at=stats.t,
-            num_goroutines=stats.goroutines,
-            blocked_goroutines=stats.blocked,
-            rss_bytes=stats.rss_bytes,
+            taken_at=t,
+            num_goroutines=goroutines,
+            blocked_goroutines=blocked,
+            rss_bytes=rss_bytes,
             base_rss=self.base_rss,
-            state_census=dict(stats.census),
-            steps=stats.steps,
+            state_census={
+                value: count
+                for value, count in zip(_STATE_VALUES, row[F_CENSUS:])
+                if count
+            },
+            steps=steps,
             gc=self.gc,
             records=tuple(
                 self.record_at(gid) for gid in sorted(self.records)
             ),
         )
         last_metrics = None
-        if stats.windows:
+        if windows:
             from repro.fleet.service import InstanceMetrics  # deferred cycle
 
             last_metrics = InstanceMetrics(
-                t=stats.t,
-                rss_bytes=stats.rss_bytes,
-                goroutines=stats.goroutines,
-                cpu_percent=stats.cpu_percent,
-                requests_served=stats.requests_window,
-                blocked_goroutines=stats.blocked,
+                t=t,
+                rss_bytes=rss_bytes,
+                goroutines=goroutines,
+                cpu_percent=cpu_percent,
+                requests_served=requests_window,
+                blocked_goroutines=blocked,
             )
         return make_instance_snapshot(
             self.service,
             self.name,
-            stats.requests_total,
-            stats.cpu_percent,
+            requests_total,
+            cpu_percent,
             runtime,
             last_metrics,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import weakref
 
-from repro.gc import GCPolicy
+from repro.gc import ReclaimPolicy
 from repro.runtime import Runtime
 from repro.runtime.channel import Payload
 from repro.runtime.ops import (
@@ -110,7 +110,7 @@ def _run_random_workload(seed: int, reclaim: bool) -> Runtime:
     rt.run_until_quiescent(deadline=rt.now + 8.0)
     _assert_books_match(rt)
     if reclaim:
-        rt.gc(policy=GCPolicy.reclaim())
+        rt.gc(policy=ReclaimPolicy.RECLAIM)
         _assert_books_match(rt)
     rt.run_until_quiescent(deadline=rt.now + 8.0)
     _assert_books_match(rt)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gc import GCPolicy, ReferenceTracker, Verdict, mark
+from repro.gc import ReclaimPolicy, ReferenceTracker, Verdict, mark
 from repro.goleak import LeakError, find, verify_none
 from repro.leakprof import LeakProf
 from repro.leakprof.detector import scan_profile
@@ -237,7 +237,7 @@ class TestReclaim:
     def test_reclaim_unwinds_and_releases_rss(self):
         rt = run_leaky(ncast.leaky, payload_bytes=32 * 1024)
         before = rt.rss()
-        report = rt.gc(policy=GCPolicy.reclaim())
+        report = rt.gc(policy=ReclaimPolicy.RECLAIM)
         assert report.reclaim.attempted == 4
         assert report.reclaim.reclaimed == 4
         assert report.reclaim.survived == 0
@@ -248,13 +248,13 @@ class TestReclaim:
 
     def test_reclaim_and_report_keeps_proofs(self):
         rt = run_leaky(unclosed_range.leaky)
-        report = rt.gc(policy=GCPolicy.reclaim_and_report())
+        report = rt.gc(policy=ReclaimPolicy.RECLAIM_AND_REPORT)
         assert len(report.reclaim.reports) == 3
         assert all(p.park_site for p in report.reclaim.reports)
 
     def test_observe_policy_never_unwinds(self):
         rt = run_leaky(ncast.leaky)
-        report = rt.gc(policy=GCPolicy.observe())
+        report = rt.gc(policy=ReclaimPolicy.OBSERVE)
         assert report.reclaim is None
         assert rt.num_goroutines == 4
 
@@ -275,7 +275,7 @@ class TestReclaim:
 
         rt = Runtime(seed=0, panic_mode="record")
         rt.run(main, rt, deadline=1.0, detect_global_deadlock=False)
-        report = rt.gc(policy=GCPolicy.reclaim())
+        report = rt.gc(policy=ReclaimPolicy.RECLAIM)
         assert report.reclaim.attempted == 1
         assert report.reclaim.survived == 1
         assert report.reclaim.reclaimed == 0
@@ -300,7 +300,7 @@ class TestReclaim:
 
         rt = Runtime(seed=0)
         rt.run(main, rt, deadline=1.0, detect_global_deadlock=False)
-        rt.gc(policy=GCPolicy.reclaim())
+        rt.gc(policy=ReclaimPolicy.RECLAIM)
         assert cleaned == [True]
         assert rt.num_goroutines == 0
 
@@ -313,7 +313,7 @@ class TestReclaim:
             traffic=TrafficShape(requests_per_window=20),
             seed=5,
             gc_interval=600.0,
-            gc_policy=GCPolicy.reclaim(),
+            gc_policy=ReclaimPolicy.RECLAIM,
         )
         instance.advance_window()
         # leaks were created, proven, and vanquished inside the window

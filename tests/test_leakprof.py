@@ -3,6 +3,7 @@
 import functools
 
 
+from repro.fleet.shard import _RowMirror
 from repro.leakprof import (
     BugDatabase,
     LeakProf,
@@ -11,10 +12,10 @@ from repro.leakprof import (
     rank_by_impact,
     scan_profile,
 )
-from repro.leakprof import OnlineSuspectScorer
 from repro.profiling import GoroutineProfile, GoroutineRecord
 from repro.patterns import healthy, premature_return, timer_loop, timeout_leak
 from repro.runtime import Frame, GoroutineState, Runtime
+from repro.snapshot import InstanceView
 
 
 def leaky_profile(pattern, n_calls, service="svc", instance="i-0", seed=0,
@@ -137,17 +138,6 @@ def parked(gid, location, proof=None, state=GoroutineState.BLOCKED_SEND):
     )
 
 
-class _StubView:
-    """The slice of ``InstanceView`` the online scorer reads."""
-
-    service = "svc"
-    index = 0
-    name = "i-0"
-
-    def __init__(self, live):
-        self.record_at = live.__getitem__
-
-
 class TestScoringCore:
     def test_order_and_representative_follow_profile_position(self):
         """Go ``debug=2`` dumps list gids unsorted: signatures come out in
@@ -168,23 +158,34 @@ class TestScoringCore:
         assert got == [("a:20", 3, 7, "proven"), ("a:10", 2, 8, None)]
 
     def test_refile_paths_match_batch_scan(self):
-        """Every upsert/tombstone/reset path of the online scorer answers
-        exactly what ``scan_profile`` answers over the surviving records."""
-        key = ("svc", 0)
-        scorer = OnlineSuspectScorer()
+        """Every upsert/tombstone/reset path of a sharded instance's
+        record answers exactly what ``scan_profile`` answers over the
+        surviving records."""
+        view = InstanceView("svc", 0, "i-0", base_rss=0, slot=0)
+        record = _RowMirror(view, mix=None, shard=0)
         live = {}
-        view = _StubView(live)
 
-        def upsert(record):
-            live[record.gid] = record
-            scorer.on_record(key, record)
+        def ship(records=(), tombstones=(), full=False, window=1):
+            delta = ("svc", 0, full, [(r, None) for r in records],
+                     tuple(tombstones), None)
+            return record.apply(delta, window)
+
+        def upsert(rec):
+            live[rec.gid] = rec
+            assert ship([rec])
+
+        def suspects():
+            return record.signatures.suspects(
+                view.record_at, view.service, view.name, threshold=2
+            )
 
         def assert_parity():
             profile = GoroutineProfile(
                 0.0, "p", [live[gid] for gid in sorted(live)], "svc", "i-0"
             )
             expected = scan_profile(profile, threshold=2)
-            assert scorer.suspects([view], threshold=2) == expected
+            assert suspects() == expected
+            assert {gid: t for gid, (t, _) in view.records.items()} == live
             return [(s.location, s.count, s.representative.gid, s.proof)
                     for s in expected]
 
@@ -212,13 +213,17 @@ class TestScoringCore:
 
         for gid in (1, 5):  # unfile; a:10 loses its last member below
             del live[gid]
-            scorer.on_tombstone(key, gid)
+            assert ship(tombstones=[gid])
         upsert(parked(3, "a:10", state=GoroutineState.RUNNABLE))
         assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
 
-        scorer.reset_instance(key)  # full reship
+        # a stale delta is refused by the view before it is filed
+        assert not ship([parked(9, "a:20")], window=0)
+        assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
+
+        assert ship(full=True)  # full reship
         live.clear()
-        assert scorer.suspects([view], threshold=2) == []
+        assert suspects() == []
         for gid in (7, 8):
             upsert(parked(gid, "a:40"))
         assert assert_parity() == [("a:40", 2, 7, None)]

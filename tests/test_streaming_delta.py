@@ -5,9 +5,10 @@ The load-bearing property: the parent's materialized
 :class:`~repro.snapshot.InstanceView` state — reconstructed purely from
 incremental deltas, tombstones and O(1) stat rows — must be
 **indistinguishable** from ``snapshot_instance`` run in-process, and the
-online scorer's suspect list must be list-equal to the batch
-``scan_fleet`` sweep over those snapshots.  Everything else (resync,
-checkpoints, rebalancing) preserves that invariant under churn.
+suspect list of the per-instance signature indexes must be list-equal
+to the batch ``scan_fleet`` sweep over those snapshots.  Everything
+else (resync, checkpoints, rebalancing) preserves that invariant under
+churn.
 """
 
 import zlib
@@ -31,7 +32,7 @@ from repro.leakprof import LeakProf, scan_fleet
 from repro.patterns import healthy, timeout_leak
 from repro.runtime import GoroutineState, go, sleep
 from repro.snapshot import snapshot_instance
-from repro.snapshot.delta import instance_stats, pack_row, stats_from_raw
+from repro.snapshot.delta import F_CENSUS, pack_row, unpack_rows
 
 WINDOW = 3600.0
 
@@ -224,7 +225,7 @@ class TestOnlineScorer:
                 assert fleet.suspects(threshold=threshold) == batch
 
     def test_streaming_run_matches_daily_run(self):
-        """LeakProf.streaming_run (online scorer, zero wire traffic)
+        """LeakProf.streaming_run (signature indexes, zero wire traffic)
         files the same reports as daily_run over shipped snapshots."""
         with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
@@ -240,8 +241,9 @@ class TestOnlineScorer:
         ]
 
     def test_deploy_resets_scorer_state(self):
-        """A restart reseeds instances; the scorer must forget the old
-        incarnation's signatures or counts double across generations."""
+        """A restart reseeds instances; the signature index must forget
+        the old incarnation's signatures or counts double across
+        generations."""
         serial = Fleet()
         for config, seed in _configs():
             serial.add(Service(config, seed=seed))
@@ -295,8 +297,22 @@ class TestCheckpointRestore:
         census = {state: pos + 1 for pos, state in enumerate(GoroutineState)}
         restored.runtime.state_census = lambda: dict(census)
         block = zlib.compress(pack_row(restored, 3, 4), 1)
-        assert stats_from_raw(zlib.decompress(block)) == instance_stats(
-            restored
+        (row,) = unpack_rows(zlib.decompress(block))
+        runtime, metrics = restored.runtime, restored.metrics
+        (shard, window, t, cpu_percent, rss_bytes, blocked, goroutines,
+         requests_window, requests_total, steps, windows) = row[:F_CENSUS]
+        assert (shard, window) == (3, 4)
+        assert t == runtime.now
+        assert cpu_percent == restored.cpu_utilization()
+        assert rss_bytes == restored.rss()
+        assert blocked == runtime.blocked_goroutines_count
+        assert goroutines == runtime.num_goroutines
+        assert requests_window == metrics[-1].requests_served
+        assert requests_total == restored.requests_served
+        assert steps == runtime.steps
+        assert windows == len(metrics)
+        assert row[F_CENSUS:] == tuple(
+            census[state] for state in GoroutineState
         )
 
     def test_declines_mid_flight_state(self):
@@ -503,13 +519,54 @@ class TestCheckpointRestore:
             )
             assert view.apply(stale, window=1) is False
             assert not departed & set(view.records), "ghost resurrected"
-            # and through the fleet ingest path: counted, scorer unfed
+            # and through the fleet ingest path: counted, signatures unfed
             before = fleet.suspects(threshold=1)
             fleet._apply_deltas((1, (), b"", [stale]))
             assert fleet.stale_deltas == 1
             assert fleet.suspects(threshold=1) == before
             assert fleet.snapshots() == reference[1]
             assert "repro_fleet_stale_deltas_total 1" in obs.render()
+
+    def test_every_view_reads_the_watermark_after_each_commit(self):
+        """A committed stat row raises its view's watermark, so after
+        every commit each view's ``window`` is the fleet watermark —
+        also for instances whose reply carried no delta entry, read
+        without materializing anything."""
+        with ShardedFleet(shards=2) as fleet:
+            for config, seed in _configs():
+                fleet.add_service(config, seed=seed)
+            apply_deltas = fleet._apply_deltas
+            idle = set()
+
+            def spy(payload):
+                named = {(delta[0], delta[1]) for delta in payload[3]}
+                idle.update(
+                    fleet._by_slot[slot].key for slot in payload[1]
+                    if fleet._by_slot[slot].key not in named
+                )
+                apply_deltas(payload)
+
+            fleet._apply_deltas = spy
+            fleet.start()
+
+            def windows():
+                return {record.view.window for record in fleet._by_slot}
+
+            assert windows() == {0}
+            for w in (1, 2):
+                fleet.advance_window(WINDOW)
+                assert fleet.watermark == w
+                assert windows() == {w}
+            assert idle, "every reply named every instance; vacuous test"
+            # out of phase: a buffered reply moves no view until it commits
+            fleet.begin_advance(0, WINDOW)
+            fleet.drain()
+            assert fleet.shard_windows == (3, 2)
+            assert windows() == {2}
+            fleet.begin_advance(1, WINDOW)
+            fleet.drain()
+            assert fleet.watermark == 3
+            assert windows() == {3}
 
     def test_gc_enabled_shard_declines_and_keeps_journal(self):
         config = ServiceConfig(
