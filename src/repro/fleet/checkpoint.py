@@ -54,6 +54,8 @@ _CHANNEL_WAIT_STATES = (
     GoroutineState.BLOCKED_SEND,
     GoroutineState.BLOCKED_RECV,
 )
+# A module global, not an Enum class attribute (a metaclass lookup each).
+_BLOCKED_SELECT = GoroutineState.BLOCKED_SELECT
 
 
 class CheckpointUnsupported(RuntimeError):
@@ -80,7 +82,7 @@ class _RestoredChannel:
 def _encode_wait(goro: Goroutine) -> Union[None, str, int]:
     if goro.state in _CHANNEL_WAIT_STATES:
         return "nil" if getattr(goro.waiting_on, "is_nil", False) else "chan"
-    if goro.state is GoroutineState.BLOCKED_SELECT:
+    if goro.state is _BLOCKED_SELECT:
         return len(goro.waiting_on) if isinstance(goro.waiting_on, tuple) else 0
     return None
 

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 from repro.analysis.stats import diurnal
 
+from .memo import Memoized
+
 #: Seconds per day.
 DAY = 86_400.0
 
 
 @dataclass(frozen=True)
-class CpuModel:
+class CpuModel(Memoized):
     """Utilization (in percent) as a function of time and leak count."""
 
     base_percent: float = 6.0
@@ -36,10 +38,19 @@ class CpuModel:
     cores: int = 4
 
     def baseline(self, t_seconds: float) -> float:
-        """Healthy diurnal utilization in percent."""
-        return diurnal(
+        """Healthy diurnal utilization in percent.
+
+        The last instant's value is memoized: every instance of a
+        service shares its model and samples at the same instant.
+        """
+        memo = self._memo
+        if memo is not None and memo[0] == t_seconds:
+            return memo[1]
+        value = diurnal(
             t_seconds, self.base_percent, self.diurnal_amplitude, period=DAY
         )
+        self.__dict__["_memo"] = (t_seconds, value)
+        return value
 
     def leak_burn(self, leaked_timer_goroutines: int) -> float:
         """Extra utilization (percent of total capacity) from leaks."""

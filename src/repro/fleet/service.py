@@ -40,6 +40,10 @@ def windows_in(days: float, window: float) -> int:
 
 _instance_ids = itertools.count()
 
+#: The CPU model of instances built without one.  Immutable, so they
+#: share it, and with it its memoized baseline.
+_DEFAULT_CPU_MODEL = CpuModel()
+
 
 class _WindowSeries:
     """One service's window series, recorded in one call under one lock."""
@@ -115,7 +119,7 @@ class ServiceInstance:
         self.service = service
         self.mix = mix
         self.traffic = traffic
-        self.cpu_model = cpu_model or CpuModel()
+        self.cpu_model = cpu_model or _DEFAULT_CPU_MODEL
         self.name = name or f"{service}/i-{next(_instance_ids)}"
         self.runtime = Runtime(
             seed=seed,
@@ -125,7 +129,8 @@ class ServiceInstance:
         )
         self.runtime.now = start_time
         #: Per-instance reachability-sweep cadence (virtual seconds).
-        #: When set, every window's idle tail runs repro.gc sweeps that
+        #: When set, repro.gc sweeps fire on the window's clock — inside
+        #: request runs, the last of which carries the idle tail — and
         #: annotate the profiles LeakProf later collects (and, with a
         #: reclaiming policy, vanquish proven leaks without a redeploy).
         self.gc_interval = gc_interval
@@ -137,18 +142,15 @@ class ServiceInstance:
 
     # -- serving -------------------------------------------------------------
 
-    def serve_one(self, handler) -> None:
-        """Run one request to completion (plus whatever it leaks)."""
-        self.runtime.run(
-            handler.bound(),
-            self.runtime,
-            deadline=self.runtime.now + 30.0,
-            detect_global_deadlock=False,
-        )
-        self.requests_served += 1
-
     def advance_window(self, window: float = WINDOW_SECONDS) -> InstanceMetrics:
         """Serve one window's traffic, then record a metrics sample.
+
+        Each request is one :meth:`Runtime.serve` call: its main
+        goroutine runs to a 30 s deadline (plus whatever it leaks).  The
+        window's idle tail, where leaked goroutines just sit and timers
+        and sweeps fire, rides the last request's run: its deadline is
+        the one a separate tail advance would reach.  A window with no
+        request idles in one plain advance.
 
         Instrumented at window granularity (one observation per call,
         labeled by service — never by instance, which would be
@@ -158,13 +160,22 @@ class ServiceInstance:
         series = _WINDOW_SERIES(self.service)
         started = _monotonic() if series is not None else 0.0
         runtime = self.runtime
-        t = runtime.now
-        request_count = self.traffic.requests_at(t)
-        for _ in range(request_count):
-            handler = self.mix.sample(runtime.rng)
-            self.serve_one(handler)
-        # idle the remainder of the window (leaked goroutines just sit)
-        runtime.advance(max(0.0, (t + window) - runtime.now))
+        end = runtime.now + window
+        request_count = self.traffic.requests_at(runtime.now)
+        if request_count:
+            sample_handler = self.mix.sample
+            rng = runtime.rng
+            serve = runtime.serve
+            last = request_count - 1
+            for index in range(request_count):
+                body, name = sample_handler(rng).main
+                deadline = runtime.now + 30.0
+                if index == last:
+                    deadline += max(0.0, end - deadline)
+                serve(body, name, deadline)
+                self.requests_served += 1
+        else:
+            runtime.advance(max(0.0, end - runtime.now))
         # Counter reads only: a sample never touches per-goroutine state.
         now = runtime.now
         blocked = runtime.blocked_goroutines_count

@@ -69,6 +69,15 @@ class Verdict(enum.Enum):
     PROVEN_LEAKED = "proven"
 
 
+# Module globals, not Enum class attributes: the classification loop
+# loads these once per parked goroutine per sweep, and a class-attribute
+# load costs a metaclass lookup.
+_LIVE = Verdict.LIVE
+_POSSIBLY_LEAKED = Verdict.POSSIBLY_LEAKED
+_PROVEN_LEAKED = Verdict.PROVEN_LEAKED
+_BLOCKED_SELECT = GoroutineState.BLOCKED_SELECT
+
+
 @dataclass(frozen=True)
 class LeakProof:
     """Why one goroutine can never be woken (or reached) again."""
@@ -208,7 +217,7 @@ def mark(
 
     for gid, goro in goros.items():
         if goro.state in ROOT_STATES:
-            result.verdicts[gid] = Verdict.LIVE
+            result.verdicts[gid] = _LIVE
             continue
         if gid in live:
             if (
@@ -220,18 +229,18 @@ def mark(
                     core_live, core_reachable,
                 )
             ):
-                result.verdicts[gid] = Verdict.PROVEN_LEAKED
+                result.verdicts[gid] = _PROVEN_LEAKED
                 result.proofs[gid] = _proof(runtime, goro, "timer-orbit")
             else:
-                result.verdicts[gid] = Verdict.LIVE
+                result.verdicts[gid] = _LIVE
             continue
         wake = wake_sets.get(gid)
         if wake is None:
-            result.verdicts[gid] = Verdict.POSSIBLY_LEAKED
+            result.verdicts[gid] = _POSSIBLY_LEAKED
             continue
-        result.verdicts[gid] = Verdict.PROVEN_LEAKED
+        result.verdicts[gid] = _PROVEN_LEAKED
         if wake == ():
-            if goro.state is GoroutineState.BLOCKED_SELECT:
+            if goro.state is _BLOCKED_SELECT:
                 reason = "empty-select"
             else:
                 reason = "nil-channel"

@@ -75,30 +75,50 @@ def is_externally_wakeable(record: GoroutineRecord) -> bool:
     return record.state in EXTERNALLY_WAKEABLE_STATES
 
 
+# Module globals, not Enum class attributes: ``classify`` runs once per
+# lingering record, and a class-attribute load costs a metaclass lookup.
+_BLOCKED_RECV = GoroutineState.BLOCKED_RECV
+_BLOCKED_SEND = GoroutineState.BLOCKED_SEND
+_BLOCKED_SELECT = GoroutineState.BLOCKED_SELECT
+_SLEEPING = GoroutineState.SLEEPING
+_COND_WAIT = GoroutineState.COND_WAIT
+_SEMACQUIRE = GoroutineState.SEMACQUIRE
+_CHAN_RECV = BlockType.CHAN_RECV
+_CHAN_RECV_NIL = BlockType.CHAN_RECV_NIL
+_CHAN_SEND = BlockType.CHAN_SEND
+_CHAN_SEND_NIL = BlockType.CHAN_SEND_NIL
+_SELECT = BlockType.SELECT
+_SELECT_NO_CASES = BlockType.SELECT_NO_CASES
+_SLEEP = BlockType.SLEEP
+_COND_WAIT_ROW = BlockType.COND_WAIT
+_SEMACQUIRE_ROW = BlockType.SEMACQUIRE
+_RUNNING_ROW = BlockType.RUNNING
+
+
 def classify(record: GoroutineRecord) -> BlockType:
     """Map one lingering goroutine to its Table IV row."""
     state = record.state
-    if state is GoroutineState.BLOCKED_RECV:
+    if state is _BLOCKED_RECV:
         if record.wait_detail == "nil":
-            return BlockType.CHAN_RECV_NIL
-        return BlockType.CHAN_RECV
-    if state is GoroutineState.BLOCKED_SEND:
+            return _CHAN_RECV_NIL
+        return _CHAN_RECV
+    if state is _BLOCKED_SEND:
         if record.wait_detail == "nil":
-            return BlockType.CHAN_SEND_NIL
-        return BlockType.CHAN_SEND
-    if state is GoroutineState.BLOCKED_SELECT:
+            return _CHAN_SEND_NIL
+        return _CHAN_SEND
+    if state is _BLOCKED_SELECT:
         if record.wait_detail in ("0", None):
-            return BlockType.SELECT_NO_CASES
-        return BlockType.SELECT
+            return _SELECT_NO_CASES
+        return _SELECT
     if state in EXTERNALLY_WAKEABLE_STATES:
         return _EXTERNALLY_WAKEABLE_ROWS[state]
-    if state is GoroutineState.SLEEPING:
-        return BlockType.SLEEP
-    if state is GoroutineState.COND_WAIT:
-        return BlockType.COND_WAIT
-    if state is GoroutineState.SEMACQUIRE:
-        return BlockType.SEMACQUIRE
-    return BlockType.RUNNING
+    if state is _SLEEPING:
+        return _SLEEP
+    if state is _COND_WAIT:
+        return _COND_WAIT_ROW
+    if state is _SEMACQUIRE:
+        return _SEMACQUIRE_ROW
+    return _RUNNING_ROW
 
 
 def census(records: Iterable[GoroutineRecord]) -> Dict[BlockType, int]:

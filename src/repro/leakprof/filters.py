@@ -27,6 +27,9 @@ from repro.runtime.goroutine import GoroutineState
 _TRANSIENT_CALLS = {"after", "tick", "done", "new_ticker"}
 #: Attribute accesses that denote ticker channels.
 _TRANSIENT_ATTRS = {"channel"}
+# Module globals, not Enum class attributes (a metaclass lookup each).
+_BLOCKED_SELECT = GoroutineState.BLOCKED_SELECT
+_BLOCKED_RECV = GoroutineState.BLOCKED_RECV
 
 
 @functools.lru_cache(maxsize=512)
@@ -124,10 +127,10 @@ def _location_verdict(state: GoroutineState, path: str, line: int) -> bool:
     tree = _module_ast(path)
     if tree is None:
         return False
-    if state is GoroutineState.BLOCKED_SELECT:
+    if state is _BLOCKED_SELECT:
         call = _find_blocking_call(tree, line, ("select",))
         return call is not None and _select_is_trivially_nonblocking(call)
-    if state is GoroutineState.BLOCKED_RECV:
+    if state is _BLOCKED_RECV:
         call = _find_blocking_call(tree, line, ("recv", "recv_ok"))
         return call is not None and _recv_is_trivially_nonblocking(call)
     return False

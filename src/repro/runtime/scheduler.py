@@ -125,7 +125,8 @@ class _RunSeries:
         ).labels()
         self.runs = reg.counter(
             "repro_sched_runs_total",
-            "run_until_quiescent calls (requests, windows, drains)",
+            "run_until_quiescent calls (one per request, idle window "
+            "or advance)",
         ).labels()
         self.steps = reg.counter(
             "repro_sched_steps_total",
@@ -155,7 +156,7 @@ _RUN_SERIES = obs.bind(_RunSeries)
 _TIMER_COMPACT_MIN = 32
 
 
-def _body_name(fn: Callable[..., Any]) -> str:
+def body_name(fn: Callable[..., Any]) -> str:
     """A goroutine's default name: its body's ``__qualname__``.
 
     ``functools.partial`` bodies (parameterised tests and handlers) are
@@ -451,7 +452,7 @@ class Runtime:
             gid,
             gen,
             self,
-            name or _body_name(fn),
+            name or body_name(fn),
             self.now,
             creation_ctx,
             stack_bytes or self.default_stack_bytes,
@@ -795,8 +796,27 @@ class Runtime:
             max_steps=max_steps,
             detect_global_deadlock=detect_global_deadlock,
         )
+        return self._reap_main(goro)
+
+    def serve(self, body: Callable[..., Any], name: str, deadline: float) -> None:
+        """Serve one request: run ``body(self)`` as the main goroutine.
+
+        The fleet's request path, one call per request.  ``body`` comes
+        with its parameters bound and ``name`` precomputed
+        (:attr:`repro.fleet.workload.Handler.main`).  The run goes to
+        ``deadline`` with no deadlock check — a window's last request
+        runs on through the window's idle tail — and records one run;
+        the main goroutine is then reaped as :meth:`run` reaps it.
+        """
+        goro = self._spawn(body, (self,), name, None, None, True)
+        self.run_until_quiescent(deadline)
+        self._reap_main(goro)
+
+    def _reap_main(self, goro: Goroutine) -> Any:
+        """After a run: raise the main goroutine's panic, or drop it once
+        done and return its result."""
         if goro.state is _PANICKED:
-            raise goro.panic  # pragma: no cover - panic_mode="raise" raises earlier
+            raise goro.panic
         result = goro.result
         if goro.state is _DONE:
             self._goroutines.pop(goro.gid, None)

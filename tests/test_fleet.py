@@ -56,6 +56,52 @@ class TestRequestMix:
         mix = leaky_mix(payload=123)
         handler = mix.handlers[0]
         assert dict(handler.params)["payload_bytes"] == 123
+        body, name = handler.main
+        assert body.keywords == {"payload_bytes": 123}
+        assert name == "leaky"
+        assert handler.main is handler.main
+
+    def test_sample_draws_one_uniform(self):
+        import random
+
+        mix = (
+            RequestMix()
+            .add("a", healthy.request_response, weight=0.7)
+            .add("b", healthy.waitgroup_barrier, weight=0.2)
+            .add("c", timeout_leak.leaky, weight=0.1)
+        )
+        rng, reference = random.Random(5), random.Random(5)
+        for _ in range(200):
+            point = reference.uniform(0, 0.7 + 0.2 + 0.1)
+            expected = "a" if point <= 0.7 else "b" if point <= 0.7 + 0.2 else "c"
+            assert mix.sample(rng).name == expected
+        assert rng.getstate() == reference.getstate()
+        # add() drops the weight table: the new handler is reachable
+        mix.add("d", healthy.request_response, weight=100.0)
+        assert "d" in {mix.sample(rng).name for _ in range(20)}
+
+    def test_memoized_values_stay_out_of_pickles_and_equality(self):
+        import pickle
+        import random
+
+        def fresh():
+            return (leaky_mix(payload=7), TrafficShape(), CpuModel())
+
+        used = fresh()
+        mix, traffic, cpu = used
+        mix.sample(random.Random(1))
+        mix.handlers[0].main
+        traffic.requests_at(3600.0)
+        cpu.baseline(3600.0)
+        assert all("_memo" in vars(obj)
+                   for obj in (mix, mix.handlers[0], traffic, cpu))
+        assert used == fresh()
+        assert hash(traffic) == hash(TrafficShape())
+        assert pickle.dumps(used) == pickle.dumps(fresh())
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used
+        assert not any("_memo" in vars(obj) for obj in (
+            restored[0], restored[0].handlers[0], restored[1], restored[2]))
 
 
 class TestTrafficShape:

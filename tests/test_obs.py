@@ -381,6 +381,8 @@ class TestPipelineInstrumentation:
 
 #: Every instance serves exactly this many requests per window.
 REQUESTS = 3
+#: Scheduler steps one window of ``small_fleet`` takes, every window.
+WINDOW_STEPS = 66
 
 
 def small_fleet() -> Fleet:
@@ -401,7 +403,10 @@ def small_fleet() -> Fleet:
 def fleet_series(registry: MetricsRegistry) -> dict:
     """The window's hot-path series, read back from a scrape."""
     families = parse_prometheus_text(registry.render())
-    out = {"runs": sample_value(families, "repro_sched_runs_total")}
+    out = {
+        "runs": sample_value(families, "repro_sched_runs_total"),
+        "steps": sample_value(families, "repro_sched_steps_total"),
+    }
     for svc in ("leaky", "ok"):
         by_service = {"service": svc}
         out[svc] = (
@@ -417,10 +422,13 @@ def fleet_series(registry: MetricsRegistry) -> dict:
 
 class TestBoundHandles:
     def expected_after_one_window(self, fleet: Fleet) -> dict:
-        # one run per request plus the window's idle advance, per instance
+        # one run per request: the window's idle tail rides the last
+        # request's run, so it adds no run and no step (66 steps per
+        # window, as when the tail had a run of its own)
         instances = sum(len(svc.instances) for svc in fleet)
         return {
-            "runs": instances * (REQUESTS + 1),
+            "runs": instances * REQUESTS,
+            "steps": WINDOW_STEPS,
             **{
                 name: (2, 2 * REQUESTS,
                        svc.history[-1].total_blocked_goroutines, 2)
