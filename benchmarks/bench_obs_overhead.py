@@ -2,22 +2,23 @@
 
 The paper's production bar is that monitoring must be featherlight
 (<1% CPU for LeakProf's collection plane); :mod:`repro.obs` holds itself
-to the same discipline by instrumenting at *run/window granularity* —
-one histogram observation per ``run_until_quiescent`` call, never per
-interpreter step — into metric children bound once per registry
-(``obs.bind``).  Two workloads gate it, each run with the default
-registry enabled and disabled, interleaved so thermal/JIT drift hits
-both sides equally:
+to the same discipline by instrumenting at *run/window granularity*,
+never per interpreter step: a run adds its wall time and steps to its
+runtime's plain tally, an instance-window its wall time and requests to
+the instance's, and :mod:`repro.obs.fold` publishes them once per
+service-window (or per standalone run).  Two workloads gate it, each run
+with the default registry enabled and disabled, interleaved so
+thermal/JIT drift hits both sides equally:
 
 * ``test_obs_overhead`` — the ping-pong from ``bench_sched_throughput``:
   20k rounds in one run, so per-run recording amortizes to ~0.  Gate:
   ``OBS_OVERHEAD_TOLERANCE`` (5%) of steps/sec, best of 3 pairs.
 * ``test_obs_overhead_fleet`` — an in-process week of a 250-instance
   fleet with a LeakProf sweep (snapshot -> profile -> scan) after every
-  window.  Each run is a request of ~3 interpreter steps and every
-  instance-window records, so nothing amortizes.  Gate:
+  window.  Each run is a request of a few interpreter steps and every
+  instance-window is timed, so little amortizes.  Gate:
   ``FLEET_OBS_OVERHEAD_TOLERANCE`` (20%) of CPU seconds, the median over
-  alternating pairs.
+  alternating pairs; the JSON also records their interquartile range.
 
 Both figures land in ``BENCH_obs_overhead.json``; either gate failing
 fails the benchmarks job.
@@ -202,6 +203,7 @@ def test_obs_overhead_fleet():
 
     ratios = [enabled / disabled - 1.0 for enabled, disabled in zip(on, off)]
     overhead = statistics.median(ratios)
+    low, _median, high = statistics.quantiles(ratios, n=4)
     units = FLEET_SERVICES * FLEET_INSTANCES * FLEET_WINDOWS
 
     print_table(
@@ -223,6 +225,7 @@ def test_obs_overhead_fleet():
         "unit": "fraction",
         "statistic": "median of per-pair (on / off - 1)",
         "pair_overheads": [round(r, 4) for r in ratios],
+        "iqr": [round(low, 4), round(high, 4)],
         "cpu_us_per_instance_window_disabled": round(
             statistics.median(off) / units * 1e6, 2),
         "cpu_us_per_instance_window_enabled": round(

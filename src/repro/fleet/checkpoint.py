@@ -39,7 +39,6 @@ shipped_gids, gc_sweeps)`` entry format are specified normatively in
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Union
 
 from repro.runtime import (
@@ -195,7 +194,6 @@ def restore_instance(blob: Dict[str, Any]) -> Any:
     runtime.default_stack_bytes = runtime_state["default_stack_bytes"]
     runtime._goroutine_bytes = runtime_state["goroutine_bytes"]
     runtime._chan_bytes = runtime_state["chan_bytes"]
-    runtime._gid_seq = itertools.count(runtime_state["spawned"] + 1)
 
     census = runtime._state_census
     main: Optional[Goroutine] = None

@@ -12,25 +12,15 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
+from repro.obs.fold import fold
 
 from .cpu import CpuModel
 from .determinism import aggregate_sample, build_instance
-from .service import ServiceInstance, WINDOW_SECONDS, windows_in
+from .service import ServiceInstance, WINDOW_SECONDS, drain, windows_in
 from .workload import RequestMix, TrafficShape
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gc import ReclaimPolicy
-
-#: ``repro_fleet_service_health`` children, one set per service.
-_HEALTH_METRICS = obs.bind(lambda reg, service: tuple(
-    reg.gauge(
-        "repro_fleet_service_health",
-        "Latest aggregated service sample, by service/field",
-        ("service", "field"),
-    ).labels(service, field)
-    for field in ("rss_bytes", "blocked_goroutines", "instances")
-))
-
 
 @dataclass
 class ServiceConfig:
@@ -215,12 +205,8 @@ class Service(RolloutBase):
             self.config.instances_represented,
         )
         self.history.append(sample)
-        health = _HEALTH_METRICS(self.config.name)
-        if health is not None:
-            rss, blocked, instances = health
-            rss.set(sample.total_rss_bytes)
-            blocked.set(sample.total_blocked_goroutines)
-            instances.set(len(self.instances))
+        fold(drain(self.instances))
+        publish_health(self.config.name, sample, len(self.instances))
         return sample
 
     # -- observability --------------------------------------------------------
@@ -275,6 +261,22 @@ class Fleet:
         """Advance the whole fleet ``days`` of virtual time."""
         for _ in range(windows_in(days, window)):
             self.advance_window(window)
+
+
+def publish_health(service: str, sample: ServiceSample, instances: int) -> None:
+    """Set ``repro_fleet_service_health`` from a committed window's sample."""
+    registry = obs.default_registry()
+    if registry.enabled:
+        health = registry.gauge(
+            "repro_fleet_service_health",
+            "Latest aggregated service sample, by service/field",
+            ("service", "field"),
+        )
+        health.labels(service, "rss_bytes").set(sample.total_rss_bytes)
+        health.labels(service, "blocked_goroutines").set(
+            sample.total_blocked_goroutines
+        )
+        health.labels(service, "instances").set(instances)
 
 
 def capacity_for(peak_instance_rss: int, safety: float = 1.3,

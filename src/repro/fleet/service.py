@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro import obs
-from repro.obs.registry import monotonic as _monotonic, share_lock
+from repro.obs.fold import Stats, Tally
+from repro.obs.registry import monotonic as _monotonic
 from repro.profiling import GoroutineProfile
 from repro.runtime import Runtime
 
@@ -43,43 +44,6 @@ _instance_ids = itertools.count()
 #: The CPU model of instances built without one.  Immutable, so they
 #: share it, and with it its memoized baseline.
 _DEFAULT_CPU_MODEL = CpuModel()
-
-
-class _WindowSeries:
-    """One service's window series, recorded in one call under one lock."""
-
-    __slots__ = ("registry", "lock", "seconds", "windows", "requests")
-
-    def __init__(self, reg: Any, service: str):
-        self.registry = reg
-        self.seconds = reg.histogram(
-            "repro_fleet_window_seconds",
-            "Wall-clock duration of one instance observation window",
-            ("service",),
-        ).labels(service)
-        self.windows = reg.counter(
-            "repro_fleet_windows_total",
-            "Observation windows served, by service",
-            ("service",),
-        ).labels(service)
-        self.requests = reg.counter(
-            "repro_fleet_requests_total",
-            "Requests served inside observation windows, by service",
-            ("service",),
-        ).labels(service)
-        self.lock = share_lock(self.seconds, self.windows, self.requests)
-
-    def record(self, seconds: float, requests: int) -> None:
-        if not self.registry.enabled:
-            return
-        with self.lock:
-            self.seconds._add(seconds)
-            self.windows._value += 1.0
-            self.requests._value += requests
-
-
-#: Per-service window series: one set of children per ``service`` label.
-_WINDOW_SERIES = obs.bind(_WindowSeries)
 
 
 @dataclass
@@ -139,6 +103,9 @@ class ServiceInstance:
             self.runtime.enable_gc(gc_interval, policy=gc_policy)
         self.requests_served = 0
         self.metrics: List[InstanceMetrics] = []
+        #: Windows not yet folded into the registry (seconds and
+        #: requests), drained by the window's owner (see :func:`drain`).
+        self.window_tally = Tally()
 
     # -- serving -------------------------------------------------------------
 
@@ -150,15 +117,16 @@ class ServiceInstance:
         window's idle tail, where leaked goroutines just sit and timers
         and sweeps fire, rides the last request's run: its deadline is
         the one a separate tail advance would reach.  A window with no
-        request idles in one plain advance.
+        request idles in one plain run to the window's end.
 
-        Instrumented at window granularity (one observation per call,
-        labeled by service — never by instance, which would be
-        unbounded cardinality under churn).  The parked-goroutine count
-        is read once and feeds both the sample and the CPU model.
+        Instrumented at window granularity, into :attr:`window_tally`,
+        which the window's owner drains (:func:`drain`) and folds by
+        service — never by instance, which would be unbounded
+        cardinality under churn.  The parked-goroutine count is read
+        once and feeds both the sample and the CPU model.
         """
-        series = _WINDOW_SERIES(self.service)
-        started = _monotonic() if series is not None else 0.0
+        counted = obs.default_registry().enabled
+        started = _monotonic() if counted else 0.0
         runtime = self.runtime
         end = runtime.now + window
         request_count = self.traffic.requests_at(runtime.now)
@@ -175,7 +143,7 @@ class ServiceInstance:
                 serve(body, name, deadline)
                 self.requests_served += 1
         else:
-            runtime.advance(max(0.0, end - runtime.now))
+            runtime._quiesce(runtime.now + max(0.0, end - runtime.now))
         # Counter reads only: a sample never touches per-goroutine state.
         now = runtime.now
         blocked = runtime.blocked_goroutines_count
@@ -188,8 +156,8 @@ class ServiceInstance:
             blocked_goroutines=blocked,
         )
         self.metrics.append(sample)
-        if series is not None:
-            series.record(_monotonic() - started, request_count)
+        if counted:
+            self.window_tally.add(_monotonic() - started, request_count)
         return sample
 
     # -- observability (what the paper's infra sees) -------------------------
@@ -233,3 +201,25 @@ class ServiceInstance:
         from repro.snapshot import snapshot_instance  # deferred: imports fleet
 
         return snapshot_instance(self)
+
+
+def drain(instances: Iterable[ServiceInstance]) -> Stats:
+    """Empty ``instances``' run and window tallies into one
+    :data:`~repro.obs.fold.Stats` value, services in first-seen order.
+
+    The fleet's one drain: ``Service.advance_window`` folds it once per
+    window and a shard worker ships it in its reply.
+    """
+    runs = Tally()
+    windows: Dict[str, Tally] = {}
+    for instance in instances:
+        runs.merge(instance.runtime.run_tally)
+        tally = windows.get(instance.service)
+        if tally is None:
+            tally = windows[instance.service] = Tally()
+        tally.merge(instance.window_tally)
+    return runs.take(), tuple(
+        (service, tally.take())
+        for service, tally in windows.items()
+        if tally.counts
+    )

@@ -127,6 +127,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.leakprof.detector import DEFAULT_THRESHOLD, SignatureAccumulator
+from repro.obs.fold import fold, well_formed
 from repro.obs.registry import monotonic as _monotonic
 from repro.snapshot import InstanceSnapshot
 from repro.snapshot.delta import (
@@ -148,9 +149,9 @@ from .checkpoint import (
     checkpoint_instance,
     restore_instance,
 )
-from .deployment import RolloutBase, ServiceConfig, ServiceSample
+from .deployment import RolloutBase, ServiceConfig, ServiceSample, publish_health
 from .determinism import aggregate_sample, build_instance as _build_instance
-from .service import ServiceInstance, WINDOW_SECONDS, windows_in
+from .service import ServiceInstance, WINDOW_SECONDS, drain, windows_in
 from .workload import RequestMix
 
 # _build_instance is repro.fleet.determinism.build_instance — the same
@@ -238,7 +239,9 @@ def _shard_worker(conn) -> None:
         order, compressed as one buffer (rows of instances in one window
         repeat heavily).  An instance without a slot is one this worker
         has since evicted, met only while replaying an old journal whose
-        replies the parent discards.
+        replies the parent discards.  The last element drains ``keys``'
+        run and window tallies: this command's only, so a reply that
+        replay discards never counts twice.
         """
         entries: List[WireDelta] = []
         for key in keys:
@@ -257,6 +260,7 @@ def _shard_worker(conn) -> None:
         ), 1)
         return ("delta", (
             window_seq, tuple(slot for slot, _key in owned), block, entries,
+            drain(instances[key] for key in keys),
         ))
 
     try:
@@ -774,7 +778,7 @@ class ShardedFleet:
         for (shard, _message), payload in zip(pairs, payloads):
             self._note_window(shard, payload[0], advance=False)
         for payload in payloads:
-            self._apply_deltas(payload)
+            self._ingest(payload)
 
     def _collect_reply(
         self, shard: int, message: Tuple,
@@ -896,29 +900,30 @@ class ShardedFleet:
         return kind, payload
 
     def _open_block(self, shard: int, payload: Tuple) -> Tuple:
-        """Decompress and check one delta reply's stat block.
+        """Decompress and check one delta reply's stat block and counts.
 
         The block must inflate to exactly one ``ROW_BYTES`` row per
         named slot, and every named slot must index a record the
         replying shard owns — a negative, out-of-range or non-integer
-        slot never does.  Anything else is a worker that answered
-        garbage, so it raises :class:`_WorkerFault` and supervision
-        respawns it.  Returns the payload with the raw rows in place of
-        the block.
+        slot never does.  The run and window tallies must be
+        :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
+        that answered garbage, so it raises :class:`_WorkerFault` and
+        supervision respawns it.  Returns the payload with the raw rows
+        in place of the block.
         """
         by_slot = self._by_slot
         try:
-            window, slots, block, entries = payload
+            window, slots, block, entries, stats = payload
             rows = zlib.decompress(block)
             valid = len(rows) == len(slots) * ROW_BYTES and all(
                 0 <= slot < len(by_slot) and by_slot[slot].shard == shard
                 for slot in slots
-            )
+            ) and well_formed(stats)
         except (TypeError, ValueError, zlib.error):
             valid = False
         if not valid:
             raise _WorkerFault(shard, "undecodable reply")
-        return (window, slots, rows, entries)
+        return (window, slots, rows, entries, stats)
 
     def _recv_replay(
         self, shard: int, open_block: bool = False
@@ -1218,7 +1223,7 @@ class ShardedFleet:
                     )
                 payloads.append(queue.popleft()[1])
             for payload in payloads:
-                self._apply_deltas(payload)
+                self._ingest(payload)
             self._committed_window = window
             _seconds, only = self._window_args.pop(window)
             for service in self.services.values():
@@ -1248,6 +1253,12 @@ class ShardedFleet:
             self.checkpoint()
 
     # -- ingest --------------------------------------------------------------
+
+    def _ingest(self, payload: Tuple) -> None:
+        """Fold one opened delta reply in: rows and deltas into the
+        instance records, run and window tallies into the registry."""
+        self._apply_deltas(payload[:4])
+        fold(payload[4])
 
     def _apply_deltas(
         self, payload: Tuple[int, Tuple[int, ...], bytes, List[WireDelta]],
@@ -1314,7 +1325,7 @@ class ShardedFleet:
         Delegates to the shared ``aggregate_sample`` — literally the
         same arithmetic ``Service.advance_window`` runs, which is the
         byte-identical-histories guarantee made structural.  Aggregates
-        the committed rows of the service's views.
+        the committed rows of the service's views; publishes its health.
         """
         rows = [record.view.row for record in service.instances]
         sample = aggregate_sample(
@@ -1323,6 +1334,7 @@ class ShardedFleet:
             service.config.instances_represented,
         )
         service.history.append(sample)
+        publish_health(service.config.name, sample, len(rows))
         return sample
 
     # -- the streaming plane -------------------------------------------------

@@ -31,46 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.scheduler import Runtime
 
 
-def _phase_seconds(reg, phase: str):
-    return reg.histogram(
-        "repro_gc_phase_seconds",
-        "Wall-clock duration of one gc sweep phase",
-        ("phase",),
-    ).labels(phase)
-
-
-#: Every sweep's series: sync/mark phase timings, the sweep and proof
-#: counters and the three verdict gauges.
-_SWEEP_METRICS = obs.bind(lambda reg: (
-    _phase_seconds(reg, "sync"),
-    _phase_seconds(reg, "mark"),
-    reg.counter("repro_gc_sweeps_total", "Reachability sweeps executed")
-    .labels(),
-    reg.counter("repro_gc_proofs_total", "Leak proofs newly established")
-    .labels(),
-) + tuple(
-    reg.gauge(
-        "repro_gc_verdicts",
-        "Verdict counts from the most recent sweep",
-        ("verdict",),
-    ).labels(verdict)
-    for verdict in ("live", "possibly_leaked", "proven_leaked")
-))
-
-#: The reclaim phase's series, bound only once a sweep reclaims.
-_RECLAIM_METRICS = obs.bind(lambda reg: (
-    _phase_seconds(reg, "reclaim"),
-    reg.counter(
-        "repro_gc_reclaimed_goroutines_total",
-        "Proven-leaked goroutines reclaimed in place",
-    ).labels(),
-    reg.counter(
-        "repro_gc_reclaimed_bytes_total",
-        "Bytes released by goroutine reclamation",
-    ).labels(),
-))
-
-
 @dataclass
 class GCReport:
     """Everything one sweep observed and did."""
@@ -137,15 +97,21 @@ def run_sweep(
     tracker = state.tracker
     started = time.perf_counter()
     work_before = tracker.work()
-    metrics = _SWEEP_METRICS()
+    # A sweep costs far more than looking its series up.
+    registry = obs.default_registry()
+    recording = registry.enabled
+    if recording:
+        phases = registry.histogram(
+            "repro_gc_phase_seconds",
+            "Wall-clock duration of one gc sweep phase",
+            ("phase",),
+        )
 
     if full:
         state.proven.clear()
     rescanned = tracker.sync(full=full)
-    if metrics is not None:
-        (sync_seconds, mark_seconds, sweeps, proofs,
-         live, possibly, proven) = metrics
-        sync_seconds.observe(time.perf_counter() - started)
+    if recording:
+        phases.labels("sync").observe(time.perf_counter() - started)
         mark_started = time.perf_counter()
 
     # Prune proofs of goroutines that already left (reclaimed earlier).
@@ -157,8 +123,8 @@ def run_sweep(
             state.proven.pop(gid)
 
     result: MarkResult = mark(runtime, tracker, skip=frozenset(state.proven))
-    if metrics is not None:
-        mark_seconds.observe(time.perf_counter() - mark_started)
+    if recording:
+        phases.labels("mark").observe(time.perf_counter() - mark_started)
 
     # Stamp verdicts: fresh ones from this mark pass, carried proofs for
     # the goroutines the incremental pass skipped.
@@ -180,9 +146,7 @@ def run_sweep(
     state.proven.update(result.proofs)
 
     reclaim_stats: Optional[ReclaimStats] = None
-    reclaim_metrics = None
     if policy is not None and policy.reclaims and state.proven:
-        reclaim_metrics = _RECLAIM_METRICS()
         reclaim_started = time.perf_counter()
         targets = [
             runtime._goroutines[gid]
@@ -195,9 +159,10 @@ def run_sweep(
             proofs=state.proven,
             keep_reports=policy is ReclaimPolicy.RECLAIM_AND_REPORT,
         )
-        if reclaim_metrics is not None:
-            reclaim_seconds, reclaimed, released = reclaim_metrics
-            reclaim_seconds.observe(time.perf_counter() - reclaim_started)
+        if recording:
+            phases.labels("reclaim").observe(
+                time.perf_counter() - reclaim_started
+            )
         # Reclaimed goroutines are gone; survivors were woken by the
         # unwind (wherever they parked next is a new state) and must be
         # re-proven — or not — by the next sweep.
@@ -228,13 +193,26 @@ def run_sweep(
         wall_seconds=time.perf_counter() - started,
     )
     state.reports.append(report)
-    if metrics is not None:
-        sweeps.inc()
-        proofs.inc(len(newly_proven))
-        live.set(report.live)
-        possibly.set(report.possibly_leaked)
-        proven.set(report.proven_leaked)
-    if reclaim_metrics is not None:
-        reclaimed.inc(reclaim_stats.reclaimed)
-        released.inc(reclaim_stats.bytes_released)
+    if recording:
+        registry.counter("repro_gc_sweeps_total", "Reachability sweeps executed").inc()
+        registry.counter(
+            "repro_gc_proofs_total", "Leak proofs newly established"
+        ).inc(len(newly_proven))
+        verdict_gauge = registry.gauge(
+            "repro_gc_verdicts",
+            "Verdict counts from the most recent sweep",
+            ("verdict",),
+        )
+        verdict_gauge.labels("live").set(report.live)
+        verdict_gauge.labels("possibly_leaked").set(report.possibly_leaked)
+        verdict_gauge.labels("proven_leaked").set(report.proven_leaked)
+        if reclaim_stats is not None:
+            registry.counter(
+                "repro_gc_reclaimed_goroutines_total",
+                "Proven-leaked goroutines reclaimed in place",
+            ).inc(reclaim_stats.reclaimed)
+            registry.counter(
+                "repro_gc_reclaimed_bytes_total",
+                "Bytes released by goroutine reclamation",
+            ).inc(reclaim_stats.bytes_released)
     return report

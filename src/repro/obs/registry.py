@@ -4,20 +4,18 @@ Dependency-free self-observability for the detection stack.  The design
 constraint is the paper's own bar: instrumentation must be featherlight
 enough to leave on in production.  Looking a series up — the registry's
 get-or-create by name, then ``labels()`` stringifying each label value —
-is the expensive part, so hot paths do it once: :func:`repro.obs.bind`
-resolves a path's children and hands the same objects back until the
-default registry is swapped or cleared (its :attr:`MetricsRegistry.epoch`
-moves).  A bound record is then an ``enabled`` check, a lock and a float
-add; a histogram adds one bisect for its bucket.  No formatting, no I/O.
-Exposition (:func:`render_prometheus`) walks the registry only when
-something actually scrapes it.
+costs microseconds, so the hottest paths tally runs and windows in
+plain fields that :mod:`repro.obs.fold` adds once per window.  A record
+is an ``enabled`` check, a lock and a float add; a histogram adds one
+bisect for its bucket.  No formatting, no I/O.  Exposition
+(:func:`render_prometheus`) walks the registry only when something
+actually scrapes it.
 
 Three metric kinds, all label-aware:
 
 * :class:`Counter` — monotonically increasing (``_total`` by convention);
 * :class:`Gauge` — a value that goes both ways (queue depths, census);
-* :class:`Histogram` — cumulative buckets with ``_sum``/``_count``, plus
-  a :meth:`Histogram.time` context manager over the monotonic clock.
+* :class:`Histogram` — cumulative buckets with ``_sum``/``_count``.
 
 A :class:`MetricsRegistry` is the unit of isolation: the process-wide
 default registry (see :mod:`repro.obs`) carries the pipeline series,
@@ -34,9 +32,9 @@ import bisect
 import re
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Monotonic clock used by every timing helper (never the virtual clock).
+#: Monotonic clock every recorded duration is read from (never virtual).
 monotonic = time.perf_counter
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -74,22 +72,6 @@ def format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-class _Timer:
-    """Context manager observing elapsed monotonic seconds into a child."""
-
-    __slots__ = ("_child", "_start")
-
-    def __init__(self, child: "_HistogramChild"):
-        self._child = child
-
-    def __enter__(self) -> "_Timer":
-        self._start = monotonic()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._child.observe(monotonic() - self._start)
 
 
 class _CounterChild:
@@ -160,11 +142,6 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         if not self._registry.enabled:
             return
-        with self._lock:
-            self._add(value)
-
-    def _add(self, value: float) -> None:
-        """Record ``value``; the caller holds ``_lock``."""
         # The first bound >= value; NaN compares false against every
         # bound, so it is pinned to +Inf (bisect alone would say 0).
         index = (
@@ -172,13 +149,21 @@ class _HistogramChild:
             if value == value
             else len(self._buckets)
         )
-        self._sum += value
-        self._count += 1
-        self._counts[index] += 1
+        with self._lock:
+            self._sum += value
+            self._count += 1
+            self._counts[index] += 1
 
-    def time(self) -> _Timer:
-        """``with hist.time():`` — observe the block's wall duration."""
-        return _Timer(self)
+    def merge(self, counts: Dict[int, int], total: float) -> None:
+        """Add drained observations, ``counts`` mapping a bucket's index
+        (``+Inf`` last) to how many landed in it, summing to ``total``."""
+        if not self._registry.enabled:
+            return
+        with self._lock:
+            for index, n in counts.items():
+                self._counts[index] += n
+                self._count += n
+            self._sum += total
 
     @property
     def sum(self) -> float:
@@ -205,20 +190,6 @@ class _HistogramChild:
         out.append(("_sum", {}, self._sum))
         out.append(("_count", {}, float(self._count)))
         return out
-
-
-def share_lock(*children: Any) -> Any:
-    """Make ``children`` share the first one's lock, and return it.
-
-    A hot path that records one event into several series takes that
-    lock once and updates them together (a histogram through ``_add``,
-    counters and gauges by their ``_value``), so a scrape never sees the
-    event half recorded.  The children's own methods take the same lock.
-    """
-    lock = children[0]._lock
-    for child in children[1:]:
-        child._lock = lock
-    return lock
 
 
 class _Metric:
@@ -253,6 +224,9 @@ class _Metric:
 
     def labels(self, *values, **kwargs):
         """The child for one concrete label set (created on first use)."""
+        child = self._children.get(values)
+        if child is not None and not kwargs:
+            return child  # label values already strings: the common case
         if kwargs:
             if values:
                 raise ValueError("pass label values positionally OR by name")
@@ -260,7 +234,7 @@ class _Metric:
                 values = tuple(kwargs[name] for name in self.labelnames)
             except KeyError as missing:
                 raise ValueError(f"missing label {missing}") from None
-        values = tuple(str(v) for v in values)
+        values = tuple(map(str, values))
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name} wants labels {self.labelnames}, got {values}"
@@ -350,9 +324,6 @@ class Histogram(_Metric):
     def observe(self, value: float) -> None:
         self._solo().observe(value)
 
-    def time(self) -> _Timer:
-        return self._solo().time()
-
     @property
     def sum(self) -> float:
         return self._solo().sum
@@ -372,9 +343,6 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        #: Bumped by :meth:`clear`, so bound children (``obs.bind``)
-        #: know the families they hold were dropped.
-        self.epoch = 0
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
@@ -434,7 +402,6 @@ class MetricsRegistry:
         """Drop every metric (tests; a fresh start, not a zeroing)."""
         with self._lock:
             self._metrics.clear()
-            self.epoch += 1
 
     def snapshot(self) -> Dict[str, Dict]:
         """Plain-data view of every metric — the fleet/observer API.
@@ -508,11 +475,6 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def timed(histogram_child) -> _Timer:
-    """Free-function alias: ``with timed(hist):`` times the block."""
-    return _Timer(histogram_child)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -524,5 +486,4 @@ __all__ = [
     "escape_help",
     "format_value",
     "monotonic",
-    "timed",
 ]

@@ -37,7 +37,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 import random
 
 from repro import obs
-from repro.obs.registry import monotonic as _monotonic, share_lock
+from repro.obs.fold import Tally, fold
+from repro.obs.registry import monotonic as _monotonic
 
 from .channel import Channel, NIL_CHANNEL
 from .errors import GlobalDeadlock, LeakReclaimed, Panic, SchedulerExhausted
@@ -106,50 +107,6 @@ _CENSUS_VALUE_SLOTS = tuple((s.value, s.census_index) for s in GoroutineState)
 #: scheduler, goleak, and the repro.gc mark engine agree by construction.
 _EXTERNALLY_WAKEABLE = EXTERNALLY_WAKEABLE_STATES
 
-
-class _RunSeries:
-    """The scheduler's four per-run series, recorded in one call.
-
-    The four children share one lock (``share_lock``), so :meth:`record`
-    lands a run's queue depth, count, steps and wall duration together:
-    a scrape sees whole runs only.
-    """
-
-    __slots__ = ("registry", "lock", "depth", "runs", "steps", "seconds")
-
-    def __init__(self, reg: Any):
-        self.registry = reg
-        self.depth = reg.gauge(
-            "repro_sched_run_queue_depth",
-            "Runnable goroutines queued when the last run started",
-        ).labels()
-        self.runs = reg.counter(
-            "repro_sched_runs_total",
-            "run_until_quiescent calls (one per request, idle window "
-            "or advance)",
-        ).labels()
-        self.steps = reg.counter(
-            "repro_sched_steps_total",
-            "Scheduler steps interpreted across all runtimes",
-        ).labels()
-        self.seconds = reg.histogram(
-            "repro_sched_run_seconds",
-            "Wall-clock duration of one run_until_quiescent call",
-        ).labels()
-        self.lock = share_lock(self.seconds, self.depth, self.runs, self.steps)
-
-    def record(self, depth: int, steps: int, seconds: float) -> None:
-        if not self.registry.enabled:
-            return
-        with self.lock:
-            self.depth._value = float(depth)
-            self.runs._value += 1.0
-            self.steps._value += steps
-            self.seconds._add(seconds)
-
-
-#: The per-run series, resolved once per default registry.
-_RUN_SERIES = obs.bind(_RunSeries)
 
 #: Timer-heap compaction: rebuild once the heap holds at least this many
 #: entries AND more than half of them are cancelled tombstones.
@@ -289,7 +246,6 @@ class Runtime:
         self._run_queue: Deque[Goroutine] = deque()
         self._timers: List[Tuple[float, int, _Timer]] = []
         self._timer_seq = itertools.count()
-        self._gid_seq = itertools.count(1)
         self._channels = _ChannelSet()
         self.main: Optional[Goroutine] = None
         self.panics: List[Tuple[Goroutine, BaseException]] = []
@@ -333,6 +289,12 @@ class Runtime:
         #: Optional snapshot.delta.DeltaTracker for streaming shipping;
         #: fed at the same mutation points as the gc tracker.
         self._delta: Optional[Any] = None
+        #: Runs not yet folded into the registry (seconds and steps),
+        #: drained by whoever owns them (see repro.obs.fold).  Keep the
+        #: instance attributes at 29 or fewer: past that CPython 3.11
+        #: gives every runtime a full ``__dict__`` and the step loop's
+        #: attribute loads slow down.
+        self.run_tally = Tally()
 
     # ------------------------------------------------------------------
     # Channels and timers
@@ -447,7 +409,8 @@ class Runtime:
                 f"goroutine body {fn!r} must be a generator function "
                 "(use 'yield' for channel ops; plain functions cannot block)"
             )
-        gid = next(self._gid_seq)
+        # gids count from 1 in spawn order: the spawn count is the last one
+        gid = self.goroutines_spawned + 1
         goro = Goroutine(
             gid,
             gen,
@@ -459,7 +422,7 @@ class Runtime:
             is_main,
         )
         self._goroutines[gid] = goro
-        self.goroutines_spawned += 1
+        self.goroutines_spawned = gid
         self._live_count += 1
         self._state_census[_RUNNABLE_IDX] += 1
         self._goroutine_bytes += goro.stack_bytes
@@ -485,10 +448,9 @@ class Runtime:
             self._gc_state.tracker.forget(goro.gid)
         if self._delta is not None:
             self._delta.on_finish(goro.gid)
-        if not goro.is_main:
-            # Done goroutines leave the address space entirely; keep main
-            # for run() to read its result.
-            self._goroutines.pop(goro.gid, None)
+        # Done goroutines leave the address space entirely; a main's
+        # reaper reads its result from the goroutine it holds.
+        self._goroutines.pop(goro.gid, None)
 
     def _record_panic(self, goro: Goroutine, exc: BaseException) -> None:
         self._state_census[goro.state.census_index] -= 1
@@ -686,22 +648,32 @@ class Runtime:
         ``detect_global_deadlock`` the runtime mimics Go's fatal
         ``all goroutines are asleep`` check.
 
-        Instrumentation rides at *run* granularity, never per step: one
-        record of queue depth, steps and wall time per call, into series
-        bound once (``obs.bind``), keeps the interpreter hot loop
-        untouched (the bench_obs_overhead gates).
+        Instrumentation rides at *run* granularity, never per step: the
+        run adds its wall time and steps to :attr:`run_tally`, and a
+        standalone call like this one folds it, with the queue depth it
+        started with, on return (:mod:`repro.obs.fold`).
         """
-        series = _RUN_SERIES()
         depth = len(self._run_queue)
-        steps_before = self.steps
-        if series is not None:
+        try:
+            self._quiesce(deadline, max_steps, detect_global_deadlock)
+        finally:
+            fold((self.run_tally.take(), ()), depth)
+
+    def _quiesce(self, deadline: Optional[float],
+                 max_steps: int = DEFAULT_MAX_STEPS,
+                 detect_global_deadlock: bool = False) -> None:
+        """:meth:`run_until_quiescent` without the fold: the run stays
+        in :attr:`run_tally` for its window's owner to drain."""
+        counted = obs.default_registry().enabled
+        if counted:
             started = _monotonic()
+        steps_before = self.steps
         try:
             exhausted = self._run(steps_before + max_steps, deadline, True)
         finally:
-            if series is not None:
-                series.record(
-                    depth, self.steps - steps_before, _monotonic() - started
+            if counted:
+                self.run_tally.add(
+                    _monotonic() - started, self.steps - steps_before
                 )
         if exhausted:
             raise SchedulerExhausted(self.steps)
@@ -805,24 +777,21 @@ class Runtime:
         with its parameters bound and ``name`` precomputed
         (:attr:`repro.fleet.workload.Handler.main`).  The run goes to
         ``deadline`` with no deadlock check — a window's last request
-        runs on through the window's idle tail — and records one run;
-        the main goroutine is then reaped as :meth:`run` reaps it.
+        runs on through the window's idle tail — and counts one run for
+        the window's owner to fold; main is then reaped as :meth:`run` does.
         """
         goro = self._spawn(body, (self,), name, None, None, True)
-        self.run_until_quiescent(deadline)
+        self._quiesce(deadline)
         self._reap_main(goro)
 
     def _reap_main(self, goro: Goroutine) -> Any:
-        """After a run: raise the main goroutine's panic, or drop it once
-        done and return its result."""
+        """After a run: raise the main goroutine's panic, or return its
+        result (``_finish`` already dropped it from the table if done)."""
         if goro.state is _PANICKED:
             raise goro.panic
-        result = goro.result
-        if goro.state is _DONE:
-            self._goroutines.pop(goro.gid, None)
-            if self.main is goro:
-                self.main = None
-        return result
+        if goro.state is _DONE and self.main is goro:
+            self.main = None
+        return goro.result
 
     def advance(self, duration: float, max_steps: int = DEFAULT_MAX_STEPS) -> None:
         """Advance the virtual clock by ``duration``, running whatever wakes."""

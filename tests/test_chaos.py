@@ -194,7 +194,9 @@ class _TamperOnce:
     """A shard pipe whose next delta reply has its stat block spoiled.
 
     ``"named_slot"`` makes the reply name ``slot`` in place of its first
-    slot (the rows stay well-formed, so only ownership can refuse it).
+    slot (the rows stay well-formed, so only ownership can refuse it);
+    ``"negative_steps"`` leaves the block alone and spoils the reply's
+    run and window counts instead.
     """
 
     def __init__(self, conn, tamper, slot=None):
@@ -207,7 +209,7 @@ class _TamperOnce:
         kind, payload = pickle.loads(buf)
         if self._tamper is None or kind != "delta":
             return buf
-        window, slots, block, entries = payload
+        window, slots, block, entries, stats = payload
         if self._tamper == "truncated":
             block = zlib.compress(zlib.decompress(block)[:-1], 1)
         elif self._tamper == "foreign_slot":
@@ -218,10 +220,13 @@ class _TamperOnce:
             slots = (-1,) + slots[1:]
         elif self._tamper == "float_slot":
             slots = (float(slots[0]),) + slots[1:]
+        elif self._tamper == "negative_steps":
+            runs, windows = stats
+            stats = ((-1,) + runs[1:], windows)
         else:
             block = b"not a zlib stream"
         self._tamper = None
-        return pickle.dumps((kind, (window, slots, block, entries)))
+        return pickle.dumps((kind, (window, slots, block, entries, stats)))
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -289,14 +294,15 @@ class TestShardSupervision:
     @pytest.mark.parametrize(
         "tamper",
         ["truncated", "foreign_slot", "not_zlib", "negative_slot",
-         "float_slot"],
+         "float_slot", "negative_steps"],
     )
     def test_bad_stat_block_respawns_worker(self, tamper):
         """Negative controls for the stat-block checks: a reply whose
         block is short, names a slot another shard owns, names a
-        negative or non-integer slot, or does not inflate is a garbling
-        worker — respawned and replayed, with the results unchanged.
-        (Slot -1 would index shard 0's own last record, slot 4.)"""
+        negative or non-integer slot, or does not inflate, or whose run
+        counts hold a negative step count, is a garbling worker —
+        respawned and replayed, with the results unchanged.  (Slot -1
+        would index shard 0's own last record, slot 4.)"""
         reference = _reference_histories(3)
         fleet = ShardedFleet(shards=2, worker_deadline=10.0)
         for config, seed in _configs():

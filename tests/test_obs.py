@@ -7,7 +7,15 @@ import json
 import pytest
 
 from repro import obs
-from repro.fleet import Fleet, RequestMix, Service, ServiceConfig, TrafficShape
+from repro.chaos import FaultKind, FaultSchedule, ShardChaos
+from repro.fleet import (
+    Fleet,
+    RequestMix,
+    Service,
+    ServiceConfig,
+    ShardedFleet,
+    TrafficShape,
+)
 from repro.ingest import IngestClient, IngestError, IngestServer, IngestStore
 from repro.leakprof import LeakProf
 from repro.obs import MetricsRegistry, Tracer
@@ -376,7 +384,7 @@ class TestPipelineInstrumentation:
 
 
 # ---------------------------------------------------------------------------
-# Bound metric handles (obs.bind) on the fleet's hot path
+# The fleet's window series, folded once per service-window
 # ---------------------------------------------------------------------------
 
 #: Every instance serves exactly this many requests per window.
@@ -492,6 +500,117 @@ class TestBoundHandles:
         obs.configure(enabled=True)
         assert histories[0] == histories[1]
         assert histories[0]["leaky"][-1].total_blocked_goroutines > 0
+
+
+# ---------------------------------------------------------------------------
+# One metrics path: a sharded scrape equals the serial one
+# ---------------------------------------------------------------------------
+
+PARITY_SERVICES = ("leaky", "ok", "idle")
+PARITY_WINDOWS = 12
+
+
+def parity_configs():
+    def config(name, body, instances, traffic):
+        return ServiceConfig(
+            name=name,
+            mix=RequestMix().add("h", body, weight=1.0),
+            instances=instances,
+            traffic=traffic,
+        )
+
+    return [
+        (config("leaky", timeout_leak.leaky, 3,
+                TrafficShape(requests_per_window=4)), 5),
+        (config("ok", healthy.request_response, 2,
+                TrafficShape(requests_per_window=4)), 6),
+        # requests_at swings over [0, 2] and hours 6-9 are silenced, so
+        # some of its windows serve no request at all
+        (config("idle", healthy.request_response, 2,
+                TrafficShape(requests_per_window=1, diurnal_fraction=2.0,
+                             surges=((6 * 3600.0, 9 * 3600.0, 0.0),))), 7),
+    ]
+
+
+def parity_series(registry: MetricsRegistry) -> dict:
+    """Every run and window series a serial and a sharded scrape share."""
+    families = parse_prometheus_text(registry.render())
+    out = {
+        name: sample_value(families, name)
+        for name in ("repro_sched_runs_total", "repro_sched_steps_total",
+                     "repro_sched_run_seconds_count")
+    }
+    for svc in PARITY_SERVICES:
+        by_service = {"service": svc}
+        for name in ("repro_fleet_windows_total",
+                     "repro_fleet_requests_total",
+                     "repro_fleet_window_seconds_count"):
+            out[name, svc] = sample_value(families, name, by_service)
+        for field in ("rss_bytes", "blocked_goroutines", "instances"):
+            out["repro_fleet_service_health", svc, field] = sample_value(
+                families, "repro_fleet_service_health",
+                {**by_service, "field": field},
+            )
+    return out
+
+
+def scrape_after_week(make_fleet) -> tuple:
+    """Run a fleet into a fresh default registry; return the scrape of
+    its run and window series, and the fleet."""
+    registry = MetricsRegistry()
+    obs.set_default_registry(registry)
+    fleet = make_fleet()
+    for config, seed in parity_configs():
+        if isinstance(fleet, ShardedFleet):
+            fleet.add_service(config, seed=seed)
+        else:
+            fleet.add(Service(config, seed=seed))
+    if isinstance(fleet, ShardedFleet):
+        with fleet:
+            fleet.start()
+            fleet.run_days(PARITY_WINDOWS * 3600.0 / 86_400, 3600.0)
+    else:
+        fleet.run_days(PARITY_WINDOWS * 3600.0 / 86_400, 3600.0)
+    return parity_series(registry), fleet
+
+
+class TestScrapeParity:
+    def test_sharded_scrape_equals_serial(self):
+        """Worker counts cross the process boundary: at 1 and 2 shards,
+        and after a mid-week SIGKILL with a checkpoint behind it, the
+        parent's scrape of every run and window series equals the
+        serial fleet's — merged into the same label sets, each command's
+        counts folded exactly once."""
+        serial, fleet = scrape_after_week(Fleet)
+        served = [m.requests_served
+                  for i in fleet.services["idle"].instances
+                  for m in i.metrics]
+        assert 0 in served and max(served) > 0, "no idle window; vacuous"
+        assert all(value is not None for value in serial.values())
+        # one run per request, plus one per zero-request window
+        assert serial["repro_sched_runs_total"] == sum(
+            i.requests_served for i in fleet.all_instances()
+        ) + served.count(0)
+        assert serial["repro_fleet_windows_total", "idle"] == (
+            2 * PARITY_WINDOWS
+        )
+
+        for shards in (1, 2):
+            sharded, _ = scrape_after_week(lambda: ShardedFleet(shards=shards))
+            assert sharded == serial, shards
+
+        # shard 1's ops: init, four advances, the checkpoint, then the
+        # kill lands on window 6's advance; replay re-runs window 5,
+        # whose reply (already folded once) is discarded
+        schedule = FaultSchedule().pin(FaultKind.KILL_WORKER, 1, 7)
+        sharded, fleet = scrape_after_week(lambda: ShardedFleet(
+            shards=2, chaos=ShardChaos(schedule), checkpoint_every=4,
+            worker_deadline=10.0,
+        ))
+        assert schedule.fired_count(FaultKind.KILL_WORKER) == 1
+        assert fleet.worker_restarts == 1 and fleet.restores_performed == 1
+        assert fleet.replay_lengths == [2]
+        assert sharded == serial
 
 
 # ---------------------------------------------------------------------------

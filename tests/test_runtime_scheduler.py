@@ -492,3 +492,21 @@ class TestStackCapture:
         frames = capture_stack(g)
         assert len(frames) == 1
         assert frames[0].function.endswith("gen")
+
+
+def test_finished_mains_leave_the_goroutine_table():
+    """A main goroutine that outlives its run leaves ``_goroutines``
+    when it finishes, like any other goroutine: in the lingering-main
+    fleet the table holds exactly the live goroutines after every
+    window."""
+    from test_request_pins import CASES, serial
+
+    configs, windows, window = CASES["lingering-main"]
+    fleet = serial(configs())
+    for _ in range(windows):
+        fleet.advance_window(window)
+        for instance in fleet.all_instances():
+            runtime = instance.runtime
+            assert len(runtime._goroutines) == runtime.num_goroutines, (
+                instance.name
+            )
