@@ -279,13 +279,15 @@ def publish_health(service: str, sample: ServiceSample, instances: int) -> None:
         health.labels(service, "instances").set(instances)
 
 
-def capacity_for(peak_instance_rss: int, safety: float = 1.3,
-                 granularity_gb: float = 1.0) -> float:
+CAPACITY_GRANULARITY_GB = 1.0
+
+
+def capacity_for(peak_instance_rss: int, safety: float = 1.3) -> float:
     """Provisioned per-instance memory (GB) for an observed peak RSS.
 
-    Owners provision peak × safety rounded up to the allocator's
-    granularity — the "Capacity (GB) per instance" column of Table V.
+    Owners provision peak × safety rounded up to the allocator's step
+    (``CAPACITY_GRANULARITY_GB``): Table V's "Capacity (GB) per instance".
     """
     gb = peak_instance_rss * safety / (1024 ** 3)
-    steps = max(1, -(-gb // granularity_gb))  # ceil division
-    return steps * granularity_gb
+    steps = max(1, -(-gb // CAPACITY_GRANULARITY_GB))  # ceil division
+    return steps * CAPACITY_GRANULARITY_GB

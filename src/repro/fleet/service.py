@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro import obs
-from repro.obs.fold import Stats, Tally
+from repro.obs.fold import GCTally, Stats, Tally
 from repro.obs.registry import monotonic as _monotonic
 from repro.profiling import GoroutineProfile
 from repro.runtime import Runtime
@@ -204,7 +204,7 @@ class ServiceInstance:
 
 
 def drain(instances: Iterable[ServiceInstance]) -> Stats:
-    """Empty ``instances``' run and window tallies into one
+    """Empty ``instances``' run, window and sweep tallies into one
     :data:`~repro.obs.fold.Stats` value, services in first-seen order.
 
     The fleet's one drain: ``Service.advance_window`` folds it once per
@@ -212,14 +212,19 @@ def drain(instances: Iterable[ServiceInstance]) -> Stats:
     """
     runs = Tally()
     windows: Dict[str, Tally] = {}
+    sweeps: Optional[GCTally] = None
     for instance in instances:
-        runs.merge(instance.runtime.run_tally)
+        runtime = instance.runtime
+        runs.merge(runtime.run_tally)
         tally = windows.get(instance.service)
         if tally is None:
             tally = windows[instance.service] = Tally()
         tally.merge(instance.window_tally)
+        if runtime._gc_state is not None:
+            sweeps = sweeps or GCTally()
+            sweeps.merge(runtime._gc_state.tally)
     return runs.take(), tuple(
         (service, tally.take())
         for service, tally in windows.items()
         if tally.counts
-    )
+    ), None if sweeps is None else sweeps.take()

@@ -240,8 +240,8 @@ def _shard_worker(conn) -> None:
         repeat heavily).  An instance without a slot is one this worker
         has since evicted, met only while replaying an old journal whose
         replies the parent discards.  The last element drains ``keys``'
-        run and window tallies: this command's only, so a reply that
-        replay discards never counts twice.
+        run, window and sweep tallies: this command's only, so a reply
+        that replay discards never counts twice.
         """
         entries: List[WireDelta] = []
         for key in keys:
@@ -905,7 +905,7 @@ class ShardedFleet:
         The block must inflate to exactly one ``ROW_BYTES`` row per
         named slot, and every named slot must index a record the
         replying shard owns — a negative, out-of-range or non-integer
-        slot never does.  The run and window tallies must be
+        slot never does.  The run, window and sweep tallies must be
         :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
         that answered garbage, so it raises :class:`_WorkerFault` and
         supervision respawns it.  Returns the payload with the raw rows
@@ -1256,7 +1256,7 @@ class ShardedFleet:
 
     def _ingest(self, payload: Tuple) -> None:
         """Fold one opened delta reply in: rows and deltas into the
-        instance records, run and window tallies into the registry."""
+        instance records, its tallies into the registry."""
         self._apply_deltas(payload[:4])
         fold(payload[4])
 

@@ -219,11 +219,6 @@ class ReferenceTracker:
             self._cache.clear()
             self._chan_cache.clear()
             self._dirty = {gid for gid, g in goroutines.items() if g.alive}
-        # Prune records of goroutines that left without a forget() (e.g.
-        # a finished main popped by Runtime.run).
-        for gid in list(self._cache):
-            if gid not in goroutines:
-                self._cache.pop(gid, None)
         rescanned = 0
         for gid in list(self._dirty):
             goro = goroutines.get(gid)

@@ -6,8 +6,9 @@ State persists across sweeps on the runtime (``runtime._gc_state``):
 
 * the :class:`~repro.gc.refs.ReferenceTracker` with its dirty sets,
 * the set of goroutines already proven leaked (proofs are stable, so
-  incremental sweeps never re-mark them), and
-* the report history (``runtime.gc_reports``).
+  incremental sweeps never re-mark them),
+* the report history (``runtime.gc_reports``), and
+* ``tally``, the sweeps not yet folded (a sweep writes no metric).
 
 Every sweep also stamps each live goroutine's ``gc_verdict``, which is
 how proofs flow outward: goroutine profiles snapshot the verdict, the
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro import obs
+from repro.obs.fold import GCTally
 
 from .mark import LeakProof, MarkResult, Verdict, mark
 from .reclaim import ReclaimPolicy, ReclaimStats, reclaim_goroutines
@@ -74,13 +75,7 @@ class GCState:
         self.tracker = ReferenceTracker(runtime)
         self.proven: Dict[int, LeakProof] = {}
         self.reports: List[GCReport] = []
-        self.sweeps = 0
-
-
-def ensure_state(runtime: "Runtime") -> GCState:
-    if runtime._gc_state is None:
-        runtime._gc_state = GCState(runtime)
-    return runtime._gc_state
+        self.tally = GCTally()
 
 
 def run_sweep(
@@ -93,26 +88,17 @@ def run_sweep(
     ``policy`` decides what happens to proven leaks; ``None`` is
     ``ReclaimPolicy.OBSERVE``.
     """
-    state = ensure_state(runtime)
+    state = runtime._gc_state
+    if state is None:
+        state = runtime._gc_state = GCState(runtime)
     tracker = state.tracker
     started = time.perf_counter()
     work_before = tracker.work()
-    # A sweep costs far more than looking its series up.
-    registry = obs.default_registry()
-    recording = registry.enabled
-    if recording:
-        phases = registry.histogram(
-            "repro_gc_phase_seconds",
-            "Wall-clock duration of one gc sweep phase",
-            ("phase",),
-        )
 
     if full:
         state.proven.clear()
     rescanned = tracker.sync(full=full)
-    if recording:
-        phases.labels("sync").observe(time.perf_counter() - started)
-        mark_started = time.perf_counter()
+    synced = time.perf_counter()
 
     # Prune proofs of goroutines that already left (reclaimed earlier).
     alive_gids = {
@@ -123,8 +109,8 @@ def run_sweep(
             state.proven.pop(gid)
 
     result: MarkResult = mark(runtime, tracker, skip=frozenset(state.proven))
-    if recording:
-        phases.labels("mark").observe(time.perf_counter() - mark_started)
+    state.tally.sync.add(synced - started, 0)
+    state.tally.mark.add(time.perf_counter() - synced, len(result.proofs))
 
     # Stamp verdicts: fresh ones from this mark pass, carried proofs for
     # the goroutines the incremental pass skipped.
@@ -159,10 +145,10 @@ def run_sweep(
             proofs=state.proven,
             keep_reports=policy is ReclaimPolicy.RECLAIM_AND_REPORT,
         )
-        if recording:
-            phases.labels("reclaim").observe(
-                time.perf_counter() - reclaim_started
-            )
+        state.tally.reclaim.add(
+            time.perf_counter() - reclaim_started, reclaim_stats.reclaimed
+        )
+        state.tally.released += reclaim_stats.bytes_released
         # Reclaimed goroutines are gone; survivors were woken by the
         # unwind (wherever they parked next is a new state) and must be
         # re-proven — or not — by the next sweep.
@@ -173,10 +159,9 @@ def run_sweep(
     for verdict in verdicts.values():
         counts[verdict] += 1
 
-    state.sweeps += 1
     report = GCReport(
         at=runtime.now,
-        sweep_index=state.sweeps,
+        sweep_index=len(state.reports) + 1,
         incremental=not full,
         goroutines_total=len(alive_gids),
         goroutines_rescanned=rescanned,
@@ -193,26 +178,4 @@ def run_sweep(
         wall_seconds=time.perf_counter() - started,
     )
     state.reports.append(report)
-    if recording:
-        registry.counter("repro_gc_sweeps_total", "Reachability sweeps executed").inc()
-        registry.counter(
-            "repro_gc_proofs_total", "Leak proofs newly established"
-        ).inc(len(newly_proven))
-        verdict_gauge = registry.gauge(
-            "repro_gc_verdicts",
-            "Verdict counts from the most recent sweep",
-            ("verdict",),
-        )
-        verdict_gauge.labels("live").set(report.live)
-        verdict_gauge.labels("possibly_leaked").set(report.possibly_leaked)
-        verdict_gauge.labels("proven_leaked").set(report.proven_leaked)
-        if reclaim_stats is not None:
-            registry.counter(
-                "repro_gc_reclaimed_goroutines_total",
-                "Proven-leaked goroutines reclaimed in place",
-            ).inc(reclaim_stats.reclaimed)
-            registry.counter(
-                "repro_gc_reclaimed_bytes_total",
-                "Bytes released by goroutine reclamation",
-            ).inc(reclaim_stats.bytes_released)
     return report

@@ -26,12 +26,12 @@ class TokenBucket:
         self.tokens = burst
         self.updated_at = now
 
-    def try_acquire(self, now: float, cost: float = 1.0) -> bool:
+    def try_acquire(self, now: float) -> bool:
         elapsed = max(0.0, now - self.updated_at)
         self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
         self.updated_at = now
-        if self.tokens >= cost:
-            self.tokens -= cost
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 
@@ -51,11 +51,11 @@ class RateLimiter:
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
 
-    def allow(self, key: str, cost: float = 1.0) -> bool:
+    def allow(self, key: str) -> bool:
         now = self._clock()
         with self._lock:
             bucket = self._buckets.get(key)
             if bucket is None:
                 bucket = TokenBucket(self.rate, self.burst, now)
                 self._buckets[key] = bucket
-            return bucket.try_acquire(now, cost)
+            return bucket.try_acquire(now)

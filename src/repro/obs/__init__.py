@@ -10,8 +10,8 @@ It is dependency-free (stdlib only) and split in four:
   in-memory ring-buffer exporter (queryable in tests, dumpable as JSON);
 * :mod:`repro.obs.parse` — the exposition-format parser (round-trip
   tests, the CLI, CI scrape gates);
-* :mod:`repro.obs.fold` — the one path run and window counts take into
-  the registry.
+* :mod:`repro.obs.fold` — the one path run, window and gc sweep counts
+  take into the registry.
 
 Process-wide defaults live here: every instrumented subsystem (runtime
 scheduler, gc sweeps, LeakProf runs, ingest scans, remedy rollouts,
@@ -21,8 +21,8 @@ shows the whole pipeline.  ``configure(enabled=False)`` turns all of it
 off — the uninstrumented baseline ``benchmarks/bench_obs_overhead.py``
 measures against.  It gates two workloads with metrics on: ≤5% steps/sec
 on a scheduler ping-pong, and ≤20% CPU on an in-process fleet week, where
-runs are a few steps each; runs and windows are tallied in plain fields
-and folded once per window (:mod:`repro.obs.fold`).
+runs are a few steps each; runs, windows and sweeps are tallied in plain
+fields and folded once per window (:mod:`repro.obs.fold`).
 
 Ingest daemons additionally keep a *private* registry each (so two
 servers in one process never mix counters); their ``/metrics`` endpoint

@@ -649,15 +649,22 @@ class Runtime:
         ``all goroutines are asleep`` check.
 
         Instrumentation rides at *run* granularity, never per step: the
-        run adds its wall time and steps to :attr:`run_tally`, and a
-        standalone call like this one folds it, with the queue depth it
-        started with, on return (:mod:`repro.obs.fold`).
+        run adds its wall time and steps to :attr:`run_tally`; a
+        standalone call like this one folds it and its gc timer's sweeps
+        on return, with the queue depth it started with (:mod:`repro.obs.fold`).
         """
         depth = len(self._run_queue)
         try:
             self._quiesce(deadline, max_steps, detect_global_deadlock)
         finally:
-            fold((self.run_tally.take(), ()), depth)
+            self._fold(depth)
+
+    def _fold(self, depth: Optional[int] = None) -> None:
+        """Fold a standalone call's runs and sweeps (:mod:`repro.obs.fold`)."""
+        state = self._gc_state
+        sweeps = None if state is None else state.tally.take()
+        latest = state.reports[-1] if state and state.reports else None
+        fold((self.run_tally.take(), (), sweeps), depth, latest)
 
     def _quiesce(self, deadline: Optional[float],
                  max_steps: int = DEFAULT_MAX_STEPS,
@@ -893,31 +900,29 @@ class Runtime:
         dirtied since the previous sweep are re-scanned and goroutines
         already proven leaked are never re-marked (a proof is stable: an
         unreachable channel can never become reachable again).  ``full``
-        forces a from-scratch re-mark.
+        forces a from-scratch re-mark.  The sweep is folded on return.
         """
         from repro.gc.sweep import run_sweep  # deferred: repro.gc imports us
 
-        return run_sweep(self, full=full, policy=policy)
+        report = run_sweep(self, full=full, policy=policy)
+        self._fold()
+        return report
 
-    def enable_gc(
-        self,
-        interval: float,
-        policy: Optional[Any] = None,
-        full: bool = False,
-    ) -> None:
-        """Schedule periodic sweeps every ``interval`` virtual seconds.
+    def enable_gc(self, interval: float, policy: Optional[Any] = None) -> None:
+        """Schedule incremental sweeps every ``interval`` virtual seconds.
 
         The sweep timer keeps rescheduling itself but never counts as
         pending work: a run without a ``deadline`` still quiesces once
         the sweep timer is the only thing left on the clock, and the
-        global-deadlock check ignores it.
+        global-deadlock check ignores it.  Its sweeps fold with the run.
         """
+        from repro.gc.sweep import run_sweep  # deferred: repro.gc imports us
         if interval <= 0:
             raise ValueError("non-positive gc interval")
         self.disable_gc()
 
         def sweep_and_reschedule() -> None:
-            self.gc(full=full, policy=policy)
+            run_sweep(self, policy=policy)
             self._gc_timer = self.call_later(interval, sweep_and_reschedule)
             self._exempt_timer(self._gc_timer)
 

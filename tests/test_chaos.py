@@ -196,7 +196,8 @@ class _TamperOnce:
     ``"named_slot"`` makes the reply name ``slot`` in place of its first
     slot (the rows stay well-formed, so only ownership can refuse it);
     ``"negative_steps"`` leaves the block alone and spoils the reply's
-    run and window counts instead.
+    run and window counts instead, and ``"negative_released"`` its sweep
+    counts.
     """
 
     def __init__(self, conn, tamper, slot=None):
@@ -221,8 +222,11 @@ class _TamperOnce:
         elif self._tamper == "float_slot":
             slots = (float(slots[0]),) + slots[1:]
         elif self._tamper == "negative_steps":
-            runs, windows = stats
-            stats = ((-1,) + runs[1:], windows)
+            runs, windows, sweeps = stats
+            stats = ((-1,) + runs[1:], windows, sweeps)
+        elif self._tamper == "negative_released":
+            runs, windows, _sweeps = stats
+            stats = (runs, windows, (-1,) + ((0, {}, 0.0),) * 3)
         else:
             block = b"not a zlib stream"
         self._tamper = None
@@ -294,13 +298,14 @@ class TestShardSupervision:
     @pytest.mark.parametrize(
         "tamper",
         ["truncated", "foreign_slot", "not_zlib", "negative_slot",
-         "float_slot", "negative_steps"],
+         "float_slot", "negative_steps", "negative_released"],
     )
     def test_bad_stat_block_respawns_worker(self, tamper):
         """Negative controls for the stat-block checks: a reply whose
         block is short, names a slot another shard owns, names a
         negative or non-integer slot, or does not inflate, or whose run
-        counts hold a negative step count, is a garbling worker —
+        counts hold a negative step count, or whose sweep counts hold
+        negative released bytes, is a garbling worker —
         respawned and replayed, with the results unchanged.  (Slot -1
         would index shard 0's own last record, slot 4.)"""
         reference = _reference_histories(3)

@@ -93,6 +93,46 @@ class TestReferenceTracker:
         assert report.live == 1
 
 
+    def test_cache_holds_only_live_goroutines(self):
+        """A goroutine leaves the cache when it leaves the runtime
+        (finished, panicked or reclaimed), so after every window of a
+        reclaiming fleet the cached gids are live ones, while the
+        observer's unreclaimed proofs stay cached."""
+        from repro.fleet import (
+            Fleet, RequestMix, Service, ServiceConfig, TrafficShape,
+        )
+
+        def config(name, mix, **gc):
+            return Service(ServiceConfig(
+                name=name, mix=mix, instances=2,
+                traffic=TrafficShape(requests_per_window=8), **gc,
+            ), seed=57)
+
+        fleet = Fleet().add(config(
+            "reclaim",
+            RequestMix()
+            .add("early", premature_return.leaky, weight=2.0)
+            .add("ok", healthy.request_response, weight=1.0),
+            gc_interval=600.0, gc_policy=ReclaimPolicy.RECLAIM,
+        )).add(config(
+            "observe", RequestMix().add("leak", ncast.leaky, weight=1.0),
+            gc_interval=900.0,
+        ))
+        cached = 0
+        for _ in range(6):
+            fleet.advance_window(3600.0)
+            for instance in fleet.all_instances():
+                rt = instance.runtime
+                keys = set(rt._gc_state.tracker._cache)
+                assert keys <= {g.gid for g in rt.live_goroutines()}
+                cached += len(keys)
+        assert cached > 0
+        assert any(
+            r.reclaim is not None and r.reclaim.reclaimed
+            for i in fleet.all_instances() for r in i.runtime.gc_reports
+        )
+
+
 class TestMarkVerdicts:
     def test_all_registered_leaky_patterns_are_proven(self):
         from repro.patterns import PATTERNS

@@ -16,6 +16,7 @@ from repro.fleet import (
     ShardedFleet,
     TrafficShape,
 )
+from repro.gc import ReclaimPolicy
 from repro.ingest import IngestClient, IngestError, IngestServer, IngestStore
 from repro.leakprof import LeakProf
 from repro.obs import MetricsRegistry, Tracer
@@ -25,7 +26,7 @@ from repro.obs.parse import (
     sample_value,
 )
 from repro.obs.registry import render_prometheus
-from repro.patterns import healthy, timeout_leak
+from repro.patterns import healthy, premature_return, timeout_leak
 from repro.profiling import GoroutineProfile, dump_text
 from repro.runtime import Runtime
 
@@ -574,6 +575,63 @@ def scrape_after_week(make_fleet) -> tuple:
     return parity_series(registry), fleet
 
 
+def gc_parity_configs():
+    """Sweeps every 900 s (observing) and 600 s (reclaiming, on one
+    instance), both inside the hourly window."""
+    return [
+        (ServiceConfig(
+            name="observe",
+            mix=RequestMix().add("h", timeout_leak.leaky, weight=1.0),
+            instances=2,
+            traffic=TrafficShape(requests_per_window=4),
+            gc_interval=900.0,
+        ), 8),
+        (ServiceConfig(
+            name="reclaim",
+            mix=RequestMix().add("h", premature_return.leaky, weight=1.0),
+            instances=1,
+            traffic=TrafficShape(requests_per_window=4),
+            gc_interval=600.0,
+            gc_policy=ReclaimPolicy.RECLAIM,
+        ), 9),
+    ]
+
+
+def scrape_gc_after_week(make_fleet) -> tuple:
+    """Run the gc-enabled fleet into a fresh default registry; return the
+    scrape of its sweep series, and the fleet."""
+    registry = MetricsRegistry()
+    obs.set_default_registry(registry)
+    fleet = make_fleet()
+    sharded = isinstance(fleet, ShardedFleet)
+    for config, seed in gc_parity_configs():
+        if sharded:
+            fleet.add_service(config, seed=seed)
+        else:
+            fleet.add(Service(config, seed=seed))
+    if sharded:
+        fleet.start()
+    try:
+        fleet.run_days(PARITY_WINDOWS * 3600.0 / 86_400, 3600.0)
+    finally:
+        if sharded:
+            fleet.close()
+    families = parse_prometheus_text(registry.render())
+    out = {
+        name: sample_value(families, name)
+        for name in ("repro_gc_sweeps_total", "repro_gc_proofs_total",
+                     "repro_gc_reclaimed_goroutines_total",
+                     "repro_gc_reclaimed_bytes_total")
+    }
+    for phase in ("sync", "mark", "reclaim"):
+        out["repro_gc_phase_seconds_count", phase] = sample_value(
+            families, "repro_gc_phase_seconds_count", {"phase": phase}
+        )
+    # a fleet-wide "latest sweep" would depend on shard order
+    assert "repro_gc_verdicts" not in families
+    return out, fleet
+
+
 class TestScrapeParity:
     def test_sharded_scrape_equals_serial(self):
         """Worker counts cross the process boundary: at 1 and 2 shards,
@@ -610,6 +668,42 @@ class TestScrapeParity:
         assert schedule.fired_count(FaultKind.KILL_WORKER) == 1
         assert fleet.worker_restarts == 1 and fleet.restores_performed == 1
         assert fleet.replay_lengths == [2]
+        assert sharded == serial
+
+    def test_sharded_gc_scrape_equals_serial(self):
+        """Sweeps cross the process boundary too: their counts, phases
+        and reclaims scrape the same at 1 and 2 shards and after a kill
+        and replay as serially."""
+        serial, fleet = scrape_gc_after_week(Fleet)
+        sweeps = sum(len(i.runtime.gc_reports) for i in fleet.all_instances())
+        # 4 sweeps an hour on each observer, 6 on the reclaimer
+        assert serial["repro_gc_sweeps_total"] == sweeps == (
+            (2 * 4 + 6) * PARITY_WINDOWS
+        )
+        assert serial["repro_gc_phase_seconds_count", "sync"] == sweeps
+        assert serial["repro_gc_phase_seconds_count", "mark"] == sweeps
+        assert serial["repro_gc_proofs_total"] > 0
+        assert serial["repro_gc_reclaimed_goroutines_total"] > 0
+        assert serial["repro_gc_reclaimed_bytes_total"] > 0
+
+        for shards in (1, 2):
+            sharded, _ = scrape_gc_after_week(
+                lambda: ShardedFleet(shards=shards)
+            )
+            assert sharded == serial, shards
+
+        # gc-enabled instances decline every checkpoint, so the kill on
+        # shard 1's window-6 advance replays its whole journal: init and
+        # six advances, the replies of windows 1-5 (folded once) discarded
+        schedule = FaultSchedule().pin(FaultKind.KILL_WORKER, 1, 7)
+        sharded, fleet = scrape_gc_after_week(lambda: ShardedFleet(
+            shards=2, chaos=ShardChaos(schedule), checkpoint_every=4,
+            worker_deadline=10.0,
+        ))
+        assert schedule.fired_count(FaultKind.KILL_WORKER) == 1
+        assert fleet.worker_restarts == 1 and fleet.restores_performed == 0
+        assert fleet.checkpoints_declined > 0
+        assert fleet.replay_lengths == [7]
         assert sharded == serial
 
 
