@@ -20,7 +20,7 @@ import pytest
 from repro.goleak import BlockType, census, message_passing_share
 from repro.patterns import PATTERNS
 from repro.profiling import GoroutineProfile
-from repro.runtime import Runtime, go, park, send, sleep
+from repro.runtime import Runtime, go, park
 
 from _emit import emit
 from conftest import print_table

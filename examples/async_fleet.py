@@ -3,9 +3,9 @@
 Run:  python examples/async_fleet.py
 
 A sharded streaming fleet advances windows *asynchronously* — no shard
-waits for the slowest one — while every delta reply and stat row
-carries a ``(shard, window)`` watermark and the parent commits a
-window only once every shard has reported it.  Mid-run, an instance is
+waits for the slowest one — while every delta reply carries its
+shard's window watermark and the parent commits a window only once
+every shard has reported it.  Mid-run, an instance is
 rebalanced to another worker through the checkpoint path.  The payoff
 assertion at the end: histories and LeakProf suspects from the async
 run are byte-identical to a lockstep run over the same span, because

@@ -210,16 +210,6 @@ class DevFlowResult:
     initial_suppression_size: int = 0
     initial_partial_deadlocks: int = 0
 
-    def leaks_before_deployment(self, deploy_week: int) -> int:
-        return sum(
-            w.leaks_merged for w in self.weeks if w.week < deploy_week
-        )
-
-    def leaks_after_deployment(self, deploy_week: int) -> int:
-        return sum(
-            w.leaks_merged for w in self.weeks if w.week >= deploy_week
-        )
-
 
 def simulate(
     weeks: int = 25,

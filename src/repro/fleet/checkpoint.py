@@ -30,9 +30,11 @@ shard and simply counts the declined checkpoint.
 
 The same blobs are the unit of shard *re-balancing*: an all-or-nothing
 ``evict`` checkpoints the moving instances out of their source worker
-and ``adopt`` restores them — plus their delta-tracker ship state — on
-the target.  The blob dict and the ``(service, index, blob,
-shipped_gids, gc_sweeps)`` entry format are specified normatively in
+and ``adopt`` restores them on the target.  An entry is ``(slot,
+blob)`` and carries no delta-tracker state: at a checkpoint every live
+goroutine has been shipped and no sweep has run, so a restored
+instance's tracker resumes from its restored gids.  The blob dict and
+the entry format are specified normatively in
 ``docs/STREAMING_PROTOCOL.md`` §5, the evict/adopt atomicity rules in
 §7.
 """

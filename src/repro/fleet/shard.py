@@ -8,12 +8,17 @@ consumes :mod:`repro.snapshot` objects instead of live runtimes,
 instances are free to live anywhere.
 
 :class:`ShardedFleet` partitions a fleet's instances across N worker
-processes.  Workers ship **delta snapshots**: only the goroutine records
-dirtied since the last ship plus tombstones for finished ones
-(:mod:`repro.snapshot.delta`).  The O(1) counters of every instance a
-command touched ride the same reply as one compressed, slot-ordered
-**stat block** of packed rows.  The parent keeps **one record per
-instance** (:class:`_RowMirror`): its owning shard, its request mix,
+processes.  Across the process boundary an instance has one address,
+its **slot** (its position in service-add, then index order): commands
+build, restart, evict and adopt instances by slot, and every reply
+names them by slot.  Workers ship **delta snapshots**: only the
+goroutine records dirtied since the last ship plus tombstones for
+finished ones (:mod:`repro.snapshot.delta`).  The O(1) counters of
+every instance a command touched ride the same reply as one
+compressed, slot-ordered **stat block** of packed rows.  The parent
+checks every slot a reply names against ownership, which lives only in
+the parent, and keeps **one record per instance**
+(:class:`_RowMirror`): its owning shard, its request mix,
 its materialized view (records plus the committed stat row, so
 ``snapshots()`` never touches a worker) and its signature index, whose
 suspect sets are batch-scan identical.  A reply's rows become the
@@ -27,10 +32,10 @@ Asynchronous windows and the fleet watermark
 --------------------------------------------
 Shards are not bound to lockstep.  Every worker keeps a
 ``window_seq`` counter, bumps it on each ``advance`` command, and tags
-its delta replies (and every stat row in them) with the
-``(shard, window)`` watermark.  The parent buffers out-of-phase replies
-per shard, tracks each shard's watermark, and *commits* windows in
-order once every shard has reached them: the **fleet watermark**
+its delta replies with it, the shard watermark.  The parent buffers
+out-of-phase replies per shard, tracks each shard's watermark, and
+*commits* windows in order once every shard has reached them: the
+**fleet watermark**
 ``W = min(shard watermarks)`` (:attr:`ShardedFleet.watermark`).  The
 instance records and ``ServiceSample`` histories only ever contain
 committed state, so ``suspects()``/``snapshots()`` answered at
@@ -48,7 +53,7 @@ starts with one.  :meth:`begin_advance`/:meth:`poll` let a caller pace
 shards itself.  A delta reply whose window is not the shard
 watermark + 1 (an advance) or the watermark itself (any other command)
 is rejected as a protocol violation.  A committed row raises its view's
-watermark to the row's window, and a delta older than a view's own
+watermark to its reply's window, and a delta older than a view's own
 watermark is dropped before it can resurrect tombstoned records or
 reach the signature index (``stale_deltas``).
 
@@ -58,11 +63,11 @@ Re-balancing
 the checkpoint path (:mod:`repro.fleet.checkpoint`): the source worker
 checkpoints and evicts the moving instances (all-or-nothing — an
 instance that cannot be checkpointed exactly declines the whole
-eviction), the target worker adopts the blobs plus their delta-tracker
-state, and the parent sets each moved instance's one record to its
-new shard.  Both ``evict`` and ``adopt`` are journaled, so a SIGKILL
-at any boundary replays to byte-identical state (chaos scenario
-``rebalance_crash``).  Moves are always explicit: because results are
+eviction), the target worker adopts the ``(slot, blob)`` entries and
+resumes their delta tracking, and the parent sets each moved
+instance's one record to its new shard.  Both ``evict`` and ``adopt``
+are journaled, so a SIGKILL at any boundary replays to byte-identical
+state (chaos scenario ``rebalance_crash``).  Moves are always explicit: because results are
 topology-invariant, a rebalance never changes what the fleet computes —
 only which worker computes it.
 
@@ -174,134 +179,111 @@ def _shard_worker(conn) -> None:
     ``(kind, payload)`` tuple.  Per shard the exchange is strictly
     sequential, so a broadcast can send to every worker first and then
     collect, overlapping their compute — and shards need not be in
-    phase with each other: each reply (and each stat row in it) is
-    tagged with this worker's ``window_seq`` watermark.
+    phase with each other: each reply is tagged with this worker's
+    ``window_seq`` watermark.  Every command and reply names instances
+    by slot; which shard owns a slot is known only to the parent.
     """
-    #: (service, index) -> instance, in service-add then index order
-    #: (init and adopt append, restart overwrites in place, evict
-    #: deletes).  Each runtime's ``_delta`` is its ``DeltaTracker``.
-    instances: Dict[Tuple[str, int], ServiceInstance] = {}
-    slots: Dict[Tuple[str, int], int] = {}
-    shard_id = 0
+    #: slot -> instance (init and adopt add, restart overwrites in
+    #: place, evict deletes).  Each runtime's ``_delta`` is its
+    #: ``DeltaTracker``.
+    instances: Dict[int, ServiceInstance] = {}
     #: Windows this worker has advanced — the shard watermark.  Tagged
-    #: onto every delta reply and stat row; rebuilt exactly by journal
-    #: replay, carried through checkpoints by ``window_seq`` state.
+    #: onto every delta reply; rebuilt exactly by journal replay,
+    #: carried through checkpoints by ``window_seq`` state.
     window_seq = 0
     #: CPU-second anchor taken after init/restore, so the ``stop`` reply
     #: reports pure post-construction work (advance + ship + pickle) —
     #: the worker's half of the protocol-overhead accounting.
     cpu_anchor = 0.0
 
-    def _apply_meta(meta: Dict[str, Any]) -> None:
-        nonlocal slots, shard_id
-        slots = dict(meta["slots"])
-        shard_id = meta["shard"]
-
-    def _freeze(keys) -> Dict[str, Any]:
-        """Checkpoint ``keys`` with their delta-tracker state, all or
-        nothing: the reply carries every entry, or the reason the first
-        instance that cannot be checkpointed exactly declined."""
+    def _freeze(slots) -> Dict[str, Any]:
+        """Checkpoint the instances in ``slots``, all or nothing: the
+        reply carries a ``(slot, blob)`` entry for each, or the reason
+        the first instance that cannot be checkpointed exactly
+        declined."""
         entries = []
         try:
-            for key in keys:
-                inst = instances.get(key)
+            for slot in slots:
+                inst = instances.get(slot)
                 if inst is None:
-                    raise CheckpointUnsupported(
-                        f"unknown instance {key[0]}/i-{key[1]}"
-                    )
+                    raise CheckpointUnsupported(f"unknown slot {slot}")
                 tracker = inst.runtime._delta
                 if tracker.dirty or tracker.finished:  # pragma: no cover
                     # a barrier precedes every checkpoint and eviction
                     raise CheckpointUnsupported(
-                        f"unshipped deltas for {key[0]}/i-{key[1]}"
+                        f"unshipped deltas for {inst.name}"
                     )
-                entries.append((
-                    key[0], key[1], checkpoint_instance(inst),
-                    tuple(sorted(tracker.shipped)), tracker.gc_sweeps,
-                ))
+                entries.append((slot, checkpoint_instance(inst)))
         except CheckpointUnsupported as exc:
             return {"ok": False, "reason": str(exc), "window_seq": window_seq}
         return {"ok": True, "entries": entries, "window_seq": window_seq}
 
     def _thaw(entries) -> None:
         """Restore checkpointed instances and resume each one's delta
-        tracking exactly where the checkpoint left off."""
-        for svc, idx, blob, shipped, gc_sweeps in entries:
-            inst = instances[(svc, idx)] = restore_instance(blob)
-            inst.runtime._delta = DeltaTracker(shipped, gc_sweeps)
+        tracking where the checkpoint left off: every restored gid is
+        one the parent's view holds (see :class:`DeltaTracker`)."""
+        for slot, blob in entries:
+            inst = instances[slot] = restore_instance(blob)
+            inst.runtime._delta = DeltaTracker(inst.runtime._goroutines)
 
-    def _delta_reply(keys, full: bool = False):
-        """The reply to a delta command over the instances in ``keys``.
+    def _delta_reply(slots, full: bool = False):
+        """The reply to a delta command over the instances in ``slots``.
 
         Entries name only instances with something to report (records,
         tombstones, a gc change, or a full baseline).  Every instance in
-        ``keys`` gets a stat row: the block is their packed rows in slot
+        ``slots`` gets a stat row: the block is their packed rows in slot
         order, compressed as one buffer (rows of instances in one window
-        repeat heavily).  An instance without a slot is one this worker
-        has since evicted, met only while replaying an old journal whose
-        replies the parent discards.  The last element drains ``keys``'
-        run, window and sweep tallies: this command's only, so a reply
-        that replay discards never counts twice.
+        repeat heavily).  The last element drains their run, window and
+        sweep tallies: this command's only, so a reply that replay
+        discards never counts twice.
         """
+        slots = sorted(slots)
         entries: List[WireDelta] = []
-        for key in keys:
-            inst = instances[key]
-            tracker = inst.runtime._delta
-            flag, records, tombstones = tracker.collect(
-                inst.runtime, full=full
-            )
-            gc = tracker.gc_state(inst.runtime, full=full)
+        for slot in slots:
+            runtime = instances[slot].runtime
+            tracker = runtime._delta
+            flag, records, tombstones = tracker.collect(runtime, full=full)
+            gc = tracker.gc_state(runtime, full=full)
             if flag or records or tombstones or gc is not None:
-                entries.append((key[0], key[1], flag, records, tombstones, gc))
-        owned = sorted((slots[key], key) for key in keys if key in slots)
-        block = zlib.compress(b"".join(
-            pack_row(instances[key], shard_id, window_seq)
-            for _slot, key in owned
-        ), 1)
+                entries.append((slot, flag, records, tombstones, gc))
+        touched = [instances[slot] for slot in slots]
+        block = zlib.compress(b"".join(map(pack_row, touched)), 1)
         return ("delta", (
-            window_seq, tuple(slot for slot, _key in owned), block, entries,
-            drain(instances[key] for key in keys),
+            window_seq, tuple(slots), block, entries, drain(touched),
         ))
+
+    def _build(config, seed, deploy_gen, pairs, mix, start_time):
+        """Build the instances of ``(slot, index)`` pairs, each with a
+        fresh tracker (so its first ship is full); return their slots."""
+        for slot, index in pairs:
+            inst = _build_instance(
+                config, seed, deploy_gen, index, mix, start_time
+            )
+            inst.runtime._delta = DeltaTracker()
+            instances[slot] = inst
+        return [slot for slot, _index in pairs]
 
     try:
         while True:
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "init":
-                specs, meta = msg[1], msg[2]
-                _apply_meta(meta)
-                for config, seed, deploy_gen, indices, start_time in specs:
-                    for index in indices:
-                        inst = _build_instance(
-                            config, seed, deploy_gen, index,
-                            config.mix, start_time,
-                        )
-                        inst.runtime._delta = DeltaTracker()
-                        instances[(config.name, index)] = inst
+                for config, seed, deploy_gen, pairs, start_time in msg[1]:
+                    _build(config, seed, deploy_gen, pairs, config.mix,
+                           start_time)
                 conn.send(_delta_reply(instances, full=True))
                 cpu_anchor = time.process_time()
             elif cmd == "advance":
                 window, only = msg[1], msg[2]
                 window_seq += 1
-                advanced: List[Tuple[str, int]] = []
-                for key, inst in instances.items():
-                    if only is not None and key[0] != only:
-                        continue
-                    inst.advance_window(window)
-                    advanced.append(key)
+                advanced: List[int] = []
+                for slot, inst in instances.items():
+                    if only is None or inst.service == only:
+                        inst.advance_window(window)
+                        advanced.append(slot)
                 conn.send(_delta_reply(advanced))
             elif cmd == "restart":
-                _cmd, config, seed, deploy_gen, indices, mix, start_time = msg
-                restarted: List[Tuple[str, int]] = []
-                for index in indices:
-                    key = (config.name, index)
-                    inst = _build_instance(
-                        config, seed, deploy_gen, index, mix, start_time
-                    )
-                    inst.runtime._delta = DeltaTracker()  # ships full
-                    instances[key] = inst
-                    restarted.append(key)
-                conn.send(_delta_reply(restarted, full=True))
+                conn.send(_delta_reply(_build(*msg[1:]), full=True))
             elif cmd == "resync":
                 # Anti-entropy: reship everything, tracker state included.
                 conn.send(_delta_reply(instances, full=True))
@@ -312,26 +294,20 @@ def _shard_worker(conn) -> None:
                 # instances, then drop them.  A decline leaves worker
                 # state untouched — deterministic, so a journal replay
                 # of a declined evict re-declines.
-                keys = [tuple(k) for k in msg[1]]
-                reply = _freeze(keys)
+                reply = _freeze(msg[1])
                 if reply["ok"]:
-                    for key in keys:
-                        del instances[key]
+                    for slot in msg[1]:
+                        del instances[slot]
                 conn.send(("evicted", reply))
             elif cmd == "adopt":
                 # Re-balance, target side: restore the blobs and resume
                 # their delta tracking exactly where the source left off.
-                entries, slot_updates = msg[1], msg[2]
-                slots.update(
-                    {tuple(k): v for k, v in slot_updates.items()}
-                )
-                _thaw(entries)
+                _thaw(msg[1])
                 conn.send(("adopted", window_seq))
             elif cmd == "restore":
-                state, meta = msg[1], msg[2]
-                _apply_meta(meta)
+                state = msg[1]
                 instances.clear()
-                window_seq = state.get("window_seq", 0)
+                window_seq = state["window_seq"]
                 _thaw(state["entries"])
                 conn.send(("ok", None))
                 cpu_anchor = time.process_time()
@@ -384,7 +360,7 @@ class _RowMirror:
         """
         if not self.view.apply(delta, window):
             return False
-        _svc, _idx, full, records, tombstones, _gc = delta
+        _slot, full, records, tombstones, _gc = delta
         if full:
             self.signatures = SignatureAccumulator()
         signatures = self.signatures
@@ -443,18 +419,26 @@ class ShardedService(RolloutBase):
     def now(self) -> float:
         return self.instances[0].t if self.instances else 0.0
 
+    def _pairs_by_shard(self, indices) -> Dict[int, List[Tuple[int, int]]]:
+        """The ``(slot, index)`` pairs of ``indices``, by owning shard:
+        what ``init`` and ``restart`` commands carry."""
+        by_shard: Dict[int, List[Tuple[int, int]]] = {}
+        for index in indices:
+            record = self.instances[index]
+            by_shard.setdefault(record.shard, []).append(
+                (record.view.slot, index)
+            )
+        return by_shard
+
     def _restart(self, indices: List[int], mix: RequestMix) -> None:
         """Restart ``indices`` on ``mix`` as shard commands, at a barrier."""
         fleet = self._fleet
         fleet.barrier()
         start_time = self.now
-        by_shard: Dict[int, List[int]] = {}
-        for index in indices:
-            by_shard.setdefault(self.instances[index].shard, []).append(index)
         fleet._exchange_deltas([
             (shard, ("restart", self.config, self.seed, self.deploys,
-                     shard_indices, mix, start_time))
-            for shard, shard_indices in by_shard.items()
+                     pairs, mix, start_time))
+            for shard, pairs in self._pairs_by_shard(indices).items()
         ])
         for index in indices:
             self.instances[index].mix = mix
@@ -639,15 +623,6 @@ class ShardedFleet:
         self._conns[shard] = parent_conn
         self._procs[shard] = proc
 
-    def _worker_meta(self, shard: int) -> Dict[str, Any]:
-        """The metadata one worker needs (init/restore): its shard id,
-        stamped on every stat row, and the slots of the instances it
-        owns, which order and address its stat blocks."""
-        return {"shard": shard, "slots": {
-            record.key: record.view.slot
-            for record in self._by_slot if record.shard == shard
-        }}
-
     def start(self) -> "ShardedFleet":
         """Launch the workers and build every instance remotely."""
         if self._started:
@@ -657,16 +632,14 @@ class ShardedFleet:
             self._spawn(shard)
         specs: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
         for service in self.services.values():
-            by_shard: Dict[int, List[int]] = {}
-            for index, record in enumerate(service.instances):
-                by_shard.setdefault(record.shard, []).append(index)
-            for shard, indices in by_shard.items():
+            indices = range(len(service.instances))
+            for shard, pairs in service._pairs_by_shard(indices).items():
                 specs[shard].append(
                     (service.config, service.seed, service.deploys,
-                     indices, 0.0)
+                     pairs, 0.0)
                 )
         self._exchange_deltas([
-            (shard, ("init", specs[shard], self._worker_meta(shard)))
+            (shard, ("init", specs[shard]))
             for shard in range(self.num_shards)
         ])
         for service in self.services.values():
@@ -900,12 +873,15 @@ class ShardedFleet:
         return kind, payload
 
     def _open_block(self, shard: int, payload: Tuple) -> Tuple:
-        """Decompress and check one delta reply's stat block and counts.
+        """Decompress and check one delta reply's stat block, entries
+        and counts.
 
         The block must inflate to exactly one ``ROW_BYTES`` row per
         named slot, and every named slot must index a record the
         replying shard owns — a negative, out-of-range or non-integer
-        slot never does.  The run, window and sweep tallies must be
+        slot never does.  Every delta entry must be a five-element
+        ``WireDelta`` whose slot is one the reply names.  The run,
+        window and sweep tallies must be
         :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
         that answered garbage, so it raises :class:`_WorkerFault` and
         supervision respawns it.  Returns the payload with the raw rows
@@ -915,9 +891,14 @@ class ShardedFleet:
         try:
             window, slots, block, entries, stats = payload
             rows = zlib.decompress(block)
+            named = set(slots)
             valid = len(rows) == len(slots) * ROW_BYTES and all(
                 0 <= slot < len(by_slot) and by_slot[slot].shard == shard
                 for slot in slots
+            ) and all(
+                len(entry) == 5 and type(entry[0]) is int
+                and entry[0] in named
+                for entry in entries
             ) and well_formed(stats)
         except (TypeError, ValueError, zlib.error):
             valid = False
@@ -967,11 +948,10 @@ class ShardedFleet:
         ``op_index`` — fault coordinates stay a pure function of the
         logical command sequence.
 
-        Journaled ``init`` entries are replayed with *refreshed* worker
-        metadata: the slot map reflects the current (post-rebalance)
-        ownership, so the replayed worker ends with the slot map a live
-        one would hold — instance construction itself is
-        meta-independent, so state stays byte-identical.
+        Journal entries are replayed exactly as they were journaled:
+        they name instances by slot, a slot never changes, and
+        ownership lives only in the parent, so the replayed worker ends
+        holding exactly the instances a live one would.
         """
         self.worker_restarts += 1
         if self.worker_restarts > self.max_respawns:
@@ -1005,9 +985,7 @@ class ShardedFleet:
             self._spawn(shard)
             checkpoint = self._checkpoints[shard]
             if checkpoint is not None:
-                self._conns[shard].send(
-                    ("restore", checkpoint, self._worker_meta(shard))
-                )
+                self._conns[shard].send(("restore", checkpoint))
                 self._recv_replay(shard)
                 self.restores_performed += 1
             journal = self._journal[shard]
@@ -1015,8 +993,6 @@ class ShardedFleet:
             self.replay_lengths.append(len(journal))
             last: Optional[Tuple[str, Any]] = None
             for pos, entry in enumerate(journal):
-                if entry[0] == "init":
-                    entry = ("init", entry[1], self._worker_meta(shard))
                 self._conns[shard].send(entry)
                 last = self._recv_replay(
                     shard, open_block=in_journal and pos == len(journal) - 1
@@ -1265,24 +1241,23 @@ class ShardedFleet:
     ) -> None:
         """Fold one worker's opened delta reply into the instance records.
 
-        Each stat row becomes the committed row of the view in its slot;
-        an instance the reply does not name keeps its row.  Each delta
-        goes through its record's :meth:`_RowMirror.apply`, which drops
-        a stale one (older than the view's watermark) before it reaches
-        the signature index.
+        Each stat row becomes the committed row of the view in its slot,
+        at the reply's window; an instance the reply does not name keeps
+        its row.  Each delta goes through the record in its slot
+        (:meth:`_RowMirror.apply`), which drops a stale one (older than
+        the view's watermark) before it reaches the signature index.
         """
         window, slots, rows, deltas = payload
         by_slot = self._by_slot
         for slot, row in zip(slots, unpack_rows(rows)):
-            by_slot[slot].view.row = row
-        by_key = self._by_key
+            by_slot[slot].view.commit(row, window)
         total_records = 0
         stale = 0
         for delta in deltas:
-            if not by_key[(delta[0], delta[1])].apply(delta, window):
+            if not by_slot[delta[0]].apply(delta, window):
                 stale += 1
                 continue
-            total_records += len(delta[3])
+            total_records += len(delta[2])
         reg = obs.default_registry()
         if stale:
             self.stale_deltas += stale
@@ -1457,9 +1432,9 @@ class ShardedFleet:
         ``moves`` maps ``(service, index)`` keys to target shards; a
         move onto an instance's current shard is dropped.  Runs at a
         barrier; the source worker checkpoints and evicts the instances
-        (all-or-nothing per shard), the targets adopt blob + tracker
-        state, and the parent sets each moved instance's record to its
-        new shard — one field per move.  Views, signature indexes, slots,
+        (all-or-nothing per shard), the targets adopt the blobs, and the
+        parent sets each moved instance's record to its new shard — one
+        field per move.  Views, signature indexes, slots,
         and histories are untouched — the move is invisible to every
         observer, which is the determinism contract.
 
@@ -1488,9 +1463,15 @@ class ShardedFleet:
         with obs.default_tracer().span(
             "fleet.rebalance", moves=len(moves)
         ) as span:
-            by_source: Dict[int, List[Tuple[str, int]]] = {}
-            for key in sorted(moves):
-                by_source.setdefault(self._by_key[key].shard, []).append(key)
+            targets = {
+                self._by_key[key].view.slot: target
+                for key, target in moves.items()
+            }
+            by_source: Dict[int, List[int]] = {}
+            for slot in sorted(targets):
+                by_source.setdefault(self._by_slot[slot].shard, []).append(
+                    slot
+                )
             evicted: Dict[int, List[Tuple]] = {}
             declined: Optional[Tuple[int, str]] = None
             for source in sorted(by_source):
@@ -1505,8 +1486,8 @@ class ShardedFleet:
                     break
             if declined is not None:
                 # Roll back: hand every evicted instance straight back
-                # to its source shard — blob + tracker state round-trip
-                # exactly, so the fleet is as if rebalance never ran.
+                # to its source shard — blobs round-trip exactly, so the
+                # fleet is as if rebalance never ran.
                 for source in sorted(evicted):
                     self._adopt(source, evicted[source])
                 shard, reason = declined
@@ -1518,8 +1499,7 @@ class ShardedFleet:
             for source in sorted(evicted):
                 by_target: Dict[int, List[Tuple]] = {}
                 for entry in evicted[source]:
-                    key = (entry[0], entry[1])
-                    by_target.setdefault(moves[key], []).append(entry)
+                    by_target.setdefault(targets[entry[0]], []).append(entry)
                 for target in sorted(by_target):
                     self._adopt(target, by_target[target])
             for key, target in moves.items():
@@ -1539,12 +1519,8 @@ class ShardedFleet:
         return moves
 
     def _adopt(self, shard: int, entries: List[Tuple]) -> None:
-        """Hand checkpointed instances (blobs + tracker state) to a worker."""
-        slots = {
-            (entry[0], entry[1]): self._by_key[(entry[0], entry[1])].view.slot
-            for entry in entries
-        }
-        payload = self._exchange([(shard, ("adopt", entries, slots))])[0]
+        """Hand checkpointed ``(slot, blob)`` entries to a worker."""
+        payload = self._exchange([(shard, ("adopt", entries))])[0]
         self._note_window(shard, payload, advance=False)
 
     # -- the Fleet-compatible surface ----------------------------------------

@@ -19,9 +19,6 @@ class OwnershipRouter:
         self._rules = dict(rules or {})
         self._default = default
 
-    def add_rule(self, path_prefix: str, team: str) -> None:
-        self._rules[path_prefix] = team
-
     def route(self, location: str) -> str:
         """Owner team for a ``file:line`` location (or bare path)."""
         path = location.rsplit(":", 1)[0]

@@ -17,7 +17,6 @@ from .gopprof import (
     DIALECT_SIMULATOR,
     GoPprofParseError,
     dump_go_debug2,
-    dump_profile,
     parse_go_debug2,
     parse_profile,
     sniff_dialect,
@@ -30,7 +29,6 @@ __all__ = [
     "GoroutineProfile",
     "GoroutineRecord",
     "dump_go_debug2",
-    "dump_profile",
     "dump_text",
     "parse_go_debug2",
     "parse_profile",

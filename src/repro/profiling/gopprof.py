@@ -44,7 +44,6 @@ from typing import List, Optional, Tuple
 from repro.runtime.goroutine import GoroutineState
 from repro.runtime.stack import Frame
 
-from .pprof import dump_text as _dump_simulator
 from .pprof import parse_text as _parse_simulator
 from .profile import GoroutineProfile, GoroutineRecord
 
@@ -355,13 +354,4 @@ def parse_profile(
             ),
             DIALECT_GO,
         )
-    raise ValueError(f"unknown profile dialect {dialect!r}")
-
-
-def dump_profile(profile: GoroutineProfile, dialect: str) -> str:
-    """Serialize in the named dialect (the archive's storage format)."""
-    if dialect == DIALECT_SIMULATOR:
-        return _dump_simulator(profile)
-    if dialect == DIALECT_GO:
-        return dump_go_debug2(profile)
     raise ValueError(f"unknown profile dialect {dialect!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .errors import Panic
-from .ops import GoOp, go
+from .ops import GoOp
 from .sync import WaitGroup
 
 

@@ -28,22 +28,27 @@ parent-side function of (ship time − blocked_since), exactly the formula
 and deletes), which is what lets journal-replay crash recovery re-apply
 an in-flight window without double counting.
 
-Watermarks: every delta batch a worker ships is tagged with the shard's
-window sequence number, and :meth:`InstanceView.apply` keeps the highest
-window it has folded in.  A delta older than the view's watermark is
-*dropped* (``apply`` returns ``False``) — the defense that makes
+Watermarks: every delta reply a worker ships is tagged with the shard's
+window sequence number, and each view keeps the highest window it has
+folded in.  A delta older than the view's watermark is *dropped*
+(:meth:`InstanceView.apply` returns ``False``) — the defense that makes
 out-of-phase ingestion safe: a late or replayed delta arriving after a
 tombstone (or after any newer state) cannot resurrect dead records.
 Equal-window re-application stays idempotent, which is what crash replay
 relies on.
 
+Addresses: across the worker boundary an instance is named only by its
+**slot**, its fixed position in the fleet (service-add, then index
+order).  Delta entries, stat rows and checkpoint entries all name slots;
+which shard owns a slot is known only to the parent.
+
 Stat rows: an instance's O(1) counters travel as one fixed-layout
 ``_ROW`` (:func:`pack_row`), never as a pickled object.  A worker's reply
 carries the packed rows of every instance its command touched as one
-compressed **stat block**.  When the reply commits, the parent unpacks
-each row (:func:`unpack_rows`) and sets it as the committed
-:attr:`InstanceView.row` of the view in its slot.  Setting a row raises
-the view's watermark to the row's window tag, so every view the commit
+compressed **stat block**, in the order of the reply's slots.  When the
+reply commits, the parent unpacks each row (:func:`unpack_rows`) and
+:meth:`InstanceView.commit` makes it the view's committed row and raises
+the view's watermark to the reply's window, so every view the commit
 touched reads the committed window at once, whether or not its reply
 carried a delta entry for it.  The fleet's one parent record per
 instance (``repro.fleet.shard``) owns the view, next to the instance's
@@ -53,7 +58,7 @@ signature index.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.profiling import GoroutineRecord, snapshot_goroutine
 from repro.runtime import GoroutineState
@@ -69,51 +74,44 @@ from .model import (
 WireRecord = Tuple[GoroutineRecord, Optional[float]]
 
 #: One instance's delta payload:
-#: (service, index, full, records, tombstones, gc) — ``full=True``
-#: replaces the view wholesale (init / restart / anti-entropy resync),
-#: ``gc`` is a GCSnapshot field tuple or None.  The counters ride the
-#: reply's stat block, not the delta.
-WireDelta = Tuple[
-    str, int, bool, List[WireRecord], Tuple[int, ...], Optional[Tuple],
-]
+#: (slot, full, records, tombstones, gc) — ``full=True`` replaces the
+#: view wholesale (init / restart / anti-entropy resync), ``gc`` is a
+#: GCSnapshot field tuple or None.  The counters ride the reply's stat
+#: block, not the delta.
+WireDelta = Tuple[int, bool, List[WireRecord], Tuple[int, ...], Optional[Tuple]]
 
 
-_STATES = tuple(GoroutineState)
-_STATE_VALUES = tuple(state.value for state in _STATES)
-#: shard, window (the watermark), then t, cpu_percent (doubles), then
-#: rss, blocked, goroutines, requests_window, requests_total, steps,
-#: windows, census[...]
-_ROW = struct.Struct("=qqdd" + "q" * (7 + len(_STATES)))
+_STATE_VALUES = tuple(state.value for state in GoroutineState)
+#: t, cpu_percent (doubles), then rss, blocked, goroutines,
+#: requests_window, requests_total, steps, windows, census[...]
+_ROW = struct.Struct("=dd" + "q" * (7 + len(_STATE_VALUES)))
 
 ROW_BYTES = _ROW.size
 
 #: Field indices into one unpacked row tuple.
-F_SHARD = 0
-F_WINDOW = 1
-F_T = 2
-F_CPU = 3
-F_RSS = 4
-F_BLOCKED = 5
-F_GOROUTINES = 6
-F_CENSUS = 11
+F_T = 0
+F_CPU = 1
+F_RSS = 2
+F_BLOCKED = 3
+F_GOROUTINES = 4
+F_CENSUS = 9
 
 
-def pack_row(instance: Any, shard: int, window: int) -> bytes:
+def pack_row(instance: Any) -> bytes:
     """Pack one live instance's counters into a stat row.
 
     The worker hot path: every field is an O(1) counter read.  The
-    census is one count per ``GoroutineState``, in definition order.
+    census is the runtime's census array, one count per
+    ``GoroutineState`` in definition (``census_index``) order.
     """
     runtime = instance.runtime
     metrics = instance.metrics
-    census = runtime.state_census()
     return _ROW.pack(
-        shard, window,
         runtime.now, instance.cpu_utilization(), instance.rss(),
         runtime.blocked_goroutines_count, runtime.num_goroutines,
         metrics[-1].requests_served if metrics else 0,
         instance.requests_served, runtime.steps, len(metrics),
-        *(census.get(state, 0) for state in _STATES),
+        *runtime._state_census,
     )
 
 
@@ -130,16 +128,19 @@ class DeltaTracker:
     stamp) and :meth:`on_finish` when one leaves the address space.
     ``shipped`` is the set of gids the parent's view currently holds;
     a finish only becomes a tombstone when the parent knew the gid.
+    A tracker resumed after a checkpoint starts from the restored live
+    gids: at a checkpoint nothing is unshipped, so the view holds
+    exactly those, and no gc-enabled instance is ever checkpointed.
     """
 
     __slots__ = ("dirty", "finished", "shipped", "gc_sweeps")
 
-    def __init__(self, shipped: Tuple[int, ...] = (), gc_sweeps: int = 0):
+    def __init__(self, shipped: Iterable[int] = ()):
         self.dirty: set = set()
         self.finished: set = set()
         self.shipped: set = set(shipped)
         #: sweep_index of the last GC report shipped (0 = none yet).
-        self.gc_sweeps = gc_sweeps
+        self.gc_sweeps = 0
 
     def mark(self, gid: int) -> None:
         self.dirty.add(gid)
@@ -219,7 +220,7 @@ class InstanceView:
     """
 
     __slots__ = ("service", "index", "name", "base_rss", "slot",
-                 "records", "gc", "window", "_row")
+                 "records", "gc", "window", "row")
 
     def __init__(
         self, service: str, index: int, name: str, base_rss: int, slot: int
@@ -235,19 +236,15 @@ class InstanceView:
         self.gc: Optional[GCSnapshot] = None
         #: Highest shard window folded into this view (the watermark).
         self.window: int = -1
-        self._row: Optional[Tuple] = None
+        #: The committed stat row, unpacked (None before the first
+        #: commit); index it with the ``F_*`` field constants.
+        self.row: Optional[Tuple] = None
 
-    @property
-    def row(self) -> Optional[Tuple]:
-        """The committed stat row, unpacked (None before the first
-        commit); index it with the ``F_*`` field constants."""
-        return self._row
-
-    @row.setter
-    def row(self, row: Tuple) -> None:
-        self._row = row
-        if row[F_WINDOW] > self.window:
-            self.window = row[F_WINDOW]
+    def commit(self, row: Tuple, window: int) -> None:
+        """Make ``row``, from a reply at ``window``, the committed row."""
+        self.row = row
+        if window > self.window:
+            self.window = window
 
     def apply(self, delta: WireDelta, window: int) -> bool:
         """Fold one wire delta in.
@@ -256,7 +253,7 @@ class InstanceView:
         delta older than the view's own watermark is dropped and
         ``False`` returned.
         """
-        _svc, _idx, full, records, tombstones, gc = delta
+        _slot, full, records, tombstones, gc = delta
         if window < self.window and not full:
             return False
         if window > self.window:
@@ -277,14 +274,14 @@ class InstanceView:
         template, blocked_since = self.records[gid]
         if blocked_since is None:
             return template
-        age = max(0.0, self._row[F_T] - blocked_since)
+        age = max(0.0, self.row[F_T] - blocked_since)
         if age == 0.0:
             return template
         return template.aged(age)
 
     def snapshot(self) -> InstanceSnapshot:
         """Materialize the full ``InstanceSnapshot``-equivalent state."""
-        row = self._row
+        row = self.row
         if row is None:
             raise RuntimeError(
                 f"view of {self.name!r} has no stats yet (not initialized)"

@@ -47,6 +47,7 @@ from repro.ingest import (
 )
 from repro.patterns import healthy, timeout_leak
 from repro.snapshot import snapshot_instance
+from repro.snapshot.delta import ROW_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -197,7 +198,9 @@ class _TamperOnce:
     slot (the rows stay well-formed, so only ownership can refuse it);
     ``"negative_steps"`` leaves the block alone and spoils the reply's
     run and window counts instead, and ``"negative_released"`` its sweep
-    counts.
+    counts.  The ``*_entry`` tampers spoil the first delta entry: it
+    names a slot another shard owns, or a slot of its own shard whose
+    slot and row the reply no longer lists, or it loses its last field.
     """
 
     def __init__(self, conn, tamper, slot=None):
@@ -227,6 +230,21 @@ class _TamperOnce:
         elif self._tamper == "negative_released":
             runs, windows, _sweeps = stats
             stats = (runs, windows, (-1,) + ((0, {}, 0.0),) * 3)
+        elif self._tamper.endswith("_entry"):
+            assert entries, "no delta entry to spoil"
+            entry = entries[0]
+            if self._tamper == "foreign_entry":
+                entry = (entry[0] + 1,) + entry[1:]
+            elif self._tamper == "unlisted_entry":
+                pos = slots.index(entry[0])
+                rows = zlib.decompress(block)
+                block = zlib.compress(
+                    rows[:pos * ROW_BYTES] + rows[(pos + 1) * ROW_BYTES:], 1
+                )
+                slots = slots[:pos] + slots[pos + 1:]
+            else:
+                entry = entry[:-1]
+            entries = [entry] + entries[1:]
         else:
             block = b"not a zlib stream"
         self._tamper = None
@@ -298,15 +316,17 @@ class TestShardSupervision:
     @pytest.mark.parametrize(
         "tamper",
         ["truncated", "foreign_slot", "not_zlib", "negative_slot",
-         "float_slot", "negative_steps", "negative_released"],
+         "float_slot", "negative_steps", "negative_released",
+         "foreign_entry", "unlisted_entry", "short_entry"],
     )
     def test_bad_stat_block_respawns_worker(self, tamper):
-        """Negative controls for the stat-block checks: a reply whose
-        block is short, names a slot another shard owns, names a
-        negative or non-integer slot, or does not inflate, or whose run
-        counts hold a negative step count, or whose sweep counts hold
-        negative released bytes, is a garbling worker —
-        respawned and replayed, with the results unchanged.  (Slot -1
+        """Negative controls for the reply checks: a reply whose block
+        is short, names a slot another shard owns, names a negative or
+        non-integer slot, or does not inflate, whose run counts hold a
+        negative step count, whose sweep counts hold negative released
+        bytes, or whose delta entry names a slot another shard owns, a
+        slot the reply does not list, or is short, is a garbling worker
+        — respawned and replayed, with the results unchanged.  (Slot -1
         would index shard 0's own last record, slot 4.)"""
         reference = _reference_histories(3)
         fleet = ShardedFleet(shards=2, worker_deadline=10.0)

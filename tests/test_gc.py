@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gc import ReclaimPolicy, ReferenceTracker, Verdict, mark
+from repro.gc import ReclaimPolicy, ReferenceTracker, Verdict
 from repro.goleak import LeakError, find, verify_none
 from repro.leakprof import LeakProf
 from repro.leakprof.detector import scan_profile

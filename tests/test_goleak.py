@@ -30,7 +30,7 @@ from repro.patterns import (
     timer_loop,
     unclosed_range,
 )
-from repro.runtime import Runtime, go, send, sleep
+from repro.runtime import Runtime, go, sleep
 
 
 def run_leaky(pattern, seed=0, **params):

@@ -166,7 +166,7 @@ class TestScoringCore:
         live = {}
 
         def ship(records=(), tombstones=(), full=False, window=1):
-            delta = ("svc", 0, full, [(r, None) for r in records],
+            delta = (0, full, [(r, None) for r in records],
                      tuple(tombstones), None)
             return record.apply(delta, window)
 

@@ -8,7 +8,7 @@ from repro.profiling import (
     parse_text,
     runtime_frames_for,
 )
-from repro.runtime import GoroutineState, Runtime, send
+from repro.runtime import GoroutineState, Runtime
 from repro.patterns import premature_return, timeout_leak, unclosed_range
 
 

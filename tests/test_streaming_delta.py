@@ -11,6 +11,8 @@ else (resync, checkpoints, rebalancing) preserves that invariant under
 churn.
 """
 
+import multiprocessing
+import threading
 import zlib
 
 import pytest
@@ -28,6 +30,7 @@ from repro.fleet import (
     checkpoint_instance,
     restore_instance,
 )
+from repro.fleet import shard as shard_module
 from repro.leakprof import LeakProf, scan_fleet
 from repro.patterns import healthy, timeout_leak
 from repro.runtime import GoroutineState, go, sleep
@@ -294,14 +297,13 @@ class TestCheckpointRestore:
         assert restored.metrics == original.metrics
         # the stat row round-trips through a compressed stat block with
         # every census field in use (a live runtime never has them all)
-        census = {state: pos + 1 for pos, state in enumerate(GoroutineState)}
-        restored.runtime.state_census = lambda: dict(census)
-        block = zlib.compress(pack_row(restored, 3, 4), 1)
+        census = [pos + 1 for pos in range(len(GoroutineState))]
+        restored.runtime._state_census[:] = census
+        block = zlib.compress(pack_row(restored), 1)
         (row,) = unpack_rows(zlib.decompress(block))
         runtime, metrics = restored.runtime, restored.metrics
-        (shard, window, t, cpu_percent, rss_bytes, blocked, goroutines,
+        (t, cpu_percent, rss_bytes, blocked, goroutines,
          requests_window, requests_total, steps, windows) = row[:F_CENSUS]
-        assert (shard, window) == (3, 4)
         assert t == runtime.now
         assert cpu_percent == restored.cpu_utilization()
         assert rss_bytes == restored.rss()
@@ -311,9 +313,92 @@ class TestCheckpointRestore:
         assert requests_total == restored.requests_served
         assert steps == runtime.steps
         assert windows == len(metrics)
-        assert row[F_CENSUS:] == tuple(
-            census[state] for state in GoroutineState
+        assert row[F_CENSUS:] == tuple(census)
+
+    def test_resumed_trackers_ship_like_the_unmoved_instances(
+        self, monkeypatch
+    ):
+        """A checkpoint entry is ``(slot, blob)``, with no tracker state:
+        a worker that restores the checkpoint, or adopts its entries,
+        resumes each tracker with exactly the gids the source tracker
+        had shipped, and its next ship equals the source's.  The workers
+        run on threads, so the test sees their instances."""
+        built, restored = {}, []
+
+        def build(config, seed, deploy_gen, index, mix, start_time):
+            inst = _build_instance(
+                config, seed, deploy_gen, index, mix, start_time
+            )
+            built[index] = inst
+            return inst
+
+        def restore(blob):
+            inst = restore_instance(blob)
+            restored.append(inst)
+            return inst
+
+        _build_instance = shard_module._build_instance
+        monkeypatch.setattr(shard_module, "_build_instance", build)
+        monkeypatch.setattr(shard_module, "restore_instance", restore)
+        config = ServiceConfig(
+            name="payments",
+            mix=leaky_mix(),
+            instances=2,
+            traffic=TrafficShape(requests_per_window=12),
         )
+        pipes, threads = [], []
+
+        def worker():
+            conn, child = multiprocessing.Pipe()
+            thread = threading.Thread(
+                target=shard_module._shard_worker, args=(child,), daemon=True
+            )
+            thread.start()
+            pipes.append(conn)
+            threads.append(thread)
+
+            def ask(*message):
+                conn.send(message)
+                assert conn.poll(30.0), f"no reply to {message[0]!r}"
+                return conn.recv()
+
+            return ask
+
+        try:
+            source, by_restore, by_adopt = worker(), worker(), worker()
+            source("init", [(config, 7, 0, ((0, 0), (3, 1)), 0.0)])
+            for _ in range(2):
+                source("advance", WINDOW, None)
+            kind, state = source("checkpoint")
+            assert kind == "checkpoint" and state["ok"]
+            assert [slot for slot, _blob in state["entries"]] == [0, 3]
+            shipped = [set(built[i].runtime._delta.shipped) for i in (0, 1)]
+            assert all(shipped), "nothing shipped; vacuous test"
+            assert by_restore("restore", state) == ("ok", None)
+            assert by_adopt("adopt", state["entries"]) == ("adopted", 0)
+            assert len(restored) == 4
+            for inst, gids in zip(restored, shipped + shipped):
+                tracker = inst.runtime._delta
+                assert tracker.shipped == gids
+                assert not tracker.dirty and not tracker.finished
+                assert tracker.gc_sweeps == 0
+            ships = [
+                ask("advance", WINDOW, None)[1]
+                for ask in (source, by_restore, by_adopt)
+            ]
+            # window, slots, stat block, delta entries, tallies
+            window, slots, block, entries, _stats = ships[0]
+            assert (window, slots) == (3, (0, 3)) and entries
+            assert ships[1][:4] == (3, slots, block, entries)
+            assert ships[2][:4] == (1, slots, block, entries)
+        finally:
+            for conn, thread in zip(pipes, threads):
+                if thread.is_alive():
+                    conn.send(("stop",))
+                thread.join(timeout=10.0)
+            for conn in pipes:
+                conn.close()
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_declines_mid_flight_state(self):
         instance = self._instance()
@@ -514,7 +599,7 @@ class TestCheckpointRestore:
             assert departed, "no camper died between windows; vacuous test"
             # replay window 1's records straight at the view: refused
             stale = (
-                "payments", 0, False,
+                view.slot, False,
                 [held_at_w1[gid] for gid in sorted(departed)], (), None,
             )
             assert view.apply(stale, window=1) is False
@@ -539,10 +624,9 @@ class TestCheckpointRestore:
             idle = set()
 
             def spy(payload):
-                named = {(delta[0], delta[1]) for delta in payload[3]}
+                named = {delta[0] for delta in payload[3]}
                 idle.update(
-                    fleet._by_slot[slot].key for slot in payload[1]
-                    if fleet._by_slot[slot].key not in named
+                    slot for slot in payload[1] if slot not in named
                 )
                 apply_deltas(payload)
 
