@@ -770,7 +770,7 @@ class ShardedFleet:
         try:
             kind, payload = self._recv(shard, deadline)
             if kind == "delta":
-                payload = self._open_block(shard, payload)
+                payload = self._open_block(shard, payload, message)
         except _WorkerFault as fault:
             _kind, payload = self._respawn_and_replay(
                 shard, message, reason=fault.reason
@@ -872,30 +872,40 @@ class ShardedFleet:
             raise _WorkerFault(shard, f"worker error reply: {payload!r}")
         return kind, payload
 
-    def _open_block(self, shard: int, payload: Tuple) -> Tuple:
-        """Decompress and check one delta reply's stat block, entries
-        and counts.
+    def _addressed(self, shard: int, message: Tuple) -> Tuple[int, ...]:
+        """The slots delta command ``message`` addresses on ``shard``, in
+        slot order: the restarted ones, or every slot the shard owns (of
+        the ``only=`` service, for a service advance)."""
+        if message[0] == "restart":
+            return tuple(sorted(slot for slot, _index in message[4]))
+        only = message[2] if message[0] == "advance" else None
+        return tuple(
+            record.view.slot for record in self._by_slot
+            if record.shard == shard
+            and (only is None or record.view.service == only)
+        )
 
-        The block must inflate to exactly one ``ROW_BYTES`` row per
-        named slot, and every named slot must index a record the
-        replying shard owns — a negative, out-of-range or non-integer
-        slot never does.  Every delta entry must be a five-element
-        ``WireDelta`` whose slot is one the reply names.  The run,
-        window and sweep tallies must be
+    def _open_block(self, shard: int, payload: Tuple, message: Tuple) -> Tuple:
+        """Decompress and check one delta reply to ``message``: its
+        slots, stat block, entries and counts.
+
+        The reply must name exactly the slots the command addressed
+        (:meth:`_addressed`), as integers, and its block must inflate
+        to exactly one ``ROW_BYTES`` row per named slot.  Every delta
+        entry must be a five-element ``WireDelta`` whose slot is one
+        the reply names.  The run, window and sweep tallies must be
         :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
         that answered garbage, so it raises :class:`_WorkerFault` and
         supervision respawns it.  Returns the payload with the raw rows
         in place of the block.
         """
-        by_slot = self._by_slot
         try:
             window, slots, block, entries, stats = payload
             rows = zlib.decompress(block)
             named = set(slots)
             valid = len(rows) == len(slots) * ROW_BYTES and all(
-                0 <= slot < len(by_slot) and by_slot[slot].shard == shard
-                for slot in slots
-            ) and all(
+                type(slot) is int for slot in slots
+            ) and tuple(slots) == self._addressed(shard, message) and all(
                 len(entry) == 5 and type(entry[0]) is int
                 and entry[0] in named
                 for entry in entries
@@ -907,19 +917,19 @@ class ShardedFleet:
         return (window, slots, rows, entries, stats)
 
     def _recv_replay(
-        self, shard: int, open_block: bool = False
+        self, shard: int, message: Optional[Tuple] = None
     ) -> Tuple[str, Any]:
         """Reply collection during journal replay: fail hard, no recursion.
 
-        ``open_block`` checks a delta reply's stat block as
-        :meth:`_collect_reply` does — set only for the in-flight reply,
-        the one replay reply the caller ingests.
+        Given the in-flight ``message`` (the one replay reply the caller
+        ingests), a delta reply is checked against it as
+        :meth:`_collect_reply` does.
         """
         deadline = _monotonic() + self.worker_deadline
         try:
             kind, payload = self._recv(shard, deadline)
-            if open_block and kind == "delta":
-                payload = self._open_block(shard, payload)
+            if message is not None and kind == "delta":
+                payload = self._open_block(shard, payload, message)
         except _WorkerFault as fault:
             raise RuntimeError(
                 f"shard {shard} worker failed during journal replay: "
@@ -995,7 +1005,9 @@ class ShardedFleet:
             for pos, entry in enumerate(journal):
                 self._conns[shard].send(entry)
                 last = self._recv_replay(
-                    shard, open_block=in_journal and pos == len(journal) - 1
+                    shard,
+                    message if in_journal and pos == len(journal) - 1
+                    else None,
                 )
             span.attributes.update(
                 replayed=len(journal),
@@ -1009,7 +1021,7 @@ class ShardedFleet:
                     )
                 return last
             self._conns[shard].send(message)
-            return self._recv_replay(shard, open_block=True)
+            return self._recv_replay(shard, message)
 
     # -- watermarks and async windows ----------------------------------------
 

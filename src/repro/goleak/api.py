@@ -59,8 +59,12 @@ def find(
     retry loop advances the *virtual* clock between snapshots, so a
     goroutine that only needed another few milliseconds (e.g. draining a
     buffered channel) is not misreported — mirroring goleak's real-time
-    backoff without wall-clock cost.  A frozen snapshot has no clock to
-    advance: its records are judged as-is.
+    backoff without wall-clock cost.  Once nothing is runnable and no
+    timer (the gc sweep timer included) is due before the last retry's
+    deadline, the retries can only move the clock, so they run without
+    a snapshot each and one final snapshot is judged: the same leaks,
+    ages, clock and runs as the full loop.  A frozen snapshot has no
+    clock to advance: its records are judged as-is.
 
     ``strategy="reachability"`` replaces the exit-point snapshot with a
     :mod:`repro.gc` sweep and reports exactly the goroutines *proven*
@@ -102,6 +106,17 @@ def find(
     leaks = _lingering_in(snapshot_runtime(runtime), opts)
     attempt = 0
     while leaks and attempt < opts.retries:
+        # The clock the remaining retries would reach, one addition
+        # each, as ``advance`` makes it.
+        end = runtime.now
+        for _ in range(opts.retries - attempt):
+            end = max(end, end + opts.retry_interval)
+        if runtime.idle_until(end):
+            # Nothing can run before the last retry's deadline, so the
+            # retries can only move the clock: run them, judge once.
+            for _ in range(opts.retries - attempt):
+                runtime.advance(opts.retry_interval)
+            return _lingering_in(snapshot_runtime(runtime), opts)
         runtime.advance(opts.retry_interval)
         leaks = _lingering_in(snapshot_runtime(runtime), opts)
         attempt += 1

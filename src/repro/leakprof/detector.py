@@ -11,8 +11,7 @@ positives remained high."  Criterion 2 (the transient filter) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.profiling import GoroutineProfile, GoroutineRecord
 
@@ -22,9 +21,12 @@ from .filters import is_trivially_nonblocking
 DEFAULT_THRESHOLD = 10_000
 
 
-@dataclass(frozen=True)
-class Suspect:
-    """One blocking source location exceeding the threshold in one profile."""
+class Suspect(NamedTuple):
+    """One blocking source location exceeding the threshold in one profile.
+
+    A named tuple: :meth:`SignatureAccumulator.suspects` builds each one
+    with a single ``tuple.__new__`` call over every field by position.
+    """
 
     service: Optional[str]
     instance: Optional[str]
@@ -45,6 +47,8 @@ class Suspect:
 
 #: (state value, blocking location) — Suspect.key.
 Signature = Tuple[str, str]
+
+_new = tuple.__new__
 
 
 class SignatureAccumulator:
@@ -110,12 +114,20 @@ class SignatureAccumulator:
         acc = cls()
         sigs = acc._sigs
         sig_of = acc._sig_of
+        # Leaf frames are interned, so a profile's records share few of
+        # them: each one's ``location`` string is built once, memoized
+        # by identity (``Frame.__hash__`` costs more than the string).
+        locations: Dict[int, str] = {}
         for position, record in enumerate(records):
             frames = record.user_frames
             if not frames:
                 continue
+            leaf = frames[0]
+            location = locations.get(id(leaf))
+            if location is None:
+                location = locations[id(leaf)] = leaf.location
             # ``_value_``: Enum's ``value`` is a Python-level descriptor.
-            signature = (record.state._value_, frames[0].location)
+            signature = (record.state._value_, location)
             sig_of[position] = signature
             sets = sigs.get(signature)
             if sets is None:
@@ -168,17 +180,15 @@ class SignatureAccumulator:
                 ):
                     continue
                 proof = None
-            suspects.append(
-                Suspect(
-                    service,
-                    instance,
-                    state,
-                    location,
-                    count,
-                    representative,
-                    proof,
-                )
-            )
+            suspects.append(_new(Suspect, (
+                service,
+                instance,
+                state,
+                location,
+                count,
+                representative,
+                proof,
+            )))
         return suspects
 
 
@@ -193,6 +203,8 @@ def scan_profile(
     :class:`SignatureAccumulator`, filing each blocked record under its
     profile position.
     """
+    if not profile.records:
+        return []
     blocked = profile.blocked()
     if not blocked:
         return []

@@ -718,6 +718,20 @@ class Runtime:
                 return True
         return False
 
+    def idle_until(self, deadline: float) -> bool:
+        """Would running to ``deadline`` change nothing but the clock?
+
+        True when the run queue is empty and no timer is due by
+        ``deadline``.  Unlike :meth:`_has_pending_timers` this counts
+        the gc sweep timer: a reclaiming sweep ends goroutines.
+        """
+        if self._run_queue:
+            return False
+        for when, _seq, timer in self._timers:
+            if when <= deadline and not timer.cancelled:
+                return False
+        return True
+
     def _advance_clock(self, deadline: Optional[float]) -> bool:
         """Jump to the next timer (within deadline) and fire everything due."""
         timers = self._timers

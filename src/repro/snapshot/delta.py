@@ -63,12 +63,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.profiling import GoroutineRecord, snapshot_goroutine
 from repro.runtime import GoroutineState
 
-from .model import (
-    GCSnapshot,
-    InstanceSnapshot,
-    RuntimeSnapshot,
-    make_instance_snapshot,
-)
+from .model import GCSnapshot, InstanceSnapshot, RuntimeSnapshot
 
 #: One record on the wire: (template with wait_seconds=0, blocked_since).
 WireRecord = Tuple[GoroutineRecord, Optional[float]]
@@ -318,11 +313,11 @@ class InstanceView:
                 requests_served=requests_window,
                 blocked_goroutines=blocked,
             )
-        return make_instance_snapshot(
+        return tuple.__new__(InstanceSnapshot, (
             self.service,
             self.name,
             requests_total,
             cpu_percent,
             runtime,
             last_metrics,
-        )
+        ))

@@ -19,8 +19,8 @@ has moved on still describes the instant it was taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.profiling import GoroutineProfile, GoroutineRecord, snapshot_goroutine
 
@@ -66,9 +66,9 @@ class RuntimeSnapshot:
     def of(cls, runtime: "Runtime") -> "RuntimeSnapshot":
         """Freeze ``runtime``'s observable state, records included.
 
-        An idle runtime (``num_goroutines == 0``) skips the record walk.
-        Equal to the keyword-built snapshot; the slots are filled
-        directly, without the ``__init__`` call.
+        An idle runtime (``num_goroutines == 0``) skips the record walk
+        and the census reads.  Equal to the keyword-built snapshot; the
+        slots are filled directly, without the ``__init__`` call.
         """
         gc: Optional[GCSnapshot] = None
         reports = runtime.gc_reports
@@ -82,21 +82,27 @@ class RuntimeSnapshot:
                 proven_leaked=last.proven_leaked,
             )
         taken_at = runtime.now
-        live = runtime.num_goroutines
+        live = runtime._live_count
         snapshot = object.__new__(cls)
         snapshot.process = runtime.name
         snapshot.taken_at = taken_at
         snapshot.num_goroutines = live
-        snapshot.blocked_goroutines = runtime.blocked_goroutines_count
         snapshot.rss_bytes = runtime.rss()
         snapshot.base_rss = runtime.base_rss
-        snapshot.state_census = runtime.census_by_value()
         snapshot.steps = runtime.steps
         snapshot.gc = gc
-        snapshot.records = tuple([
-            snapshot_goroutine(goro, taken_at)
-            for goro in runtime.live_goroutines()
-        ]) if live else ()
+        if live:
+            snapshot.blocked_goroutines = runtime.blocked_goroutines_count
+            snapshot.state_census = runtime.census_by_value()
+            # The goroutine table holds exactly the live goroutines.
+            snapshot.records = tuple([
+                snapshot_goroutine(goro, taken_at)
+                for goro in runtime._goroutines.values()
+            ])
+        else:  # idle: every census slot is 0
+            snapshot.blocked_goroutines = 0
+            snapshot.state_census = {}
+            snapshot.records = ()
         return snapshot
 
     # -- the Runtime-compatible monitoring surface ---------------------------
@@ -129,14 +135,14 @@ class RuntimeSnapshot:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceSnapshot:
+class InstanceSnapshot(NamedTuple):
     """One service instance frozen at an instant.
 
     Satisfies the :class:`repro.leakprof.Profilable` protocol, so a
     LeakProf sweep consumes live instances and shipped snapshots
     identically — which is what lets instances live in worker processes.
-    The read path builds it through :func:`make_instance_snapshot`.
+    A named tuple, so the read path builds it with one ``tuple.__new__``
+    call over every field by position.
     """
 
     service: str
@@ -163,37 +169,6 @@ class InstanceSnapshot:
         return self.cpu_percent
 
 
-# Filled through slot descriptors, like profile records: one instance
-# snapshot per instance per sweep.
-(
-    _set_service,
-    _set_name,
-    _set_requests_served,
-    _set_cpu_percent,
-    _set_runtime,
-    _set_last_metrics,
-) = (getattr(InstanceSnapshot, f.name).__set__ for f in fields(InstanceSnapshot))
-
-
-def make_instance_snapshot(
-    service: str,
-    name: str,
-    requests_served: int,
-    cpu_percent: float,
-    runtime: RuntimeSnapshot,
-    last_metrics: Optional[Any],
-) -> InstanceSnapshot:
-    """Every field by position; equal to the keyword-built snapshot."""
-    snapshot = object.__new__(InstanceSnapshot)
-    _set_service(snapshot, service)
-    _set_name(snapshot, name)
-    _set_requests_served(snapshot, requests_served)
-    _set_cpu_percent(snapshot, cpu_percent)
-    _set_runtime(snapshot, runtime)
-    _set_last_metrics(snapshot, last_metrics)
-    return snapshot
-
-
 @dataclass(frozen=True)
 class ServiceSnapshot:
     """A whole service frozen at an instant: history plus every instance."""
@@ -208,6 +183,9 @@ class ServiceSnapshot:
         return [snapshot.profile() for snapshot in self.instances]
 
 
+_new = tuple.__new__
+
+
 def snapshot_runtime(runtime: "Runtime") -> RuntimeSnapshot:
     """Freeze one runtime (the main entry point of the plane)."""
     return RuntimeSnapshot.of(runtime)
@@ -216,14 +194,14 @@ def snapshot_runtime(runtime: "Runtime") -> RuntimeSnapshot:
 def snapshot_instance(instance: Any) -> InstanceSnapshot:
     """Freeze one :class:`~repro.fleet.ServiceInstance` (duck-typed)."""
     metrics = instance.metrics
-    return make_instance_snapshot(
+    return _new(InstanceSnapshot, (
         instance.service,
         instance.name,
         instance.requests_served,
         instance.cpu_utilization(),
         RuntimeSnapshot.of(instance.runtime),
         metrics[-1] if metrics else None,
-    )
+    ))
 
 
 def snapshot_service(service: Any) -> ServiceSnapshot:

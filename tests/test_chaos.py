@@ -191,6 +191,15 @@ def _sharded_run(
         fleet.close()
 
 
+def _unlisted(slots, block, pos):
+    """``slots`` and its stat ``block`` without the slot at ``pos``."""
+    rows = zlib.decompress(block)
+    block = zlib.compress(
+        rows[:pos * ROW_BYTES] + rows[(pos + 1) * ROW_BYTES:], 1
+    )
+    return slots[:pos] + slots[pos + 1:], block
+
+
 class _TamperOnce:
     """A shard pipe whose next delta reply has its stat block spoiled.
 
@@ -198,7 +207,9 @@ class _TamperOnce:
     slot (the rows stay well-formed, so only ownership can refuse it);
     ``"negative_steps"`` leaves the block alone and spoils the reply's
     run and window counts instead, and ``"negative_released"`` its sweep
-    counts.  The ``*_entry`` tampers spoil the first delta entry: it
+    counts.  ``"dropped_slot"`` drops a slot with no delta entry, row
+    and all, so the reply is well-formed but misses an instance its
+    command addressed.  The ``*_entry`` tampers spoil the first delta entry: it
     names a slot another shard owns, or a slot of its own shard whose
     slot and row the reply no longer lists, or it loses its last field.
     """
@@ -230,18 +241,19 @@ class _TamperOnce:
         elif self._tamper == "negative_released":
             runs, windows, _sweeps = stats
             stats = (runs, windows, (-1,) + ((0, {}, 0.0),) * 3)
+        elif self._tamper == "dropped_slot":
+            with_entry = {entry[0] for entry in entries}
+            slots, block = _unlisted(slots, block, next(
+                pos for pos, slot in enumerate(slots)
+                if slot not in with_entry
+            ))
         elif self._tamper.endswith("_entry"):
             assert entries, "no delta entry to spoil"
             entry = entries[0]
             if self._tamper == "foreign_entry":
                 entry = (entry[0] + 1,) + entry[1:]
             elif self._tamper == "unlisted_entry":
-                pos = slots.index(entry[0])
-                rows = zlib.decompress(block)
-                block = zlib.compress(
-                    rows[:pos * ROW_BYTES] + rows[(pos + 1) * ROW_BYTES:], 1
-                )
-                slots = slots[:pos] + slots[pos + 1:]
+                slots, block = _unlisted(slots, block, slots.index(entry[0]))
             else:
                 entry = entry[:-1]
             entries = [entry] + entries[1:]
@@ -317,15 +329,16 @@ class TestShardSupervision:
         "tamper",
         ["truncated", "foreign_slot", "not_zlib", "negative_slot",
          "float_slot", "negative_steps", "negative_released",
-         "foreign_entry", "unlisted_entry", "short_entry"],
+         "foreign_entry", "unlisted_entry", "short_entry", "dropped_slot"],
     )
     def test_bad_stat_block_respawns_worker(self, tamper):
         """Negative controls for the reply checks: a reply whose block
         is short, names a slot another shard owns, names a negative or
         non-integer slot, or does not inflate, whose run counts hold a
         negative step count, whose sweep counts hold negative released
-        bytes, or whose delta entry names a slot another shard owns, a
-        slot the reply does not list, or is short, is a garbling worker
+        bytes, whose delta entry names a slot another shard owns, a
+        slot the reply does not list, or is short, or which leaves out
+        an addressed slot with no entry, is a garbling worker
         — respawned and replayed, with the results unchanged.  (Slot -1
         would index shard 0's own last record, slot 4.)"""
         reference = _reference_histories(3)

@@ -21,8 +21,11 @@ from repro.goleak import (
     verify_none,
     verify_test_main,
 )
+from repro.gc import ReclaimPolicy
+from repro.goleak import api as goleak_api
 from repro.profiling import GoroutineProfile
 from repro.patterns import (
+    PATTERNS,
     contract_violation,
     guaranteed,
     healthy,
@@ -70,6 +73,74 @@ class TestFind:
         rt = run_leaky(premature_return.leaky)
         leaks = find(rt, max_retries(retries=2, interval=0.01))
         assert len(leaks) == 1
+
+
+def _retried(name, monkeypatch, idle_exit, gc_interval=None):
+    """``find`` on PATTERNS[name]'s leaky residue: (leaks, clock,
+    advances, snapshots), with the idle early exit on or off (off is
+    the full retry loop)."""
+    rt = Runtime(seed=3, name=name, panic_mode="record")
+    rt.run(PATTERNS[name].leaky, rt, deadline=5.0,
+           detect_global_deadlock=False)
+    if gc_interval is not None:
+        rt.enable_gc(gc_interval, policy=ReclaimPolicy.RECLAIM)
+    advances, snapshots = [], []
+    advance, snapshot = Runtime.advance, goleak_api.snapshot_runtime
+    with monkeypatch.context() as patch:
+        patch.setattr(Runtime, "advance", lambda self, *a, **kw: (
+            advances.append(self.now), advance(self, *a, **kw)))
+        patch.setattr(goleak_api, "snapshot_runtime", lambda runtime: (
+            snapshots.append(runtime.now), snapshot(runtime))[1])
+        if not idle_exit:
+            patch.setattr(Runtime, "idle_until", lambda self, deadline: False)
+        leaks = find(rt)
+    return leaks, rt.now, advances, len(snapshots)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_idle_early_exit_equals_the_full_retry_loop(name, monkeypatch):
+    """Same leaks, records (``wait_seconds`` included), clock and runs;
+    at most as many snapshots."""
+    fast = _retried(name, monkeypatch, idle_exit=True)
+    full = _retried(name, monkeypatch, idle_exit=False)
+    assert fast[0] == full[0]
+    assert [r.wait_seconds for r in fast[0]] == [
+        r.wait_seconds for r in full[0]]
+    assert repr(fast[1]) == repr(full[1])
+    assert fast[2] == full[2]
+    assert fast[3] <= full[3]
+
+
+def test_idle_early_exit_judges_a_parked_leak_once_more(monkeypatch):
+    """A leak parked with no timer: every retry still runs (the clock
+    and the run count stay), but only the first and last snapshots are
+    taken."""
+    leaks, _now, advances, snapshots = _retried(
+        "premature_return", monkeypatch, idle_exit=True)
+    assert len(leaks) == 1 and len(advances) == 20 and snapshots == 2
+    assert _retried("premature_return", monkeypatch, False)[3] == 21
+
+
+def test_a_pending_timer_still_retries(monkeypatch):
+    """A due gc sweep timer counts as pending work: a reclaiming sweep
+    can end the leak, so every retry is judged."""
+    fast = _retried("premature_return", monkeypatch, True, gc_interval=1.0)
+    full = _retried("premature_return", monkeypatch, False, gc_interval=1.0)
+    assert fast == full
+    assert fast[0] == [] and fast[3] > 2
+    # The slow sleeper of test_retry_tolerates_slow_goroutines: its
+    # timer is pending, so the loop waits for it.
+    rt = Runtime()
+
+    def main(rt):
+        def slow():
+            yield sleep(1.5)
+
+        yield go(slow)
+
+    rt.run(main, rt, deadline=0.0)
+    assert not rt.idle_until(2.0) and rt.idle_until(1.4)
+    assert find(rt, max_retries(retries=20, interval=0.1)) == []
 
 
 class TestVerifyNone:
