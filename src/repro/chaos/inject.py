@@ -29,6 +29,9 @@ KILL = "kill"
 DROP = "drop"
 CORRUPT = "corrupt"
 
+#: Seconds a ``DAEMON_STALL`` fault without its own ``param`` stalls.
+STALL_SECONDS = 0.2
+
 
 class ShardChaos:
     """Shard-boundary faults: worker kills, dropped/corrupt messages.
@@ -85,9 +88,8 @@ class DaemonChaos:
     fault), ``("stall", seconds)``, or ``("error", status)``.
     """
 
-    def __init__(self, schedule: FaultSchedule, stall_seconds: float = 0.2):
+    def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
-        self.stall_seconds = stall_seconds
         self._requests: dict = {}
 
     def on_request(
@@ -97,7 +99,7 @@ class DaemonChaos:
         self._requests[endpoint] = ordinal + 1
         record = self.schedule.fires(FaultKind.DAEMON_STALL, endpoint, ordinal)
         if record is not None:
-            return ("stall", record.param or self.stall_seconds)
+            return ("stall", record.param or STALL_SECONDS)
         record = self.schedule.fires(FaultKind.DAEMON_5XX, endpoint, ordinal)
         if record is not None:
             return ("error", record.param or 503.0)

@@ -33,6 +33,7 @@ The invariants are the subsystem contracts, not smoke checks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -84,7 +85,7 @@ def _leak_profile_text(seed: int = 7, rounds: int = 6) -> str:
 
 
 # ---------------------------------------------------------------------------
-# worker_kill: the parity tentpole
+# The shard drills' shared week: configs, reference, fleet and invariants
 
 
 def _fleet_configs():
@@ -117,6 +118,68 @@ def _fleet_configs():
     ]
 
 
+#: Windows in a shard drill's week: enough for the leak trend.
+_WEEK_WINDOWS = 6
+
+
+@functools.lru_cache(maxsize=1)
+def _serial_week(seed: int):
+    """The fault-free single-process week every shard drill must equal:
+    ``(histories, suspects)`` of :func:`_fleet_configs` run for
+    ``_WEEK_WINDOWS`` one-hour windows, built once per seed."""
+    from repro.fleet import Fleet, Service
+    from repro.leakprof import LeakProf
+
+    reference = Fleet()
+    for config, svc_seed in _fleet_configs():
+        reference.add(Service(config, seed=svc_seed + seed))
+    for _ in range(_WEEK_WINDOWS):
+        reference.advance_window(3600.0)
+    histories = {n: s.history for n, s in reference.services.items()}
+    result = LeakProf(threshold=20).daily_run(
+        reference.all_instances(), now=1.0
+    )
+    return histories, result.suspects
+
+
+def _sharded_fleet(
+    seed: int, schedule: FaultSchedule, shards: int, checkpoint_every: int = 0
+):
+    """A started :class:`ShardedFleet` of :func:`_fleet_configs` whose
+    workers obey ``schedule``."""
+    from repro.fleet import ShardedFleet
+
+    fleet = ShardedFleet(
+        shards=shards,
+        chaos=ShardChaos(schedule),
+        worker_deadline=10.0,
+        checkpoint_every=checkpoint_every,
+    )
+    for config, svc_seed in _fleet_configs():
+        fleet.add_service(config, seed=svc_seed + seed)
+    fleet.start()
+    return fleet
+
+
+def _parity(reference, fleet, histories, suspects) -> Dict[str, bool]:
+    """The invariants every shard drill shares: histories and suspects
+    equal the ``reference`` week's, the leak shows, and no worker
+    outlives ``close()``."""
+    ref_histories, ref_suspects = reference
+    return {
+        "history_parity": histories == ref_histories,
+        "suspects_parity": suspects == ref_suspects,
+        "leak_still_visible": any(
+            s.total_blocked_goroutines > 0 for s in ref_histories["payments"]
+        ),
+        "no_live_children": fleet.live_workers() == 0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# worker_kill: the parity tentpole
+
+
 def worker_kill(seed: int = 0) -> ScenarioResult:
     """SIGKILL a shard worker mid-week; histories must not notice.
 
@@ -127,30 +190,13 @@ def worker_kill(seed: int = 0) -> ScenarioResult:
     the ``ServiceSample`` histories and the LeakProf daily-run suspects
     are byte-identical, and ``close()`` must leave no live children.
     """
-    from repro.fleet import Fleet, Service, ShardedFleet
     from repro.leakprof import LeakProf
 
-    windows = 6  # a "week" at scenario scale: enough for the leak trend
-
-    reference = Fleet()
-    for config, svc_seed in _fleet_configs():
-        reference.add(Service(config, seed=svc_seed + seed))
-    for _ in range(windows):
-        reference.advance_window(3600.0)
-    ref_histories = {n: s.history for n, s in reference.services.items()}
-    ref_result = LeakProf(threshold=20).daily_run(
-        reference.all_instances(), now=1.0
-    )
-
+    reference = _serial_week(seed)
     schedule = FaultSchedule(seed=seed).pin(FaultKind.KILL_WORKER, 1, 3)
-    fleet = ShardedFleet(
-        shards=4, chaos=ShardChaos(schedule), worker_deadline=10.0
-    )
-    for config, svc_seed in _fleet_configs():
-        fleet.add_service(config, seed=svc_seed + seed)
-    fleet.start()
+    fleet = _sharded_fleet(seed, schedule, shards=4)
     try:
-        for _ in range(windows):
+        for _ in range(_WEEK_WINDOWS):
             fleet.advance_window(3600.0)
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).daily_run(fleet.snapshots(), now=1.0)
@@ -163,16 +209,10 @@ def worker_kill(seed: int = 0) -> ScenarioResult:
         invariants={
             "fault_fired": schedule.fired_count(FaultKind.KILL_WORKER) == 1,
             "worker_respawned": fleet.worker_restarts == 1,
-            "history_parity": histories == ref_histories,
-            "suspects_parity": result.suspects == ref_result.suspects,
-            "leak_still_visible": any(
-                s.total_blocked_goroutines > 0
-                for s in ref_histories["payments"]
-            ),
-            "no_live_children": fleet.live_workers() == 0,
+            **_parity(reference, fleet, histories, result.suspects),
         },
         details={
-            "windows": windows,
+            "windows": _WEEK_WINDOWS,
             "worker_restarts": fleet.worker_restarts,
             "fired": [r.kind.value for r in schedule.fired],
         },
@@ -195,42 +235,24 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
     shard 0 dies at op 7, mid-week with a checkpoint behind it.  Both
     respawns must restore from the latest checkpoint and replay only
     the journal tail (bounded by the cadence, never the whole run),
-    and the parent's instance records (materialized views and
+    and the parent's instance records (goroutine records and
     signature indexes) must come out byte-identical to a fault-free
     single-process week.
     """
-    from repro.fleet import Fleet, Service, ShardedFleet
     from repro.leakprof import LeakProf
 
-    windows = 6
+    reference = _serial_week(seed)
     checkpoint_every = 2
-
-    reference = Fleet()
-    for config, svc_seed in _fleet_configs():
-        reference.add(Service(config, seed=svc_seed + seed))
-    for _ in range(windows):
-        reference.advance_window(3600.0)
-    ref_histories = {n: s.history for n, s in reference.services.items()}
-    ref_result = LeakProf(threshold=20).daily_run(
-        reference.all_instances(), now=1.0
-    )
-
     schedule = (
         FaultSchedule(seed=seed)
         .pin(FaultKind.KILL_WORKER, 1, 4)
         .pin(FaultKind.KILL_WORKER, 0, 7)
     )
-    fleet = ShardedFleet(
-        shards=2,
-        chaos=ShardChaos(schedule),
-        worker_deadline=10.0,
-        checkpoint_every=checkpoint_every,
+    fleet = _sharded_fleet(
+        seed, schedule, shards=2, checkpoint_every=checkpoint_every
     )
-    for config, svc_seed in _fleet_configs():
-        fleet.add_service(config, seed=svc_seed + seed)
-    fleet.start()
     try:
-        for _ in range(windows):
+        for _ in range(_WEEK_WINDOWS):
             fleet.advance_window(3600.0)
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).streaming_run(fleet, now=1.0)
@@ -251,16 +273,10 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
             "replay_bounded_by_cadence": fleet.replay_lengths != []
             and max(fleet.replay_lengths) <= checkpoint_every,
             "journals_truncated": journal_tails == [0, 0],
-            "history_parity": histories == ref_histories,
-            "suspects_parity": result.suspects == ref_result.suspects,
-            "leak_still_visible": any(
-                s.total_blocked_goroutines > 0
-                for s in ref_histories["payments"]
-            ),
-            "no_live_children": fleet.live_workers() == 0,
+            **_parity(reference, fleet, histories, result.suspects),
         },
         details={
-            "windows": windows,
+            "windows": _WEEK_WINDOWS,
             "checkpoint_every": checkpoint_every,
             "replay_lengths": list(fleet.replay_lengths),
             "fired": [r.kind.value for r in schedule.fired],
@@ -290,35 +306,16 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
     out byte-identical to a fault-free single-process week, and the
     moved instance must still live on shard 1 afterwards.
     """
-    from repro.fleet import Fleet, Service, ShardedFleet
     from repro.leakprof import LeakProf
 
-    windows = 6
+    reference = _serial_week(seed)
     moved = ("payments", 2)
-
-    reference = Fleet()
-    for config, svc_seed in _fleet_configs():
-        reference.add(Service(config, seed=svc_seed + seed))
-    for _ in range(windows):
-        reference.advance_window(3600.0)
-    ref_histories = {n: s.history for n, s in reference.services.items()}
-    ref_result = LeakProf(threshold=20).daily_run(
-        reference.all_instances(), now=1.0
-    )
-
     schedule = (
         FaultSchedule(seed=seed)
         .pin(FaultKind.KILL_WORKER, 0, 5)
         .pin(FaultKind.KILL_WORKER, 1, 6)
     )
-    fleet = ShardedFleet(
-        shards=2,
-        chaos=ShardChaos(schedule),
-        worker_deadline=10.0,
-    )
-    for config, svc_seed in _fleet_configs():
-        fleet.add_service(config, seed=svc_seed + seed)
-    fleet.start()
+    fleet = _sharded_fleet(seed, schedule, shards=2)
     try:
         for _ in range(3):
             fleet.advance_window(3600.0)
@@ -340,16 +337,10 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
             and fleet.rebalances == 1
             and fleet.instances_moved == 1,
             "move_survived_replay": moved_shard == 1,
-            "history_parity": histories == ref_histories,
-            "suspects_parity": result.suspects == ref_result.suspects,
-            "leak_still_visible": any(
-                s.total_blocked_goroutines > 0
-                for s in ref_histories["payments"]
-            ),
-            "no_live_children": fleet.live_workers() == 0,
+            **_parity(reference, fleet, histories, result.suspects),
         },
         details={
-            "windows": windows,
+            "windows": _WEEK_WINDOWS,
             "moved": list(moved),
             "watermark": fleet.watermark,
             "max_window_spread": fleet.max_window_spread,

@@ -30,6 +30,9 @@ _PR_PATTERN_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("double_send", 0.04),
 )
 
+#: Mean critical (must-land) PRs per week.
+CRITICAL_RATE = 1.0
+
 _HEALTHY_BODIES = (
     healthy.fan_out_fan_in,
     healthy.request_response,
@@ -140,11 +143,10 @@ class PRGenerator:
     """Synthesizes the weekly PR stream with the paper's leak rates."""
 
     def __init__(self, seed: int = 0, prs_per_week: int = 40,
-                 leak_rate: float = 5.0, critical_rate: float = 1.0):
+                 leak_rate: float = 5.0):
         self.rng = random.Random(seed)
         self.prs_per_week = prs_per_week
         self.leak_rate = leak_rate
-        self.critical_rate = critical_rate
         self._next_id = 0
 
     def _sample_pattern(self) -> str:
@@ -191,7 +193,7 @@ class PRGenerator:
     def week_of_prs(self, week: int, extra_leaks: int = 0) -> List[PullRequest]:
         """The PR stream for one week; ``extra_leaks`` models migrations."""
         leaky_count = self._poisson(self.leak_rate) + extra_leaks
-        critical_count = self._poisson(self.critical_rate)
+        critical_count = self._poisson(CRITICAL_RATE)
         prs: List[PullRequest] = []
         for index in range(leaky_count):
             prs.append(self._make_pr(week, leaky=True,

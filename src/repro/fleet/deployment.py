@@ -209,17 +209,6 @@ class Service(RolloutBase):
         publish_health(self.config.name, sample, len(self.instances))
         return sample
 
-    # -- observability --------------------------------------------------------
-
-    def profiles(self):
-        return [instance.profile() for instance in self.instances]
-
-    def snapshot(self):
-        """Freeze the whole service (history + every instance)."""
-        from repro.snapshot import snapshot_service  # deferred import
-
-        return snapshot_service(self)
-
 
 class Fleet:
     """All services under observation — what LeakProf sweeps daily."""

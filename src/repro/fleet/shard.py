@@ -17,13 +17,13 @@ finished ones (:mod:`repro.snapshot.delta`).  The O(1) counters of
 every instance a command touched ride the same reply as one
 compressed, slot-ordered **stat block** of packed rows.  The parent
 checks every slot a reply names against ownership, which lives only in
-the parent, and keeps **one record per instance**
-(:class:`_RowMirror`): its owning shard, its request mix,
-its materialized view (records plus the committed stat row, so
-``snapshots()`` never touches a worker) and its signature index, whose
-suspect sets are batch-scan identical.  A reply's rows become the
-committed rows of the views it names; its deltas fold into the view
-first and the signature index second.  :meth:`~ShardedFleet.resync` is
+the parent, and keeps **one object per instance**
+(:class:`_RowMirror`): its slot and name, its owning shard, its request
+mix, its goroutine records and committed stat row (so ``snapshots()``
+never touches a worker) and its signature index, whose suspect sets are
+batch-scan identical.  A reply's rows become the committed rows of the
+records it names; each of its deltas folds into its record's goroutine
+records and signature index in one pass.  :meth:`~ShardedFleet.resync` is
 an on-demand anti-entropy full reship; ``checkpoint_every`` bounds
 crash-replay cost (below).  Deploys, partial deploys, and remedy
 rollouts travel to the owning shards as commands.
@@ -31,8 +31,8 @@ rollouts travel to the owning shards as commands.
 Asynchronous windows and the fleet watermark
 --------------------------------------------
 Shards are not bound to lockstep.  Every worker keeps a
-``window_seq`` counter, bumps it on each ``advance`` command, and tags
-its delta replies with it, the shard watermark.  The parent buffers
+``window_seq`` counter, bumps it on each ``advance`` command, and
+sends it with every reply: the shard watermark.  The parent buffers
 out-of-phase replies per shard, tracks each shard's watermark, and
 *commits* windows in order once every shard has reached them: the
 **fleet watermark**
@@ -50,12 +50,13 @@ one window; :meth:`barrier` drains, then pumps laggards up to the
 fastest shard — and every whole-fleet operation that must observe one
 instant (``checkpoint``/``resync``/deploys/``rebalance``/an advance)
 starts with one.  :meth:`begin_advance`/:meth:`poll` let a caller pace
-shards itself.  A delta reply whose window is not the shard
-watermark + 1 (an advance) or the watermark itself (any other command)
-is rejected as a protocol violation.  A committed row raises its view's
-watermark to its reply's window, and a delta older than a view's own
-watermark is dropped before it can resurrect tombstoned records or
-reach the signature index (``stale_deltas``).
+shards itself.  Every reply's window is checked in one place as it is
+received: one that is not the shard watermark + 1 (an advance) or the
+watermark itself (any other command) is rejected as a protocol
+violation.  A committed row raises its record's watermark to its
+reply's window, and a delta older than a record's own watermark is
+dropped before it can resurrect tombstoned records or reach the
+signature index (``stale_deltas``).
 
 Re-balancing
 ------------
@@ -79,9 +80,9 @@ shard topology.  The parent re-aggregates per-window samples in index
 order with exactly the arithmetic ``Service.advance_window`` uses, so
 for a fixed seed the ``ServiceSample`` histories of a 1-shard, N-shard,
 and single-process run are byte-identical (tested
-property-style in ``tests/test_sharded_fleet.py``), and a streaming
-view materializes the same bytes ``snapshot_instance`` would produce
-against the live instance (``tests/test_streaming_delta.py``).
+property-style in ``tests/test_sharded_fleet.py``), and an instance's
+parent record materializes the same bytes ``snapshot_instance`` would
+produce against the live instance (``tests/test_streaming_delta.py``).
 
 Supervision guarantee
 ---------------------
@@ -100,7 +101,7 @@ a run where the worker never died.  The in-flight command is the
 journal's last entry (or is re-sent, if it was a read), so no window
 and no resync or checkpoint request is ever lost.  Delta application
 is idempotent and watermark-guarded, so a replayed window folding into
-an already-current view changes nothing.
+an already-current record changes nothing.
 
 Checkpointing bounds the replay: every ``checkpoint_every`` full-fleet
 windows the parent asks each worker to serialize its instances
@@ -134,17 +135,20 @@ from repro import obs
 from repro.leakprof.detector import DEFAULT_THRESHOLD, SignatureAccumulator
 from repro.obs.fold import fold, well_formed
 from repro.obs.registry import monotonic as _monotonic
-from repro.snapshot import InstanceSnapshot
+from repro.profiling import GoroutineRecord
+from repro.snapshot import GCSnapshot, InstanceSnapshot, RuntimeSnapshot
 from repro.snapshot.delta import (
     F_BLOCKED,
+    F_CENSUS,
     F_CPU,
     F_GOROUTINES,
     F_RSS,
     F_T,
     ROW_BYTES,
+    STATE_VALUES,
     DeltaTracker,
-    InstanceView,
     WireDelta,
+    WireRecord,
     pack_row,
     unpack_rows,
 )
@@ -156,7 +160,13 @@ from .checkpoint import (
 )
 from .deployment import RolloutBase, ServiceConfig, ServiceSample, publish_health
 from .determinism import aggregate_sample, build_instance as _build_instance
-from .service import ServiceInstance, WINDOW_SECONDS, drain, windows_in
+from .service import (
+    InstanceMetrics,
+    ServiceInstance,
+    WINDOW_SECONDS,
+    drain,
+    windows_in,
+)
 from .workload import RequestMix
 
 # _build_instance is repro.fleet.determinism.build_instance — the same
@@ -176,10 +186,10 @@ def _shard_worker(conn) -> None:
     """One worker process: owns a set of instances, obeys shard commands.
 
     Protocol: the parent sends one tuple, the worker answers with one
-    ``(kind, payload)`` tuple.  Per shard the exchange is strictly
-    sequential, so a broadcast can send to every worker first and then
-    collect, overlapping their compute — and shards need not be in
-    phase with each other: each reply is tagged with this worker's
+    ``(kind, window_seq, payload)`` tuple.  Per shard the exchange is
+    strictly sequential, so a broadcast can send to every worker first
+    and then collect, overlapping their compute — and shards need not be
+    in phase with each other: every reply carries this worker's
     ``window_seq`` watermark.  Every command and reply names instances
     by slot; which shard owns a slot is known only to the parent.
     """
@@ -187,9 +197,9 @@ def _shard_worker(conn) -> None:
     #: place, evict deletes).  Each runtime's ``_delta`` is its
     #: ``DeltaTracker``.
     instances: Dict[int, ServiceInstance] = {}
-    #: Windows this worker has advanced — the shard watermark.  Tagged
-    #: onto every delta reply; rebuilt exactly by journal replay,
-    #: carried through checkpoints by ``window_seq`` state.
+    #: Windows this worker has advanced — the shard watermark.  Carried
+    #: by every reply; rebuilt exactly by journal replay, and through a
+    #: checkpoint by the ``restore`` command.
     window_seq = 0
     #: CPU-second anchor taken after init/restore, so the ``stop`` reply
     #: reports pure post-construction work (advance + ship + pickle) —
@@ -198,7 +208,7 @@ def _shard_worker(conn) -> None:
 
     def _freeze(slots) -> Dict[str, Any]:
         """Checkpoint the instances in ``slots``, all or nothing: the
-        reply carries a ``(slot, blob)`` entry for each, or the reason
+        payload carries a ``(slot, blob)`` entry for each, or the reason
         the first instance that cannot be checkpointed exactly
         declined."""
         entries = []
@@ -215,13 +225,13 @@ def _shard_worker(conn) -> None:
                     )
                 entries.append((slot, checkpoint_instance(inst)))
         except CheckpointUnsupported as exc:
-            return {"ok": False, "reason": str(exc), "window_seq": window_seq}
-        return {"ok": True, "entries": entries, "window_seq": window_seq}
+            return {"ok": False, "reason": str(exc)}
+        return {"ok": True, "entries": entries}
 
     def _thaw(entries) -> None:
         """Restore checkpointed instances and resume each one's delta
         tracking where the checkpoint left off: every restored gid is
-        one the parent's view holds (see :class:`DeltaTracker`)."""
+        one the parent's record holds (see :class:`DeltaTracker`)."""
         for slot, blob in entries:
             inst = instances[slot] = restore_instance(blob)
             inst.runtime._delta = DeltaTracker(inst.runtime._goroutines)
@@ -248,8 +258,8 @@ def _shard_worker(conn) -> None:
                 entries.append((slot, flag, records, tombstones, gc))
         touched = [instances[slot] for slot in slots]
         block = zlib.compress(b"".join(map(pack_row, touched)), 1)
-        return ("delta", (
-            window_seq, tuple(slots), block, entries, drain(touched),
+        return ("delta", window_seq, (
+            tuple(slots), block, entries, drain(touched),
         ))
 
     def _build(config, seed, deploy_gen, pairs, mix, start_time):
@@ -288,7 +298,7 @@ def _shard_worker(conn) -> None:
                 # Anti-entropy: reship everything, tracker state included.
                 conn.send(_delta_reply(instances, full=True))
             elif cmd == "checkpoint":
-                conn.send(("checkpoint", _freeze(instances)))
+                conn.send(("checkpoint", window_seq, _freeze(instances)))
             elif cmd == "evict":
                 # Re-balance, source side: checkpoint the moving
                 # instances, then drop them.  A decline leaves worker
@@ -298,24 +308,23 @@ def _shard_worker(conn) -> None:
                 if reply["ok"]:
                     for slot in msg[1]:
                         del instances[slot]
-                conn.send(("evicted", reply))
+                conn.send(("evicted", window_seq, reply))
             elif cmd == "adopt":
                 # Re-balance, target side: restore the blobs and resume
                 # their delta tracking exactly where the source left off.
                 _thaw(msg[1])
-                conn.send(("adopted", window_seq))
+                conn.send(("adopted", window_seq, None))
             elif cmd == "restore":
-                state = msg[1]
+                window_seq, entries = msg[1]
                 instances.clear()
-                window_seq = state["window_seq"]
-                _thaw(state["entries"])
-                conn.send(("ok", None))
+                _thaw(entries)
+                conn.send(("ok", window_seq, None))
                 cpu_anchor = time.process_time()
             elif cmd == "stop":
-                conn.send(("ok", time.process_time() - cpu_anchor))
+                conn.send(("ok", window_seq, time.process_time() - cpu_anchor))
                 return
             else:  # pragma: no cover - protocol guard
-                conn.send(("error", f"unknown command {cmd!r}"))
+                conn.send(("error", window_seq, f"unknown command {cmd!r}"))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
         return
 
@@ -323,58 +332,147 @@ def _shard_worker(conn) -> None:
 class _RowMirror:
     """The parent's one record of one remote instance.
 
-    Holds the owning ``shard`` (the only place ownership lives; a
-    rebalance rewrites this one field), the ``mix`` the instance runs,
-    its materialized :class:`InstanceView` (key, name, slot, records and
-    the committed stat row) and ``signatures``, the instance's blocked
-    goroutines filed by gid in LeakProf's scoring core.  :meth:`apply`
-    is the one way a delta reaches either.  Exposes the observability
-    slice of :class:`ServiceInstance` (``rss()``,
+    Holds the instance's identity (``slot``, ``service``, ``index``,
+    ``name``, ``base_rss``), its owning ``shard`` (the only place
+    ownership lives; a rebalance rewrites this one field), the ``mix``
+    it runs, and everything its deltas and stat rows built up:
+    ``records`` (gid -> wire record), ``signatures`` (its blocked
+    goroutines filed by gid in LeakProf's scoring core), the last
+    shipped ``gc`` tallies, ``window`` (the highest shard window folded
+    in, its watermark) and ``row`` (the committed stat row, unpacked;
+    ``None`` before the first commit).  :meth:`snapshot` materializes
+    the full ``InstanceSnapshot`` without touching the worker.  Exposes
+    the observability slice of :class:`ServiceInstance` (``rss()``,
     ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``) so
     consumers like :class:`repro.remedy.StagedRollout` drive a sharded
     service exactly as they drive a live one.
     """
 
-    __slots__ = ("view", "mix", "shard", "signatures")
+    __slots__ = ("slot", "service", "index", "name", "base_rss", "shard",
+                 "mix", "records", "signatures", "gc", "window", "row")
 
-    def __init__(self, view: InstanceView, mix: RequestMix, shard: int):
-        self.view = view
-        self.mix = mix
+    def __init__(
+        self, slot: int, service: str, index: int, name: str,
+        base_rss: int, shard: int, mix: RequestMix,
+    ):
+        self.slot = slot
+        self.service = service
+        self.index = index
+        self.name = name
+        self.base_rss = base_rss
         self.shard = shard
+        self.mix = mix
+        self.records: Dict[int, WireRecord] = {}
         self.signatures = SignatureAccumulator()
-
-    @property
-    def name(self) -> str:
-        return self.view.name
+        self.gc: Optional[GCSnapshot] = None
+        self.window = -1
+        self.row: Optional[Tuple] = None
 
     @property
     def key(self) -> Tuple[str, int]:
-        return (self.view.service, self.view.index)
+        return (self.service, self.index)
+
+    def commit(self, row: Tuple, window: int) -> None:
+        """Make ``row``, from a reply at ``window``, the committed row."""
+        self.row = row
+        if window > self.window:
+            self.window = window
 
     def apply(self, delta: WireDelta, window: int) -> bool:
-        """Fold one delta into the view, then into ``signatures``.
+        """Fold one delta, shipped at shard window ``window``, into
+        ``records`` and ``signatures`` in one pass.
 
-        A delta the view refuses as stale returns ``False`` before it
-        can touch the signature index.  A ``full`` delta replaces the
-        instance's state wholesale, so it starts a fresh index.
+        A delta older than the record's watermark is refused (``False``)
+        unless it is ``full``, so a late delta arriving after a
+        tombstone cannot resurrect dead records; equal-window
+        re-application is idempotent, which crash replay relies on.  A
+        ``full`` delta replaces the instance's state wholesale.
         """
-        if not self.view.apply(delta, window):
+        _slot, full, records, tombstones, gc = delta
+        if window < self.window and not full:
             return False
-        _slot, full, records, tombstones, _gc = delta
+        if window > self.window:
+            self.window = window
+        held = self.records
         if full:
+            held.clear()
+            self.gc = None
             self.signatures = SignatureAccumulator()
+        if gc is not None:
+            self.gc = GCSnapshot(*gc)
         signatures = self.signatures
-        for template, _since in records:
+        for wire in records:
+            template = wire[0]
+            gid = template.gid
+            held[gid] = wire
             if template.is_blocked:
-                signatures.file(template.gid, template)
+                signatures.file(gid, template)
             else:
-                signatures.unfile(template.gid)
+                signatures.unfile(gid)
         for gid in tombstones:
+            held.pop(gid, None)
             signatures.unfile(gid)
         return True
 
+    def record_at(self, gid: int) -> GoroutineRecord:
+        """One record materialized at the committed row's instant."""
+        template, blocked_since = self.records[gid]
+        if blocked_since is None:
+            return template
+        age = max(0.0, self.row[F_T] - blocked_since)
+        if age == 0.0:
+            return template
+        return template.aged(age)
+
+    def snapshot(self) -> InstanceSnapshot:
+        """Materialize the full ``InstanceSnapshot``: the same value
+        ``snapshot_instance`` builds against the live instance."""
+        row = self.row
+        if row is None:
+            raise RuntimeError(
+                f"record of {self.name!r} has no stats yet (not initialized)"
+            )
+        (t, cpu_percent, rss_bytes, blocked, goroutines,
+         requests_window, requests_total, steps, windows) = row[F_T:F_CENSUS]
+        runtime = RuntimeSnapshot(
+            process=self.name,
+            taken_at=t,
+            num_goroutines=goroutines,
+            blocked_goroutines=blocked,
+            rss_bytes=rss_bytes,
+            base_rss=self.base_rss,
+            state_census={
+                value: count
+                for value, count in zip(STATE_VALUES, row[F_CENSUS:])
+                if count
+            },
+            steps=steps,
+            gc=self.gc,
+            records=tuple(
+                self.record_at(gid) for gid in sorted(self.records)
+            ),
+        )
+        last_metrics = None
+        if windows:
+            last_metrics = InstanceMetrics(
+                t=t,
+                rss_bytes=rss_bytes,
+                goroutines=goroutines,
+                cpu_percent=cpu_percent,
+                requests_served=requests_window,
+                blocked_goroutines=blocked,
+            )
+        return tuple.__new__(InstanceSnapshot, (
+            self.service,
+            self.name,
+            requests_total,
+            cpu_percent,
+            runtime,
+            last_metrics,
+        ))
+
     def _field(self, index: int, default):
-        row = self.view.row
+        row = self.row
         return row[index] if row is not None else default
 
     @property
@@ -426,7 +524,7 @@ class ShardedService(RolloutBase):
         for index in indices:
             record = self.instances[index]
             by_shard.setdefault(record.shard, []).append(
-                (record.view.slot, index)
+                (record.slot, index)
             )
         return by_shard
 
@@ -447,13 +545,6 @@ class ShardedService(RolloutBase):
         """Advance only this service's instances, fleet-parallel."""
         self._fleet._advance(1, window, only=self.config.name)
         return self.history[-1]
-
-    def snapshots(self) -> List[InstanceSnapshot]:
-        """This service's instance snapshots (from the parent's views)."""
-        return self._fleet.snapshots(service=self.config.name)
-
-    def profiles(self):
-        return [snap.profile() for snap in self.snapshots()]
 
 
 class _WorkerFault(Exception):
@@ -540,8 +631,9 @@ class ShardedFleet:
         self._journal: List[List[Tuple]] = [[] for _ in range(shards)]
         #: per shard: outbound command ordinal (the chaos hook coordinate).
         self._op_index: List[int] = [0] * shards
-        #: per shard: the latest accepted checkpoint reply (restore base).
-        self._checkpoints: List[Optional[Dict[str, Any]]] = [None] * shards
+        #: per shard: the latest accepted checkpoint as ``(window_seq,
+        #: entries)``, what a ``restore`` command carries.
+        self._checkpoints: List[Optional[Tuple[int, List]]] = [None] * shards
         # -- streaming state -------------------------------------------
         #: Every instance's record, indexed by stat-row slot (service-add
         #: then index order) and by (service, index) key.
@@ -565,7 +657,7 @@ class ShardedFleet:
         self._checkpoint_due = False
         #: Widest (max - min) shard-watermark spread ever observed.
         self.max_window_spread = 0
-        #: Deltas dropped by the view watermark guard.
+        #: Deltas dropped by the record watermark guard.
         self.stale_deltas = 0
         # -- re-balancing ----------------------------------------------
         self.rebalances = 0
@@ -601,11 +693,10 @@ class ShardedFleet:
         service = ShardedService(self, config, seed)
         for index in range(config.instances):
             slot = len(self._by_slot)
-            view = InstanceView(
-                config.name, index, f"{config.name}/i-{index}",
-                config.base_rss, slot,
+            record = _RowMirror(
+                slot, config.name, index, f"{config.name}/i-{index}",
+                config.base_rss, slot % self.num_shards, config.mix,
             )
-            record = _RowMirror(view, config.mix, slot % self.num_shards)
             service.instances.append(record)
             self._by_slot.append(record)
             self._by_key[record.key] = record
@@ -672,11 +763,11 @@ class ShardedFleet:
                     reply = conn.recv()
                     if (
                         isinstance(reply, tuple)
-                        and len(reply) == 2
+                        and len(reply) == 3
                         and reply[0] == "ok"
-                        and isinstance(reply[1], float)
+                        and isinstance(reply[2], float)
                     ):
-                        self.worker_cpu_seconds += reply[1]
+                        self.worker_cpu_seconds += reply[2]
                         break
                     if self._inflight[shard] is not None:
                         # A stale async advance reply preceding the stop
@@ -745,12 +836,8 @@ class ShardedFleet:
 
     def _exchange_deltas(self, pairs: List[Tuple[int, Tuple]]) -> None:
         """Exchange delta commands that do not advance a window (init,
-        restart, resync): check each reply carries its shard's current
-        watermark, then fold the replies in."""
-        payloads = self._exchange(pairs)
-        for (shard, _message), payload in zip(pairs, payloads):
-            self._note_window(shard, payload[0], advance=False)
-        for payload in payloads:
+        restart, resync), then fold the replies in."""
+        for payload in self._exchange(pairs):
             self._ingest(payload)
 
     def _collect_reply(
@@ -761,21 +848,23 @@ class ShardedFleet:
 
         A worker that died, wedged past ``worker_deadline``, or replied
         garbage is respawned and its journal replayed before this
-        returns, so callers never see the crash.  A delta reply comes
-        back with its stat block opened (:meth:`_open_block`).  Also the
-        single copy of wire-byte accounting.
+        returns, so callers never see the crash.  Every reply's window,
+        live or replayed, is checked here (:meth:`_note_window`).  A
+        delta reply comes back opened (:meth:`_open_block`); any other
+        reply as its payload.  Also the single copy of wire-byte
+        accounting.
         """
         if deadline is None:
             deadline = _monotonic() + self.worker_deadline
+        command = message[0]
         try:
-            kind, payload = self._recv(shard, deadline)
+            kind, window, payload = self._recv(shard, deadline)
             if kind == "delta":
-                payload = self._open_block(shard, payload, message)
+                payload = self._open_block(shard, window, payload, message)
         except _WorkerFault as fault:
-            _kind, payload = self._respawn_and_replay(
+            _kind, window, payload = self._respawn_and_replay(
                 shard, message, reason=fault.reason
             )
-        command = message[0]
         nbytes = self._last_recv_nbytes
         self.wire_bytes_by_command[command] = (
             self.wire_bytes_by_command.get(command, 0) + nbytes
@@ -787,6 +876,7 @@ class ShardedFleet:
                 "Bytes of delta-snapshot replies received from shard "
                 "workers",
             ).inc(nbytes)
+        self._note_window(shard, window, advance=command == "advance")
         return payload
 
     def _send(self, shard: int, message: Tuple) -> None:
@@ -823,7 +913,7 @@ class ShardedFleet:
             # Worker already gone; the collect side heals it.
             pass
 
-    def _recv(self, shard: int, deadline: float) -> Tuple[str, Any]:
+    def _recv(self, shard: int, deadline: float) -> Tuple[str, int, Any]:
         """Poll-with-deadline reply collection — never a blocking recv.
 
         Receives raw bytes (for exact wire accounting) and unpickles
@@ -861,16 +951,16 @@ class ShardedFleet:
                     f"no reply within worker_deadline={self.worker_deadline}s",
                 )
 
-    def _decode(self, shard: int, buf: bytes) -> Tuple[str, Any]:
+    def _decode(self, shard: int, buf: bytes) -> Tuple[str, int, Any]:
         self.wire_bytes_total += len(buf)
         self._last_recv_nbytes = len(buf)
         try:
-            kind, payload = pickle.loads(buf)
+            kind, window, payload = pickle.loads(buf)
         except Exception:
             raise _WorkerFault(shard, "undecodable reply") from None
         if kind == "error":
             raise _WorkerFault(shard, f"worker error reply: {payload!r}")
-        return kind, payload
+        return kind, window, payload
 
     def _addressed(self, shard: int, message: Tuple) -> Tuple[int, ...]:
         """The slots delta command ``message`` addresses on ``shard``, in
@@ -880,12 +970,14 @@ class ShardedFleet:
             return tuple(sorted(slot for slot, _index in message[4]))
         only = message[2] if message[0] == "advance" else None
         return tuple(
-            record.view.slot for record in self._by_slot
+            record.slot for record in self._by_slot
             if record.shard == shard
-            and (only is None or record.view.service == only)
+            and (only is None or record.service == only)
         )
 
-    def _open_block(self, shard: int, payload: Tuple, message: Tuple) -> Tuple:
+    def _open_block(
+        self, shard: int, window: int, payload: Tuple, message: Tuple
+    ) -> Tuple:
         """Decompress and check one delta reply to ``message``: its
         slots, stat block, entries and counts.
 
@@ -896,11 +988,12 @@ class ShardedFleet:
         the reply names.  The run, window and sweep tallies must be
         :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
         that answered garbage, so it raises :class:`_WorkerFault` and
-        supervision respawns it.  Returns the payload with the raw rows
-        in place of the block.
+        supervision respawns it.  Returns ``(window, slots, rows,
+        entries, stats)``: the payload behind its window, with the raw
+        rows in place of the block.
         """
         try:
-            window, slots, block, entries, stats = payload
+            slots, block, entries, stats = payload
             rows = zlib.decompress(block)
             named = set(slots)
             valid = len(rows) == len(slots) * ROW_BYTES and all(
@@ -918,7 +1011,7 @@ class ShardedFleet:
 
     def _recv_replay(
         self, shard: int, message: Optional[Tuple] = None
-    ) -> Tuple[str, Any]:
+    ) -> Tuple[str, int, Any]:
         """Reply collection during journal replay: fail hard, no recursion.
 
         Given the in-flight ``message`` (the one replay reply the caller
@@ -927,19 +1020,19 @@ class ShardedFleet:
         """
         deadline = _monotonic() + self.worker_deadline
         try:
-            kind, payload = self._recv(shard, deadline)
+            kind, window, payload = self._recv(shard, deadline)
             if message is not None and kind == "delta":
-                payload = self._open_block(shard, payload, message)
+                payload = self._open_block(shard, window, payload, message)
         except _WorkerFault as fault:
             raise RuntimeError(
                 f"shard {shard} worker failed during journal replay: "
                 f"{fault.reason}"
             ) from fault
-        return kind, payload
+        return kind, window, payload
 
     def _respawn_and_replay(
         self, shard: int, message: Tuple, reason: str = "worker fault"
-    ) -> Tuple[str, Any]:
+    ) -> Tuple[str, int, Any]:
         """Heal one dead/wedged shard and return the in-flight reply.
 
         A fresh worker process restores the shard's latest checkpoint
@@ -1001,7 +1094,7 @@ class ShardedFleet:
             journal = self._journal[shard]
             in_journal = message[0] in _MUTATING
             self.replay_lengths.append(len(journal))
-            last: Optional[Tuple[str, Any]] = None
+            last: Optional[Tuple[str, int, Any]] = None
             for pos, entry in enumerate(journal):
                 self._conns[shard].send(entry)
                 last = self._recv_replay(
@@ -1027,7 +1120,7 @@ class ShardedFleet:
 
     @property
     def watermark(self) -> int:
-        """The fleet watermark W: windows committed into the views."""
+        """The fleet watermark W: windows committed into the records."""
         return self._committed_window
 
     @property
@@ -1038,7 +1131,8 @@ class ShardedFleet:
     def _note_window(self, shard: int, window: int, advance: bool) -> None:
         """Validate and record one reply's window watermark.
 
-        An ``advance`` reply must be exactly the next window; any other
+        Called once for every reply :meth:`_collect_reply` returns.  An
+        ``advance`` reply must be exactly the next window; any other
         reply must carry the shard's current watermark.  Anything else
         is a watermark regression/skip — a protocol violation the
         parent refuses to ingest.
@@ -1182,18 +1276,16 @@ class ShardedFleet:
             shard, message,
             deadline=self._sent_at[shard] + self.worker_deadline,
         )
-        window = payload[0]
-        self._note_window(shard, window, advance=True)
-        self._pending[shard].append((window, payload))
+        self._pending[shard].append((payload[0], payload))
 
     def _commit_ready(self) -> None:
         """Fold every window all shards have reached into parent state.
 
-        The commit is the only place views, signature indexes, and
-        ``ServiceSample`` histories move — always one whole window at a
-        time, in window order, with every shard's contribution — which
-        is why a query at watermark W is byte-identical to a lockstep
-        run advanced exactly W windows.
+        The commit is the only place instance records, signature
+        indexes, and ``ServiceSample`` histories move — always one whole
+        window at a time, in window order, with every shard's
+        contribution — which is why a query at watermark W is
+        byte-identical to a lockstep run advanced exactly W windows.
         """
         reg = obs.default_registry()
         while True:
@@ -1253,16 +1345,16 @@ class ShardedFleet:
     ) -> None:
         """Fold one worker's opened delta reply into the instance records.
 
-        Each stat row becomes the committed row of the view in its slot,
+        Each stat row becomes the committed row of the record in its slot,
         at the reply's window; an instance the reply does not name keeps
         its row.  Each delta goes through the record in its slot
         (:meth:`_RowMirror.apply`), which drops a stale one (older than
-        the view's watermark) before it reaches the signature index.
+        the record's watermark) before it reaches the signature index.
         """
         window, slots, rows, deltas = payload
         by_slot = self._by_slot
         for slot, row in zip(slots, unpack_rows(rows)):
-            by_slot[slot].view.commit(row, window)
+            by_slot[slot].commit(row, window)
         total_records = 0
         stale = 0
         for delta in deltas:
@@ -1312,9 +1404,9 @@ class ShardedFleet:
         Delegates to the shared ``aggregate_sample`` — literally the
         same arithmetic ``Service.advance_window`` runs, which is the
         byte-identical-histories guarantee made structural.  Aggregates
-        the committed rows of the service's views; publishes its health.
+        the committed rows of the service's records; publishes its health.
         """
-        rows = [record.view.row for record in service.instances]
+        rows = [record.row for record in service.instances]
         sample = aggregate_sample(
             rows[0][F_T] if rows else 0.0,
             map(_SAMPLE_FIELDS, rows),
@@ -1327,7 +1419,7 @@ class ShardedFleet:
     # -- the streaming plane -------------------------------------------------
 
     def resync(self) -> None:
-        """Anti-entropy: reship every instance's full state into the views.
+        """Anti-entropy: reship every instance's full state into its record.
 
         The delta protocol is exact, so this is defense in depth (and
         the recovery story for any future non-determinism bug), not a
@@ -1367,7 +1459,9 @@ class ShardedFleet:
             taken = 0
             for shard, payload in enumerate(payloads):
                 if isinstance(payload, dict) and payload.get("ok"):
-                    self._checkpoints[shard] = payload
+                    self._checkpoints[shard] = (
+                        self._shard_window[shard], payload["entries"],
+                    )
                     self._journal[shard].clear()
                     taken += 1
                     self.checkpoints_taken += 1
@@ -1413,7 +1507,7 @@ class ShardedFleet:
 
         Each record's ``signatures`` answers through the same
         :class:`~repro.leakprof.detector.SignatureAccumulator` batch
-        ``scan_profile`` uses, keyed by gid — and a view's profile lists
+        ``scan_profile`` uses, keyed by gid — and a snapshot's profile lists
         records in ascending-gid order, so both agree by construction.
         O(signatures) parent-side work and zero wire traffic — answered
         at the fleet watermark ``W``: list-equal to ``scan_fleet`` over
@@ -1426,9 +1520,8 @@ class ShardedFleet:
             threshold = DEFAULT_THRESHOLD
         suspects = []
         for record in self._by_slot:
-            view = record.view
             suspects.extend(record.signatures.suspects(
-                view.record_at, view.service, view.name,
+                record.record_at, record.service, record.name,
                 threshold=threshold,
                 apply_transient_filter=apply_transient_filter,
             ))
@@ -1476,7 +1569,7 @@ class ShardedFleet:
             "fleet.rebalance", moves=len(moves)
         ) as span:
             targets = {
-                self._by_key[key].view.slot: target
+                self._by_key[key].slot: target
                 for key, target in moves.items()
             }
             by_source: Dict[int, List[int]] = {}
@@ -1490,7 +1583,6 @@ class ShardedFleet:
                 payload = self._exchange([
                     (source, ("evict", tuple(by_source[source])))
                 ])[0]
-                self._note_window(source, payload["window_seq"], advance=False)
                 if payload.get("ok"):
                     evicted[source] = payload["entries"]
                 else:
@@ -1532,8 +1624,7 @@ class ShardedFleet:
 
     def _adopt(self, shard: int, entries: List[Tuple]) -> None:
         """Hand checkpointed ``(slot, blob)`` entries to a worker."""
-        payload = self._exchange([(shard, ("adopt", entries))])[0]
-        self._note_window(shard, payload, advance=False)
+        self._exchange([(shard, ("adopt", entries))])
 
     # -- the Fleet-compatible surface ----------------------------------------
 
@@ -1556,7 +1647,7 @@ class ShardedFleet:
         the fleet watermark is immediately given its next window, so
         with ``max_lead=1`` the fleet runs in lockstep and with a larger
         lead no shard waits for the slowest one until the bound bites.
-        Histories, views, and signature indexes advance only at
+        Histories, instance records, and signature indexes advance only at
         commits, so the result is byte-identical for every lead.
         """
         self._advance(
@@ -1569,13 +1660,10 @@ class ShardedFleet:
         """Every instance's snapshot, in the same (service-add, index)
         order ``Fleet.all_instances()`` yields — so a LeakProf daily run
         over a sharded fleet sees byte-identical input.  Materialized
-        from the parent-side views — zero wire traffic, answered at the
+        from the parent-side records — zero wire traffic, answered at the
         fleet watermark."""
         return [
-            record.view.snapshot()
+            record.snapshot()
             for record in self._by_slot
-            if service is None or record.view.service == service
+            if service is None or record.service == service
         ]
-
-    def history(self, service: str) -> List[ServiceSample]:
-        return self.services[service].history

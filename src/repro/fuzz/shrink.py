@@ -28,6 +28,9 @@ from .optree import FuzzProgram, Scenario, make_scenario
 #: (detector, kind) — the disagreement signature a shrink must preserve.
 Target = Tuple[str, str]
 
+#: Candidate re-runs one shrink may spend.
+MAX_ATTEMPTS = 400
+
 
 def _without_index(items: Tuple, index: int) -> Tuple:
     return items[:index] + items[index + 1:]
@@ -138,7 +141,6 @@ def shrink(
     program: FuzzProgram,
     target: Target,
     check: Optional[Callable[[FuzzProgram], JudgeResult]] = None,
-    max_attempts: int = 400,
 ) -> ShrinkResult:
     """Minimize ``program`` while preserving a ``target`` disagreement.
 
@@ -159,10 +161,10 @@ def shrink(
         )
 
     improved = True
-    while improved and attempts < max_attempts:
+    while improved and attempts < MAX_ATTEMPTS:
         improved = False
         for edited in _edit_forest(current.scenarios):
-            if attempts >= max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 break
             candidate = replace(current, scenarios=edited)
             if candidate.size == 0:

@@ -70,6 +70,9 @@ _CONTENT_DIALECTS = {
     "application/x-goroutine-profile+simulator": "simulator",
 }
 
+#: Seconds ``close()`` waits for admitted requests to finish.
+DRAIN_TIMEOUT = 5.0
+
 #: Upload body sizes, in bytes (256 B through the 8 MiB ceiling).
 _BYTE_BUCKETS = (
     256.0, 1024.0, 4096.0, 16384.0, 65536.0,
@@ -124,7 +127,6 @@ class IngestServer:
         quiet: bool = True,
         registry: Optional[MetricsRegistry] = None,
         fault_injector: Optional[object] = None,
-        drain_timeout: float = 5.0,
     ):
         self.store = store
         self.max_body_bytes = max_body_bytes
@@ -136,7 +138,6 @@ class IngestServer:
         #: returning None / ("stall", seconds) / ("error", status) —
         #: see :class:`repro.chaos.DaemonChaos`.  Never set in product.
         self.fault_injector = fault_injector
-        self.drain_timeout = drain_timeout
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self.limiter = RateLimiter(rate=rate, burst=burst, clock=clock)
@@ -242,11 +243,11 @@ class IngestServer:
         ``shutdown()`` only stops the accept loop; handler threads may
         still be mid-request (a slow scan, a large upload).  Waiting for
         the in-flight count to reach zero — bounded by
-        ``drain_timeout`` — means a client whose request was already
+        ``DRAIN_TIMEOUT`` — means a client whose request was already
         admitted gets its response instead of a reset socket.
         """
         self._httpd.shutdown()
-        deadline = _monotonic() + self.drain_timeout
+        deadline = _monotonic() + DRAIN_TIMEOUT
         while _monotonic() < deadline:
             with self._inflight_lock:
                 if self._inflight == 0:

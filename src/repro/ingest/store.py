@@ -173,6 +173,9 @@ def _record_to_json(record: GoroutineRecord) -> Dict:
 
 _STATE_BY_VALUE = {state.value: state for state in GoroutineState}
 
+#: Milliseconds sqlite waits on a locked database before it raises.
+BUSY_TIMEOUT_MS = 5_000
+
 
 def _record_from_json(data: Dict) -> GoroutineRecord:
     return GoroutineRecord(
@@ -238,7 +241,6 @@ class IngestStore:
         self,
         path: str = ":memory:",
         fault_hook: Optional[Callable[[str], None]] = None,
-        busy_timeout_ms: int = 5_000,
     ):
         self.path = path
         self._fault_hook = fault_hook
@@ -247,7 +249,7 @@ class IngestStore:
         try:
             if path != ":memory:":
                 self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+            self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             row = self._conn.execute("PRAGMA integrity_check").fetchone()
         except sqlite3.DatabaseError as err:
             self._conn.close()

@@ -40,6 +40,10 @@ DEFAULT_STAGES: Tuple[RolloutStage, ...] = (
     RolloutStage("full", 1.0),
 )
 
+#: Blocked goroutines a stage's updated instances may gain and still
+#: pass: a fix that adds any is not healthy.
+BLOCKED_GROWTH_TOLERANCE = 0
+
 
 @dataclass
 class StageReport:
@@ -117,7 +121,6 @@ class StagedRollout:
         windows_per_stage: int = 2,
         drain_windows: int = 2,
         window: float = WINDOW_SECONDS,
-        blocked_growth_tolerance: int = 0,
     ):
         if not stages or stages[-1].fraction < 1.0:
             raise ValueError("rollout stages must end with a full deploy")
@@ -125,7 +128,6 @@ class StagedRollout:
         self.windows_per_stage = windows_per_stage
         self.drain_windows = drain_windows
         self.window = window
-        self.blocked_growth_tolerance = blocked_growth_tolerance
 
     def execute(self, service: Service, fixed_mix: RequestMix) -> RolloutResult:
         old_mix = service.config.mix
@@ -198,7 +200,7 @@ class StagedRollout:
                 if index not in updated
             ]
             mean_legacy = self._mean_rss(service, legacy) if legacy else None
-            healthy = blocked_growth <= self.blocked_growth_tolerance and (
+            healthy = blocked_growth <= BLOCKED_GROWTH_TOLERANCE and (
                 mean_legacy is None or mean_updated <= mean_legacy
             )
             report = StageReport(

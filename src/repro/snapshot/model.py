@@ -19,8 +19,8 @@ has moved on still describes the instant it was taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Dict, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.profiling import GoroutineProfile, GoroutineRecord, snapshot_goroutine
 
@@ -169,20 +169,6 @@ class InstanceSnapshot(NamedTuple):
         return self.cpu_percent
 
 
-@dataclass(frozen=True)
-class ServiceSnapshot:
-    """A whole service frozen at an instant: history plus every instance."""
-
-    name: str
-    deploys: int
-    taken_at: float
-    history: Tuple[Any, ...] = ()
-    instances: Tuple[InstanceSnapshot, ...] = field(default_factory=tuple)
-
-    def profiles(self) -> List[GoroutineProfile]:
-        return [snapshot.profile() for snapshot in self.instances]
-
-
 _new = tuple.__new__
 
 
@@ -203,15 +189,3 @@ def snapshot_instance(instance: Any) -> InstanceSnapshot:
         metrics[-1] if metrics else None,
     ))
 
-
-def snapshot_service(service: Any) -> ServiceSnapshot:
-    """Freeze one :class:`~repro.fleet.Service` (duck-typed)."""
-    return ServiceSnapshot(
-        name=service.config.name,
-        deploys=service.deploys,
-        taken_at=service.now,
-        history=tuple(service.history),
-        instances=tuple(
-            snapshot_instance(instance) for instance in service.instances
-        ),
-    )

@@ -56,20 +56,22 @@ DEFAULT_STEP_BUDGET = 20_000
 #: Model-checking explores schedules; a handful suffices for tiny models.
 DEFAULT_RUNS = 8
 
+#: Levels of direct calls the front end inlines; deeper callees vanish.
+CALL_DEPTH = 1
+
 
 class _ModelBuilder:
     """Builds the intraprocedural model Gomela's front end can see."""
 
-    def __init__(self, program: Program, call_depth: int = 1):
+    def __init__(self, program: Program):
         self.program = program
-        self.call_depth = call_depth
         self.blinded: List[str] = []
 
     def build(self, func: FuncDef) -> FuncDef:
         return FuncDef(
             name=func.name,
             params=func.params,
-            body=self._prune(func.body, self.call_depth),
+            body=self._prune(func.body, CALL_DEPTH),
         )
 
     def _prune(self, body, depth: int) -> Tuple:

@@ -221,10 +221,10 @@ class _TamperOnce:
 
     def recv_bytes(self):
         buf = self._conn.recv_bytes()
-        kind, payload = pickle.loads(buf)
+        kind, window, payload = pickle.loads(buf)
         if self._tamper is None or kind != "delta":
             return buf
-        window, slots, block, entries, stats = payload
+        slots, block, entries, stats = payload
         if self._tamper == "truncated":
             block = zlib.compress(zlib.decompress(block)[:-1], 1)
         elif self._tamper == "foreign_slot":
@@ -260,7 +260,7 @@ class _TamperOnce:
         else:
             block = b"not a zlib stream"
         self._tamper = None
-        return pickle.dumps((kind, (window, slots, block, entries, stats)))
+        return pickle.dumps((kind, window, (slots, block, entries, stats)))
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -299,7 +299,7 @@ class TestShardSupervision:
 
         The read is a ``resync()`` — every worker reships its full
         snapshot state — since ``snapshots()`` itself is answered from
-        the parent's views without touching the wire.
+        the parent's instance records without touching the wire.
         """
         reference = Fleet()
         for config, seed in _configs():
@@ -380,7 +380,7 @@ class TestShardSupervision:
             assert fleet.rebalance({moved: 1}) == {moved: 1}
             assert record.shard == 1 and fleet.worker_restarts == 0
             fleet._conns[0] = _TamperOnce(
-                fleet._conns[0], "named_slot", slot=record.view.slot
+                fleet._conns[0], "named_slot", slot=record.slot
             )
             fleet.advance_window(3600.0)
             fleet.advance_window(3600.0)

@@ -8,11 +8,13 @@ that need a live server / network / prior artifacts, are skipped —
 but every repo file they reference must exist.  A command no rule
 recognizes fails the suite, so new snippets must be classified here
 on purpose.  Every relative markdown link is also checked against
-the working tree.
+the working tree, and every ``repro.*`` import in ``src/repro`` is
+checked against the package map's layers in docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -185,3 +187,85 @@ def test_relative_links_resolve():
             if target and not (path.parent / target).exists():
                 dead.append((str(path.relative_to(REPO)), lineno, target))
     assert not dead, f"dead relative links: {dead}"
+
+
+_LAYER = re.compile(r"^\*\*Layer (\d+)\b")
+_MAP_ROW = re.compile(r"^\| `repro\.(\w+)` \|")
+
+#: The upward imports the package map allows, as (file, enclosing
+#: function, module): ``Runtime.gc()`` and ``enable_gc()`` run the
+#: sweep of ``repro.gc``, which is built on the runtime.
+_ALLOWED_UPWARD = {
+    ("runtime/scheduler.py", "gc", "repro.gc.sweep"),
+    ("runtime/scheduler.py", "enable_gc", "repro.gc.sweep"),
+}
+
+
+def _package_layers():
+    """``{package: layer}`` from the package map's tables."""
+    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    section = text.split("## The package map", 1)[1].split("\n## ", 1)[0]
+    layers, layer = {}, None
+    for line in section.splitlines():
+        match = _LAYER.match(line)
+        if match:
+            layer = int(match.group(1))
+        match = _MAP_ROW.match(line)
+        if match:
+            layers[match.group(1)] = layer
+    return layers
+
+
+def _repro_imports(path: Path, package: str):
+    """``(enclosing function, module)`` for every ``repro.*`` import in
+    one file, deferred ones included; ``package`` is the dotted package
+    relative imports resolve against."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((func, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level:
+                    parts = package.split(".")
+                    parts = parts[:len(parts) - child.level + 1]
+                    base = ".".join(parts + ([base] if base else []))
+                # ``from repro import obs`` names the package in the alias
+                found.extend(
+                    (func, base if base.count(".") else f"{base}.{alias.name}")
+                    for alias in child.names
+                )
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return [(func, name) for func, name in found if name.startswith("repro.")]
+
+
+def test_imports_follow_the_package_map():
+    """No package imports a higher layer of the package map, except the
+    deferred sweep imports in ``_ALLOWED_UPWARD``."""
+    layers = _package_layers()
+    src = REPO / "src" / "repro"
+    assert set(layers) == {
+        path.parent.name for path in src.glob("*/__init__.py")
+    }, "the package map and src/repro list different packages"
+    upward, allowed = [], set()
+    for path in sorted(src.glob("*/**/*.py")):
+        rel = path.relative_to(src)
+        module = ["repro", *rel.with_suffix("").parts]
+        package = ".".join(module[:-1])
+        for func, name in _repro_imports(path, package):
+            if layers[name.split(".")[1]] <= layers[rel.parts[0]]:
+                continue
+            key = (rel.as_posix(), func, name)
+            if key in _ALLOWED_UPWARD:
+                allowed.add(key)
+            else:
+                upward.append(key)
+    assert not upward, f"imports of a higher layer: {upward}"
+    assert allowed == _ALLOWED_UPWARD, "an allowed upward import is gone"

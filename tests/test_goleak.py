@@ -123,11 +123,12 @@ def test_idle_early_exit_judges_a_parked_leak_once_more(monkeypatch):
 
 def test_a_pending_timer_still_retries(monkeypatch):
     """A due gc sweep timer counts as pending work: a reclaiming sweep
-    can end the leak, so every retry is judged."""
+    can end the leak, so the retry whose interval holds it is judged
+    (the full loop judges all 11 retries up to it)."""
     fast = _retried("premature_return", monkeypatch, True, gc_interval=1.0)
     full = _retried("premature_return", monkeypatch, False, gc_interval=1.0)
-    assert fast == full
-    assert fast[0] == [] and fast[3] > 2
+    assert fast[:3] == full[:3]
+    assert fast[0] == [] and (fast[3], full[3]) == (2, 12)
     # The slow sleeper of test_retry_tolerates_slow_goroutines: its
     # timer is pending, so the loop waits for it.
     rt = Runtime()

@@ -15,7 +15,6 @@ from repro.leakprof import (
 from repro.profiling import GoroutineProfile, GoroutineRecord
 from repro.patterns import healthy, premature_return, timer_loop, timeout_leak
 from repro.runtime import Frame, GoroutineState, Runtime
-from repro.snapshot import InstanceView
 
 
 def leaky_profile(pattern, n_calls, service="svc", instance="i-0", seed=0,
@@ -161,8 +160,7 @@ class TestScoringCore:
         """Every upsert/tombstone/reset path of a sharded instance's
         record answers exactly what ``scan_profile`` answers over the
         surviving records."""
-        view = InstanceView("svc", 0, "i-0", base_rss=0, slot=0)
-        record = _RowMirror(view, mix=None, shard=0)
+        record = _RowMirror(0, "svc", 0, "i-0", base_rss=0, shard=0, mix=None)
         live = {}
 
         def ship(records=(), tombstones=(), full=False, window=1):
@@ -176,7 +174,7 @@ class TestScoringCore:
 
         def suspects():
             return record.signatures.suspects(
-                view.record_at, view.service, view.name, threshold=2
+                record.record_at, record.service, record.name, threshold=2
             )
 
         def assert_parity():
@@ -185,7 +183,7 @@ class TestScoringCore:
             )
             expected = scan_profile(profile, threshold=2)
             assert suspects() == expected
-            assert {gid: t for gid, (t, _) in view.records.items()} == live
+            assert {gid: t for gid, (t, _) in record.records.items()} == live
             return [(s.location, s.count, s.representative.gid, s.proof)
                     for s in expected]
 
@@ -217,7 +215,7 @@ class TestScoringCore:
         upsert(parked(3, "a:10", state=GoroutineState.RUNNABLE))
         assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
 
-        # a stale delta is refused by the view before it is filed
+        # a stale delta is refused by the record before it is filed
         assert not ship([parked(9, "a:20")], window=0)
         assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
 

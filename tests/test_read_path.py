@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 from repro.fleet import RequestMix, ServiceInstance, TrafficShape
+from repro.fleet.shard import _RowMirror
 from repro.leakprof import filters
 from repro.leakprof.detector import SignatureAccumulator, Suspect, scan_profile
 from repro.patterns import PATTERNS, healthy
@@ -35,12 +36,7 @@ from repro.snapshot import (
     RuntimeSnapshot,
     snapshot_instance,
 )
-from repro.snapshot.delta import (
-    DeltaTracker,
-    InstanceView,
-    pack_row,
-    unpack_rows,
-)
+from repro.snapshot.delta import DeltaTracker, pack_row, unpack_rows
 
 HEALTHY = sorted(
     (name, fn)
@@ -275,24 +271,25 @@ def test_records_read_after_an_advance_are_unchanged(name, body):
     assert dump_text(instance.profile()) == dump_text(shipped_instance.profile())
 
 
-def shipped_view(instance):
-    """A parent-side view of ``instance``, fed one full delta and one
-    stat row, both through a pickle round trip (the wire)."""
+def shipped_record(instance):
+    """The sharded parent's record of ``instance``, fed one full delta
+    and one stat row, both through a pickle round trip (the wire)."""
     rt = instance.runtime
     tracker = DeltaTracker()
     full, records, tombstones = tracker.collect(rt, full=True)
     delta = (0, full, records, tombstones, tracker.gc_state(rt, full=True))
     delta, row = pickle.loads(pickle.dumps((delta, pack_row(instance))))
-    view = InstanceView(instance.service, 0, instance.name, rt.base_rss, 0)
-    assert view.apply(delta, 0)
+    record = _RowMirror(0, instance.service, 0, instance.name, rt.base_rss, 0,
+                        instance.mix)
+    assert record.apply(delta, 0)
     (unpacked,) = unpack_rows(row)
-    view.commit(unpacked, 0)
-    return view
+    record.commit(unpacked, 0)
+    return record
 
 
 @pytest.mark.parametrize("name,body", BODIES, ids=BODY_IDS)
 def test_wire_records_materialize_as_live_records(name, body):
-    """``DeltaTracker._encode`` -> wire -> ``InstanceView.record_at``
+    """``DeltaTracker._encode`` -> wire -> ``_RowMirror.record_at``
     equals ``snapshot_goroutine`` against the live runtime, aged or not."""
     instance = body_instance(name, body)
     for step in ("sampled", "gc", "advanced"):
@@ -301,23 +298,23 @@ def test_wire_records_materialize_as_live_records(name, body):
         elif step == "advanced":
             instance.runtime.advance(60.0)
         rt = instance.runtime
-        view = shipped_view(instance)
+        record = shipped_record(instance)
         live = {g.gid: g for g in rt.live_goroutines()}
-        assert sorted(view.records) == sorted(live)
+        assert sorted(record.records) == sorted(live)
         for gid, goro in live.items():
-            assert_identical(view.record_at(gid),
+            assert_identical(record.record_at(gid),
                              snapshot_goroutine(goro, rt.now), same_bytes=False)
-            assert_identical(view.record_at(gid),
+            assert_identical(record.record_at(gid),
                              keyword_record(goro, rt.now), same_bytes=False)
 
 
 @pytest.mark.parametrize("name,body", BODIES, ids=BODY_IDS)
 def test_view_snapshots_and_suspects_match_keyword_constructors(name, body):
-    """The sharded parent's read path: ``InstanceView.snapshot`` and the
+    """The sharded parent's read path: ``_RowMirror.snapshot`` and the
     suspects built from it equal their keyword-built counterparts."""
     instance = body_instance(name, body)
     instance.runtime.gc()
-    snapshot = shipped_view(instance).snapshot()
+    snapshot = shipped_record(instance).snapshot()
     ref = keyword_instance_snapshot(instance)
     assert_identical(snapshot, ref, same_bytes=False)
     assert_identical(snapshot, snapshot_instance(instance), same_bytes=False)

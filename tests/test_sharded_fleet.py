@@ -235,8 +235,9 @@ class TestShardedServiceSurface:
                 fleet.add_service(config, seed=3)
                 fleet.start()
                 fleet.run_days(days, window=window)
-                assert len(fleet.history("svc")) == windows
-                assert fleet.history("svc")[-1].t == pytest.approx(
+                history = fleet.services["svc"].history
+                assert len(history) == windows
+                assert history[-1].t == pytest.approx(
                     windows * window
                 )
 

@@ -30,10 +30,8 @@ from repro.snapshot import (
     GCSnapshot,
     InstanceSnapshot,
     RuntimeSnapshot,
-    ServiceSnapshot,
     snapshot_instance,
     snapshot_runtime,
-    snapshot_service,
 )
 
 
@@ -98,14 +96,6 @@ class TestPickleRoundTrips:
         assert clone == snap
         assert clone.leaked_goroutines() == snap.leaked_goroutines()
         assert dump_text(clone.profile()) == dump_text(snap.profile())
-
-    def test_service_snapshot_round_trip(self):
-        snap = snapshot_service(_leaky_service())
-        clone = pickle.loads(pickle.dumps(snap))
-        assert isinstance(clone, ServiceSnapshot)
-        assert clone == snap
-        assert clone.history == snap.history
-        assert len(clone.instances) == 2
 
     def test_gc_snapshot_round_trip(self):
         rt = _leaky_runtime()

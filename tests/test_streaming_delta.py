@@ -1,8 +1,8 @@
 """Streaming detection plane: delta snapshots, stat blocks,
 checkpoint/restore, and online suspect scoring.
 
-The load-bearing property: the parent's materialized
-:class:`~repro.snapshot.InstanceView` state — reconstructed purely from
+The load-bearing property: the parent's record of each instance
+(``repro.fleet.shard._RowMirror``) — reconstructed purely from
 incremental deltas, tombstones and O(1) stat rows — must be
 **indistinguishable** from ``snapshot_instance`` run in-process, and the
 suspect list of the per-instance signature indexes must be list-equal
@@ -12,6 +12,7 @@ churn.
 """
 
 import multiprocessing
+import pickle
 import threading
 import zlib
 
@@ -154,7 +155,7 @@ class TestViewParity:
                 fleet.advance_window(WINDOW)
                 assert fleet.snapshots() == reference[w]
                 gids_per_window.append({
-                    record.key: set(record.view.records)
+                    record.key: set(record.records)
                     for record in fleet.services["payments"].instances
                 })
         # non-vacuity: campers shipped in window 1 died in window 2, so
@@ -369,13 +370,14 @@ class TestCheckpointRestore:
             source("init", [(config, 7, 0, ((0, 0), (3, 1)), 0.0)])
             for _ in range(2):
                 source("advance", WINDOW, None)
-            kind, state = source("checkpoint")
-            assert kind == "checkpoint" and state["ok"]
-            assert [slot for slot, _blob in state["entries"]] == [0, 3]
+            kind, window, state = source("checkpoint")
+            assert (kind, window) == ("checkpoint", 2) and state["ok"]
+            entries = state["entries"]
+            assert [slot for slot, _blob in entries] == [0, 3]
             shipped = [set(built[i].runtime._delta.shipped) for i in (0, 1)]
             assert all(shipped), "nothing shipped; vacuous test"
-            assert by_restore("restore", state) == ("ok", None)
-            assert by_adopt("adopt", state["entries"]) == ("adopted", 0)
+            assert by_restore("restore", (window, entries)) == ("ok", 2, None)
+            assert by_adopt("adopt", entries) == ("adopted", 0, None)
             assert len(restored) == 4
             for inst, gids in zip(restored, shipped + shipped):
                 tracker = inst.runtime._delta
@@ -383,14 +385,16 @@ class TestCheckpointRestore:
                 assert not tracker.dirty and not tracker.finished
                 assert tracker.gc_sweeps == 0
             ships = [
-                ask("advance", WINDOW, None)[1]
+                ask("advance", WINDOW, None)
                 for ask in (source, by_restore, by_adopt)
             ]
-            # window, slots, stat block, delta entries, tallies
-            window, slots, block, entries, _stats = ships[0]
-            assert (window, slots) == (3, (0, 3)) and entries
-            assert ships[1][:4] == (3, slots, block, entries)
-            assert ships[2][:4] == (1, slots, block, entries)
+            # kind, window, (slots, stat block, delta entries, tallies)
+            kind, window, (slots, block, deltas, _stats) = ships[0]
+            assert (kind, window, slots) == ("delta", 3, (0, 3)) and deltas
+            assert ships[1][:2] == ("delta", 3)
+            assert ships[1][2][:3] == (slots, block, deltas)
+            assert ships[2][:2] == ("delta", 1)
+            assert ships[2][2][:3] == (slots, block, deltas)
         finally:
             for conn, thread in zip(pipes, threads):
                 if thread.is_alive():
@@ -583,6 +587,44 @@ class TestCheckpointRestore:
             with pytest.raises(RuntimeError, match="watermark regression"):
                 fleet._note_window(0, 0, advance=False)
 
+    def test_checkpoint_reply_window_is_checked(self):
+        """A checkpoint reply's window gets the check every reply gets:
+        one that is not the shard watermark is refused before it can
+        become a restore base."""
+
+        class ShiftedWindow:
+            """A shard pipe whose next ``kind`` reply names the next
+            window."""
+
+            def __init__(self, conn, kind):
+                self._conn = conn
+                self._kind = kind
+
+            def recv_bytes(self):
+                buf = self._conn.recv_bytes()
+                kind, window, payload = pickle.loads(buf)
+                if kind != self._kind:
+                    return buf
+                self._kind = None
+                return pickle.dumps((kind, window + 1, payload))
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        with ShardedFleet(shards=1) as fleet:
+            for config, seed in _configs():
+                fleet.add_service(config, seed=seed)
+            fleet.start()
+            fleet.advance_window(WINDOW)
+            assert fleet.checkpoint() == 1
+            base = fleet._checkpoints[0]
+            assert base[0] == 1
+            fleet._conns[0] = ShiftedWindow(fleet._conns[0], "checkpoint")
+            with pytest.raises(RuntimeError, match="watermark regression"):
+                fleet.checkpoint()
+            assert fleet._checkpoints[0] is base
+            assert fleet.checkpoints_taken == 1
+
     def test_late_delta_after_tombstone_is_dropped(self):
         """A delta older than the view watermark cannot resurrect dead
         records — the guard that makes out-of-phase ingestion safe."""
@@ -592,18 +634,18 @@ class TestCheckpointRestore:
                 fleet.add_service(config, seed=seed)
             fleet.start()
             fleet.advance_window(WINDOW)
-            view = fleet.services["payments"].instances[0].view
-            held_at_w1 = dict(view.records)
+            record = fleet.services["payments"].instances[0]
+            held_at_w1 = dict(record.records)
             fleet.advance_window(WINDOW)
-            departed = set(held_at_w1) - set(view.records)
+            departed = set(held_at_w1) - set(record.records)
             assert departed, "no camper died between windows; vacuous test"
-            # replay window 1's records straight at the view: refused
+            # replay window 1's records straight at the record: refused
             stale = (
-                view.slot, False,
+                record.slot, False,
                 [held_at_w1[gid] for gid in sorted(departed)], (), None,
             )
-            assert view.apply(stale, window=1) is False
-            assert not departed & set(view.records), "ghost resurrected"
+            assert record.apply(stale, window=1) is False
+            assert not departed & set(record.records), "ghost resurrected"
             # and through the fleet ingest path: counted, signatures unfed
             before = fleet.suspects(threshold=1)
             fleet._apply_deltas((1, (), b"", [stale]))
@@ -634,7 +676,7 @@ class TestCheckpointRestore:
             fleet.start()
 
             def windows():
-                return {record.view.window for record in fleet._by_slot}
+                return {record.window for record in fleet._by_slot}
 
             assert windows() == {0}
             for w in (1, 2):
