@@ -9,11 +9,14 @@ simulated week through two execution planes and records the results in
 
 * **single process** — advance serially, then snapshot + profile +
   ``scan_fleet`` every window (the batch sweep the paper starts from);
-* **sharded** — workers ship per-goroutine deltas once plus one
-  compressed block of O(1) stat rows per reply; the parent's online
-  scorer answers each window's suspect query with **zero** wire
-  traffic.  Run in lockstep at 1, 2 and ``SHARDS`` shards, and with
-  free-running (watermarked async) windows at 2 shards.
+* **sharded** — workers ship per-signature deltas (each changed
+  signature's count, least gid, proof flag and one representative
+  record) plus one compressed block of O(1) stat rows per reply; the
+  parent's online scorer answers each window's suspect query from
+  those summaries with **zero** wire traffic, and the final daily run
+  pulls full snapshots from the workers once.  Run in lockstep at 1, 2
+  and ``SHARDS`` shards, and with free-running (watermarked async)
+  windows at 2 shards.
 
 Four assertions gate the result:
 
@@ -44,7 +47,9 @@ Four assertions gate the result:
   instance, measured in the serial run, outside its timer) — what
   shipping whole snapshots back each window would cost.  Deltas that
   silently grew back into full snapshots would still be "correct",
-  just pointless.
+  just pointless.  The final snapshot pull counts in these bytes; the
+  JSON records each run's ``wire_bytes_by_command`` so advance bytes and
+  the pull's (``snapshots``) can be read apart.
 
 CI runs a reduced size via the ``FLEET_SCALE_*`` environment knobs (see
 .github/workflows/ci.yml).  Only a run at the committed size
@@ -214,6 +219,7 @@ def _run_sharded(shards: int):
             "histories": histories,
             "result": result,
             "bytes_per_window": fleet.wire_bytes_total / WINDOWS,
+            "wire_bytes_by_command": dict(fleet.wire_bytes_by_command),
         }
     # Workers report post-construction CPU seconds in their stop reply
     # (collected by close()): worker compute + parent compute is the
@@ -244,6 +250,7 @@ def _run_async(shards: int):
                 fleet.snapshots(), now=1.0
             ),
             "bytes_per_window": fleet.wire_bytes_total / WINDOWS,
+            "wire_bytes_by_command": dict(fleet.wire_bytes_by_command),
         }
 
 
@@ -405,6 +412,13 @@ def test_fleet_scale_sharding():
                 for shards, run in lockstep.items()
             },
             "async_2shard": round(async_run["bytes_per_window"]),
+        },
+        wire_bytes_by_command={
+            **{
+                f"lockstep_{shards}shard": run["wire_bytes_by_command"]
+                for shards, run in lockstep.items()
+            },
+            "async_2shard": async_run["wire_bytes_by_command"],
         },
         bytes_ratio_vs_snapshot_pickle=round(bytes_ratio, 4),
         max_bytes_ratio=MAX_BYTES_RATIO,

@@ -45,13 +45,18 @@ from .schedule import FaultKind, FaultSchedule
 
 @dataclass
 class ScenarioResult:
-    """One scenario run: which invariants held, under which schedule."""
+    """One scenario run: which invariants held, under which schedule.
+
+    ``details`` depend only on the scenario and its seed;
+    ``observations`` also on timing, so comparisons across runs skip
+    them."""
 
     name: str
     seed: int
     invariants: Dict[str, bool]
     details: Dict[str, object] = field(default_factory=dict)
     schedule_json: Optional[str] = None
+    observations: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -67,6 +72,7 @@ class ScenarioResult:
             "ok": self.ok,
             "invariants": self.invariants,
             "details": self.details,
+            "observations": self.observations,
         }
 
 
@@ -125,10 +131,11 @@ _WEEK_WINDOWS = 6
 @functools.lru_cache(maxsize=1)
 def _serial_week(seed: int):
     """The fault-free single-process week every shard drill must equal:
-    ``(histories, suspects)`` of :func:`_fleet_configs` run for
-    ``_WEEK_WINDOWS`` one-hour windows, built once per seed."""
+    ``(histories, suspects, snapshots)`` of :func:`_fleet_configs` run
+    for ``_WEEK_WINDOWS`` one-hour windows, built once per seed."""
     from repro.fleet import Fleet, Service
     from repro.leakprof import LeakProf
+    from repro.snapshot import snapshot_instance
 
     reference = Fleet()
     for config, svc_seed in _fleet_configs():
@@ -139,7 +146,8 @@ def _serial_week(seed: int):
     result = LeakProf(threshold=20).daily_run(
         reference.all_instances(), now=1.0
     )
-    return histories, result.suspects
+    snapshots = [snapshot_instance(i) for i in reference.all_instances()]
+    return histories, result.suspects, snapshots
 
 
 def _sharded_fleet(
@@ -161,14 +169,15 @@ def _sharded_fleet(
     return fleet
 
 
-def _parity(reference, fleet, histories, suspects) -> Dict[str, bool]:
-    """The invariants every shard drill shares: histories and suspects
-    equal the ``reference`` week's, the leak shows, and no worker
-    outlives ``close()``."""
-    ref_histories, ref_suspects = reference
+def _parity(reference, fleet, histories, suspects, snapshots) -> Dict[str, bool]:
+    """The invariants every shard drill shares: histories, suspects and
+    pulled snapshots equal the ``reference`` week's, the leak shows, and
+    no worker outlives ``close()``."""
+    ref_histories, ref_suspects, ref_snapshots = reference
     return {
         "history_parity": histories == ref_histories,
         "suspects_parity": suspects == ref_suspects,
+        "snapshot_parity": snapshots == ref_snapshots,
         "leak_still_visible": any(
             s.total_blocked_goroutines > 0 for s in ref_histories["payments"]
         ),
@@ -199,7 +208,8 @@ def worker_kill(seed: int = 0) -> ScenarioResult:
         for _ in range(_WEEK_WINDOWS):
             fleet.advance_window(3600.0)
         histories = {n: s.history for n, s in fleet.services.items()}
-        result = LeakProf(threshold=20).daily_run(fleet.snapshots(), now=1.0)
+        snapshots = fleet.snapshots()
+        result = LeakProf(threshold=20).daily_run(snapshots, now=1.0)
     finally:
         fleet.close()
 
@@ -209,7 +219,7 @@ def worker_kill(seed: int = 0) -> ScenarioResult:
         invariants={
             "fault_fired": schedule.fired_count(FaultKind.KILL_WORKER) == 1,
             "worker_respawned": fleet.worker_restarts == 1,
-            **_parity(reference, fleet, histories, result.suspects),
+            **_parity(reference, fleet, histories, result.suspects, snapshots),
         },
         details={
             "windows": _WEEK_WINDOWS,
@@ -235,8 +245,8 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
     shard 0 dies at op 7, mid-week with a checkpoint behind it.  Both
     respawns must restore from the latest checkpoint and replay only
     the journal tail (bounded by the cadence, never the whole run),
-    and the parent's instance records (goroutine records and
-    signature indexes) must come out byte-identical to a fault-free
+    and the parent's instance records (signature summaries and stat
+    rows) must come out byte-identical to a fault-free
     single-process week.
     """
     from repro.leakprof import LeakProf
@@ -257,6 +267,7 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).streaming_run(fleet, now=1.0)
         journal_tails = [len(journal) for journal in fleet._journal]
+        snapshots = fleet.snapshots()
     finally:
         fleet.close()
 
@@ -273,7 +284,7 @@ def checkpoint_crash(seed: int = 0) -> ScenarioResult:
             "replay_bounded_by_cadence": fleet.replay_lengths != []
             and max(fleet.replay_lengths) <= checkpoint_every,
             "journals_truncated": journal_tails == [0, 0],
-            **_parity(reference, fleet, histories, result.suspects),
+            **_parity(reference, fleet, histories, result.suspects, snapshots),
         },
         details={
             "windows": _WEEK_WINDOWS,
@@ -324,6 +335,7 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
         histories = {n: s.history for n, s in fleet.services.items()}
         result = LeakProf(threshold=20).streaming_run(fleet, now=1.0)
         moved_shard = fleet.services[moved[0]].instances[moved[1]].shard
+        snapshots = fleet.snapshots()
     finally:
         fleet.close()
 
@@ -337,16 +349,17 @@ def rebalance_crash(seed: int = 0) -> ScenarioResult:
             and fleet.rebalances == 1
             and fleet.instances_moved == 1,
             "move_survived_replay": moved_shard == 1,
-            **_parity(reference, fleet, histories, result.suspects),
+            **_parity(reference, fleet, histories, result.suspects, snapshots),
         },
         details={
             "windows": _WEEK_WINDOWS,
             "moved": list(moved),
             "watermark": fleet.watermark,
-            "max_window_spread": fleet.max_window_spread,
             "fired": [r.kind.value for r in schedule.fired],
         },
         schedule_json=schedule.to_json(),
+        # under max_lead=2 it follows which shard's reply lands first
+        observations={"max_window_spread": fleet.max_window_spread},
     )
 
 

@@ -11,22 +11,24 @@ instances are free to live anywhere.
 processes.  Across the process boundary an instance has one address,
 its **slot** (its position in service-add, then index order): commands
 build, restart, evict and adopt instances by slot, and every reply
-names them by slot.  Workers ship **delta snapshots**: only the
-goroutine records dirtied since the last ship plus tombstones for
-finished ones (:mod:`repro.snapshot.delta`).  The O(1) counters of
-every instance a command touched ride the same reply as one
-compressed, slot-ordered **stat block** of packed rows.  The parent
-checks every slot a reply names against ownership, which lives only in
-the parent, and keeps **one object per instance**
-(:class:`_RowMirror`): its slot and name, its owning shard, its request
-mix, its goroutine records and committed stat row (so ``snapshots()``
-never touches a worker) and its signature index, whose suspect sets are
-batch-scan identical.  A reply's rows become the committed rows of the
-records it names; each of its deltas folds into its record's goroutine
-records and signature index in one pass.  :meth:`~ShardedFleet.resync` is
-an on-demand anti-entropy full reship; ``checkpoint_every`` bounds
-crash-replay cost (below).  Deploys, partial deploys, and remedy
-rollouts travel to the owning shards as commands.
+names them by slot.  Each worker files every instance's blocked
+goroutines by gid in a
+:class:`~repro.leakprof.detector.SignatureAccumulator` and ships
+**per-signature deltas** (:mod:`repro.snapshot.delta`): one absolute
+entry per changed signature.  The O(1) counters of every instance a
+command touched ride the same reply as one compressed, slot-ordered
+**stat block** of packed rows.  The parent checks every slot a reply
+names against ownership, which lives only in the parent, and keeps
+**one object per instance** (:class:`_RowMirror`): its slot and name,
+its owning shard, its request mix, its committed stat row and one
+summary per signature — nothing that grows with the instance's
+goroutines.  ``suspects()`` judges the summaries with the criteria
+batch ``scan_profile`` applies, with no wire traffic; ``snapshots()``
+pulls full snapshots from the workers, LeakProf's collection model.
+:meth:`~ShardedFleet.resync` is an on-demand anti-entropy full reship;
+``checkpoint_every`` bounds crash-replay cost (below).  Deploys,
+partial deploys, and remedy rollouts travel to the owning shards as
+commands.
 
 Asynchronous windows and the fleet watermark
 --------------------------------------------
@@ -38,9 +40,9 @@ out-of-phase replies per shard, tracks each shard's watermark, and
 **fleet watermark**
 ``W = min(shard watermarks)`` (:attr:`ShardedFleet.watermark`).  The
 instance records and ``ServiceSample`` histories only ever contain
-committed state, so ``suspects()``/``snapshots()`` answered at
-watermark ``W`` are byte-identical to a lockstep run advanced exactly
-``W`` windows — property-gated in ``tests/test_streaming_delta.py``.
+committed state, so ``suspects()`` answered at watermark ``W`` is
+list-equal to a lockstep run advanced exactly ``W`` windows —
+property-gated in ``tests/test_streaming_delta.py``.
 
 Windows advance one way: a *pump round* gives every idle shard its
 next registered window if it is within the goal and ``max_lead`` of the
@@ -48,15 +50,15 @@ fleet watermark, then polls.  :meth:`run_days` pumps in lockstep
 (``max_lead=1``) unless given a larger lead; ``advance_window`` pumps
 one window; :meth:`barrier` drains, then pumps laggards up to the
 fastest shard — and every whole-fleet operation that must observe one
-instant (``checkpoint``/``resync``/deploys/``rebalance``/an advance)
-starts with one.  :meth:`begin_advance`/:meth:`poll` let a caller pace
-shards itself.  Every reply's window is checked in one place as it is
-received: one that is not the shard watermark + 1 (an advance) or the
-watermark itself (any other command) is rejected as a protocol
-violation.  A committed row raises its record's watermark to its
+instant (``checkpoint``/``resync``/``snapshots``/deploys/``rebalance``/an
+advance) starts with one.  :meth:`begin_advance`/:meth:`poll` let a
+caller pace shards itself.  Every reply's window is checked in one
+place as it is received: one that is not the shard watermark + 1 (an
+advance) or the watermark itself (any other command) is rejected as a
+protocol violation.  A committed row raises its record's watermark to its
 reply's window, and a delta older than a record's own watermark is
-dropped before it can resurrect tombstoned records or reach the
-signature index (``stale_deltas``).
+dropped before it can resurrect a signature a newer delta removed
+(``stale_deltas``).
 
 Re-balancing
 ------------
@@ -80,9 +82,9 @@ shard topology.  The parent re-aggregates per-window samples in index
 order with exactly the arithmetic ``Service.advance_window`` uses, so
 for a fixed seed the ``ServiceSample`` histories of a 1-shard, N-shard,
 and single-process run are byte-identical (tested
-property-style in ``tests/test_sharded_fleet.py``), and an instance's
-parent record materializes the same bytes ``snapshot_instance`` would
-produce against the live instance (``tests/test_streaming_delta.py``).
+property-style in ``tests/test_sharded_fleet.py``), and the suspects
+judged from an instance's summaries equal ``scan_profile`` over the
+snapshot pulled from its worker (``tests/test_streaming_delta.py``).
 
 Supervision guarantee
 ---------------------
@@ -99,9 +101,9 @@ windows it had already seen, so the respawned shard's state — and
 therefore the fleet's ``ServiceSample`` history — is byte-identical to
 a run where the worker never died.  The in-flight command is the
 journal's last entry (or is re-sent, if it was a read), so no window
-and no resync or checkpoint request is ever lost.  Delta application
-is idempotent and watermark-guarded, so a replayed window folding into
-an already-current record changes nothing.
+and no resync, pull or checkpoint request is ever lost.  Delta entries
+carry absolute values and are watermark-guarded, so a replayed window
+folding into an already-current record changes nothing.
 
 Checkpointing bounds the replay: every ``checkpoint_every`` full-fleet
 windows the parent asks each worker to serialize its instances
@@ -132,25 +134,30 @@ from operator import itemgetter
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.leakprof.detector import DEFAULT_THRESHOLD, SignatureAccumulator
+from repro.leakprof.detector import (
+    DEFAULT_THRESHOLD,
+    SignatureAccumulator,
+    Suspect,
+    judge,
+)
 from repro.obs.fold import fold, well_formed
 from repro.obs.registry import monotonic as _monotonic
-from repro.profiling import GoroutineRecord
-from repro.snapshot import GCSnapshot, InstanceSnapshot, RuntimeSnapshot
+from repro.profiling import GoroutineRecord, snapshot_goroutine
+from repro.snapshot import InstanceSnapshot, snapshot_instance
 from repro.snapshot.delta import (
     F_BLOCKED,
-    F_CENSUS,
     F_CPU,
     F_GOROUTINES,
     F_RSS,
     F_T,
     ROW_BYTES,
-    STATE_VALUES,
     DeltaTracker,
+    SignatureEntry,
     WireDelta,
     WireRecord,
     pack_row,
     unpack_rows,
+    wire_record,
 )
 
 from .checkpoint import (
@@ -161,7 +168,6 @@ from .checkpoint import (
 from .deployment import RolloutBase, ServiceConfig, ServiceSample, publish_health
 from .determinism import aggregate_sample, build_instance as _build_instance
 from .service import (
-    InstanceMetrics,
     ServiceInstance,
     WINDOW_SECONDS,
     drain,
@@ -182,6 +188,32 @@ _DELTA_COMMANDS = frozenset({"init", "advance", "restart", "resync"})
 _SAMPLE_FIELDS = itemgetter(F_RSS, F_BLOCKED, F_CPU, F_GOROUTINES)
 
 
+def _ship(index: SignatureAccumulator, runtime, gids) -> List[SignatureEntry]:
+    """File the current records of ``gids`` into ``index`` (unfiling any
+    not channel-blocked or finished); return one entry per signature
+    they left or joined, in signature order."""
+    goroutines = runtime._goroutines
+    signature_of = index.signature_of
+    touched = set()
+    for gid in gids:
+        touched.add(signature_of(gid))
+        goro = goroutines.get(gid)
+        if goro is not None and goro.state.channel_blocked:
+            index.file(gid, snapshot_goroutine(goro, 0.0))
+            touched.add(signature_of(gid))
+        else:
+            index.unfile(gid)
+    touched.discard(None)
+    entries: List[SignatureEntry] = []
+    for signature in sorted(touched):
+        summary = index.summary(signature)
+        entries.append(
+            signature + (0, 0, False, None) if summary is None
+            else summary[:5] + (wire_record(goroutines[summary[5]]),)
+        )
+    return entries
+
+
 def _shard_worker(conn) -> None:
     """One worker process: owns a set of instances, obeys shard commands.
 
@@ -197,6 +229,8 @@ def _shard_worker(conn) -> None:
     #: place, evict deletes).  Each runtime's ``_delta`` is its
     #: ``DeltaTracker``.
     instances: Dict[int, ServiceInstance] = {}
+    #: slot -> the instance's blocked goroutines filed by gid.
+    signatures: Dict[int, SignatureAccumulator] = {}
     #: Windows this worker has advanced — the shard watermark.  Carried
     #: by every reply; rebuilt exactly by journal replay, and through a
     #: checkpoint by the ``restore`` command.
@@ -205,6 +239,13 @@ def _shard_worker(conn) -> None:
     #: reports pure post-construction work (advance + ship + pickle) —
     #: the worker's half of the protocol-overhead accounting.
     cpu_anchor = 0.0
+
+    def _reindex(slot: int) -> List[SignatureEntry]:
+        """Index ``slot``'s live goroutines afresh: its full entries."""
+        runtime = instances[slot].runtime
+        runtime._delta.dirty.clear()
+        index = signatures[slot] = SignatureAccumulator()
+        return _ship(index, runtime, runtime._goroutines)
 
     def _freeze(slots) -> Dict[str, Any]:
         """Checkpoint the instances in ``slots``, all or nothing: the
@@ -217,8 +258,7 @@ def _shard_worker(conn) -> None:
                 inst = instances.get(slot)
                 if inst is None:
                     raise CheckpointUnsupported(f"unknown slot {slot}")
-                tracker = inst.runtime._delta
-                if tracker.dirty or tracker.finished:  # pragma: no cover
+                if inst.runtime._delta.dirty:  # pragma: no cover
                     # a barrier precedes every checkpoint and eviction
                     raise CheckpointUnsupported(
                         f"unshipped deltas for {inst.name}"
@@ -229,33 +269,38 @@ def _shard_worker(conn) -> None:
         return {"ok": True, "entries": entries}
 
     def _thaw(entries) -> None:
-        """Restore checkpointed instances and resume each one's delta
-        tracking where the checkpoint left off: every restored gid is
-        one the parent's record holds (see :class:`DeltaTracker`)."""
+        """Restore checkpointed instances, each with a clean tracker and
+        an index of its restored goroutines: nothing is unshipped at a
+        checkpoint, so that is what the parent's summaries reflect."""
         for slot, blob in entries:
             inst = instances[slot] = restore_instance(blob)
-            inst.runtime._delta = DeltaTracker(inst.runtime._goroutines)
+            inst.runtime._delta = DeltaTracker()
+            _reindex(slot)
 
     def _delta_reply(slots, full: bool = False):
         """The reply to a delta command over the instances in ``slots``.
 
-        Entries name only instances with something to report (records,
-        tombstones, a gc change, or a full baseline).  Every instance in
-        ``slots`` gets a stat row: the block is their packed rows in slot
-        order, compressed as one buffer (rows of instances in one window
-        repeat heavily).  The last element drains their run, window and
-        sweep tallies: this command's only, so a reply that replay
-        discards never counts twice.
+        Each instance's dirty gids are shipped (:func:`_ship`); ``full``
+        re-indexes its live goroutines.  Entries name only instances
+        with something to report.  Every instance in ``slots`` gets a
+        stat row: the block is their packed rows in slot order,
+        compressed as one buffer (rows of instances in one window repeat
+        heavily).  The last element drains their run, window and sweep
+        tallies: this command's only, so a reply that replay discards
+        never counts twice.
         """
         slots = sorted(slots)
         entries: List[WireDelta] = []
         for slot in slots:
+            if full:
+                entries.append((slot, True, _reindex(slot)))
+                continue
             runtime = instances[slot].runtime
-            tracker = runtime._delta
-            flag, records, tombstones = tracker.collect(runtime, full=full)
-            gc = tracker.gc_state(runtime, full=full)
-            if flag or records or tombstones or gc is not None:
-                entries.append((slot, flag, records, tombstones, gc))
+            dirty = runtime._delta.dirty
+            changed = _ship(signatures[slot], runtime, dirty)
+            dirty.clear()
+            if changed:
+                entries.append((slot, False, changed))
         touched = [instances[slot] for slot in slots]
         block = zlib.compress(b"".join(map(pack_row, touched)), 1)
         return ("delta", window_seq, (
@@ -264,7 +309,7 @@ def _shard_worker(conn) -> None:
 
     def _build(config, seed, deploy_gen, pairs, mix, start_time):
         """Build the instances of ``(slot, index)`` pairs, each with a
-        fresh tracker (so its first ship is full); return their slots."""
+        fresh tracker (its first ship is full); return their slots."""
         for slot, index in pairs:
             inst = _build_instance(
                 config, seed, deploy_gen, index, mix, start_time
@@ -295,8 +340,17 @@ def _shard_worker(conn) -> None:
             elif cmd == "restart":
                 conn.send(_delta_reply(_build(*msg[1:]), full=True))
             elif cmd == "resync":
-                # Anti-entropy: reship everything, tracker state included.
+                # Anti-entropy: reship everything, indexes rebuilt.
                 conn.send(_delta_reply(instances, full=True))
+            elif cmd == "snapshots":
+                # The pull: every owned instance's snapshot, pickled and
+                # compressed as one buffer (instances repeat heavily).
+                slots = sorted(instances)
+                conn.send(("snapshots", window_seq, (
+                    tuple(slots), zlib.compress(pickle.dumps([
+                        snapshot_instance(instances[slot]) for slot in slots
+                    ]), 1),
+                )))
             elif cmd == "checkpoint":
                 conn.send(("checkpoint", window_seq, _freeze(instances)))
             elif cmd == "evict":
@@ -308,6 +362,7 @@ def _shard_worker(conn) -> None:
                 if reply["ok"]:
                     for slot in msg[1]:
                         del instances[slot]
+                        del signatures[slot]
                 conn.send(("evicted", window_seq, reply))
             elif cmd == "adopt":
                 # Re-balance, target side: restore the blobs and resume
@@ -317,6 +372,7 @@ def _shard_worker(conn) -> None:
             elif cmd == "restore":
                 window_seq, entries = msg[1]
                 instances.clear()
+                signatures.clear()
                 _thaw(entries)
                 conn.send(("ok", window_seq, None))
                 cpu_anchor = time.process_time()
@@ -333,38 +389,33 @@ class _RowMirror:
     """The parent's one record of one remote instance.
 
     Holds the instance's identity (``slot``, ``service``, ``index``,
-    ``name``, ``base_rss``), its owning ``shard`` (the only place
-    ownership lives; a rebalance rewrites this one field), the ``mix``
-    it runs, and everything its deltas and stat rows built up:
-    ``records`` (gid -> wire record), ``signatures`` (its blocked
-    goroutines filed by gid in LeakProf's scoring core), the last
-    shipped ``gc`` tallies, ``window`` (the highest shard window folded
-    in, its watermark) and ``row`` (the committed stat row, unpacked;
-    ``None`` before the first commit).  :meth:`snapshot` materializes
-    the full ``InstanceSnapshot`` without touching the worker.  Exposes
-    the observability slice of :class:`ServiceInstance` (``rss()``,
-    ``leaked_goroutines()``, ``cpu_utilization()``, ``mix``) so
-    consumers like :class:`repro.remedy.StagedRollout` drive a sharded
-    service exactly as they drive a live one.
+    ``name``), its owning ``shard`` (the only place ownership lives; a
+    rebalance rewrites this one field), the ``mix`` it runs,
+    ``summaries`` (signature -> the last
+    :data:`~repro.snapshot.delta.SignatureEntry` shipped for it),
+    ``window`` (the highest shard window folded in, its watermark) and
+    ``row`` (the committed stat row, unpacked; ``None`` before the
+    first commit) — nothing that grows with the instance's goroutines.
+    Exposes the observability slice of :class:`ServiceInstance`
+    (``rss()``, ``leaked_goroutines()``, ``cpu_utilization()``,
+    ``mix``) so consumers like :class:`repro.remedy.StagedRollout`
+    drive a sharded service exactly as they drive a live one.
     """
 
-    __slots__ = ("slot", "service", "index", "name", "base_rss", "shard",
-                 "mix", "records", "signatures", "gc", "window", "row")
+    __slots__ = ("slot", "service", "index", "name", "shard", "mix",
+                 "summaries", "window", "row")
 
     def __init__(
-        self, slot: int, service: str, index: int, name: str,
-        base_rss: int, shard: int, mix: RequestMix,
+        self, slot: int, service: str, index: int, name: str, shard: int,
+        mix: RequestMix,
     ):
         self.slot = slot
         self.service = service
         self.index = index
         self.name = name
-        self.base_rss = base_rss
         self.shard = shard
         self.mix = mix
-        self.records: Dict[int, WireRecord] = {}
-        self.signatures = SignatureAccumulator()
-        self.gc: Optional[GCSnapshot] = None
+        self.summaries: Dict[Tuple[str, str], SignatureEntry] = {}
         self.window = -1
         self.row: Optional[Tuple] = None
 
@@ -380,96 +431,48 @@ class _RowMirror:
 
     def apply(self, delta: WireDelta, window: int) -> bool:
         """Fold one delta, shipped at shard window ``window``, into
-        ``records`` and ``signatures`` in one pass.
+        ``summaries``.
 
         A delta older than the record's watermark is refused (``False``)
-        unless it is ``full``, so a late delta arriving after a
-        tombstone cannot resurrect dead records; equal-window
-        re-application is idempotent, which crash replay relies on.  A
-        ``full`` delta replaces the instance's state wholesale.
+        unless it is ``full``, so a late delta cannot resurrect a
+        signature a newer one removed; entries are absolute, so
+        equal-window re-application is idempotent, which crash replay
+        relies on.  A ``full`` delta replaces the signature set.
         """
-        _slot, full, records, tombstones, gc = delta
+        _slot, full, entries = delta
         if window < self.window and not full:
             return False
         if window > self.window:
             self.window = window
-        held = self.records
+        summaries = self.summaries
         if full:
-            held.clear()
-            self.gc = None
-            self.signatures = SignatureAccumulator()
-        if gc is not None:
-            self.gc = GCSnapshot(*gc)
-        signatures = self.signatures
-        for wire in records:
-            template = wire[0]
-            gid = template.gid
-            held[gid] = wire
-            if template.is_blocked:
-                signatures.file(gid, template)
+            summaries.clear()
+        for entry in entries:
+            if entry[2]:
+                summaries[entry[:2]] = entry
             else:
-                signatures.unfile(gid)
-        for gid in tombstones:
-            held.pop(gid, None)
-            signatures.unfile(gid)
+                summaries.pop(entry[:2], None)
         return True
 
-    def record_at(self, gid: int) -> GoroutineRecord:
-        """One record materialized at the committed row's instant."""
-        template, blocked_since = self.records[gid]
+    def represent(self, wire: WireRecord) -> GoroutineRecord:
+        """A representative as of the committed row's instant: the
+        template aged by (row time − blocked_since), the formula
+        ``snapshot_goroutine`` uses."""
+        template, blocked_since = wire
         if blocked_since is None:
             return template
         age = max(0.0, self.row[F_T] - blocked_since)
-        if age == 0.0:
-            return template
-        return template.aged(age)
+        return template.aged(age) if age else template
 
-    def snapshot(self) -> InstanceSnapshot:
-        """Materialize the full ``InstanceSnapshot``: the same value
-        ``snapshot_instance`` builds against the live instance."""
-        row = self.row
-        if row is None:
-            raise RuntimeError(
-                f"record of {self.name!r} has no stats yet (not initialized)"
-            )
-        (t, cpu_percent, rss_bytes, blocked, goroutines,
-         requests_window, requests_total, steps, windows) = row[F_T:F_CENSUS]
-        runtime = RuntimeSnapshot(
-            process=self.name,
-            taken_at=t,
-            num_goroutines=goroutines,
-            blocked_goroutines=blocked,
-            rss_bytes=rss_bytes,
-            base_rss=self.base_rss,
-            state_census={
-                value: count
-                for value, count in zip(STATE_VALUES, row[F_CENSUS:])
-                if count
-            },
-            steps=steps,
-            gc=self.gc,
-            records=tuple(
-                self.record_at(gid) for gid in sorted(self.records)
-            ),
+    def suspects(
+        self, threshold: int, apply_transient_filter: bool = True
+    ) -> List[Suspect]:
+        """The instance's suspects, judged from its summaries."""
+        return judge(
+            self.summaries.values(), self.represent, self.service,
+            self.name, threshold=threshold,
+            apply_transient_filter=apply_transient_filter,
         )
-        last_metrics = None
-        if windows:
-            last_metrics = InstanceMetrics(
-                t=t,
-                rss_bytes=rss_bytes,
-                goroutines=goroutines,
-                cpu_percent=cpu_percent,
-                requests_served=requests_window,
-                blocked_goroutines=blocked,
-            )
-        return tuple.__new__(InstanceSnapshot, (
-            self.service,
-            self.name,
-            requests_total,
-            cpu_percent,
-            runtime,
-            last_metrics,
-        ))
 
     def _field(self, index: int, default):
         row = self.row
@@ -557,14 +560,14 @@ class _WorkerFault(Exception):
 
 
 #: Commands that mutate worker state and therefore must be journaled.
-#: ``resync``/``checkpoint`` are reads of worker state (re-sent, not
-#: replayed, after a respawn — a resync reply is authoritative whenever
-#: it arrives, and a checkpoint re-taken after replay captures the
-#: identical state); ``restore`` is injected by the supervisor outside
-#: the journal; and ``stop`` is terminal.  ``evict``/``adopt``
-#: (re-balancing) are mutating: replaying an evict re-declines or
-#: re-drops the same instances, replaying an adopt re-restores the same
-#: blobs.
+#: ``resync``/``snapshots``/``checkpoint`` are reads of worker state
+#: (re-sent, not replayed, after a respawn — a resync or pull reply is
+#: authoritative whenever it arrives, and a checkpoint re-taken after
+#: replay captures the identical state); ``restore`` is injected by the
+#: supervisor outside the journal; and ``stop`` is terminal.
+#: ``evict``/``adopt`` (re-balancing) are mutating: replaying an evict
+#: re-declines or re-drops the same instances, replaying an adopt
+#: re-restores the same blobs.
 _MUTATING = frozenset({"init", "advance", "restart", "evict", "adopt"})
 
 
@@ -695,7 +698,7 @@ class ShardedFleet:
             slot = len(self._by_slot)
             record = _RowMirror(
                 slot, config.name, index, f"{config.name}/i-{index}",
-                config.base_rss, slot % self.num_shards, config.mix,
+                slot % self.num_shards, config.mix,
             )
             service.instances.append(record)
             self._by_slot.append(record)
@@ -850,8 +853,8 @@ class ShardedFleet:
         garbage is respawned and its journal replayed before this
         returns, so callers never see the crash.  Every reply's window,
         live or replayed, is checked here (:meth:`_note_window`).  A
-        delta reply comes back opened (:meth:`_open_block`); any other
-        reply as its payload.  Also the single copy of wire-byte
+        delta or snapshot reply comes back opened (:meth:`_open`); any
+        other reply as its payload.  Also the single copy of wire-byte
         accounting.
         """
         if deadline is None:
@@ -859,8 +862,7 @@ class ShardedFleet:
         command = message[0]
         try:
             kind, window, payload = self._recv(shard, deadline)
-            if kind == "delta":
-                payload = self._open_block(shard, window, payload, message)
+            payload = self._open(shard, kind, window, payload, message)
         except _WorkerFault as fault:
             _kind, window, payload = self._respawn_and_replay(
                 shard, message, reason=fault.reason
@@ -963,9 +965,9 @@ class ShardedFleet:
         return kind, window, payload
 
     def _addressed(self, shard: int, message: Tuple) -> Tuple[int, ...]:
-        """The slots delta command ``message`` addresses on ``shard``, in
-        slot order: the restarted ones, or every slot the shard owns (of
-        the ``only=`` service, for a service advance)."""
+        """The slots ``message`` addresses on ``shard``, in slot order:
+        the restarted ones, or every slot the shard owns (of the
+        ``only=`` service, for a service advance)."""
         if message[0] == "restart":
             return tuple(sorted(slot for slot, _index in message[4]))
         only = message[2] if message[0] == "advance" else None
@@ -975,38 +977,51 @@ class ShardedFleet:
             and (only is None or record.service == only)
         )
 
-    def _open_block(
-        self, shard: int, window: int, payload: Tuple, message: Tuple
-    ) -> Tuple:
-        """Decompress and check one delta reply to ``message``: its
-        slots, stat block, entries and counts.
+    def _open(
+        self, shard: int, kind: str, window: int, payload: Any,
+        message: Tuple,
+    ) -> Any:
+        """Check one reply to ``message`` and return its payload opened.
 
-        The reply must name exactly the slots the command addressed
-        (:meth:`_addressed`), as integers, and its block must inflate
-        to exactly one ``ROW_BYTES`` row per named slot.  Every delta
-        entry must be a five-element ``WireDelta`` whose slot is one
-        the reply names.  The run, window and sweep tallies must be
-        :func:`~repro.obs.fold.well_formed`.  Anything else is a worker
-        that answered garbage, so it raises :class:`_WorkerFault` and
-        supervision respawns it.  Returns ``(window, slots, rows,
-        entries, stats)``: the payload behind its window, with the raw
-        rows in place of the block.
+        A ``delta`` or ``snapshots`` reply must name exactly the ``int``
+        slots the command addressed (:meth:`_addressed`).  A delta
+        reply's block must inflate to one ``ROW_BYTES`` row per slot,
+        each entry must be a three-element ``WireDelta`` naming one of
+        its slots, and its tallies must be
+        :func:`~repro.obs.fold.well_formed`; it opens to ``(window,
+        slots, rows, entries, stats)``.  A snapshot reply's buffer must
+        inflate and unpickle to one snapshot per slot; it opens to a
+        dict from slot to snapshot.
+        Anything else is a worker that answered garbage: it raises
+        :class:`_WorkerFault`, and supervision respawns the worker.
+        Other replies pass through.
         """
+        if kind not in ("delta", "snapshots"):
+            return payload
         try:
-            slots, block, entries, stats = payload
-            rows = zlib.decompress(block)
-            named = set(slots)
-            valid = len(rows) == len(slots) * ROW_BYTES and all(
+            if kind == "delta":
+                slots, block, entries, stats = payload
+                rows = zlib.decompress(block)
+                named = set(slots)
+                valid = len(rows) == len(slots) * ROW_BYTES and all(
+                    len(entry) == 3 and type(entry[0]) is int
+                    and entry[0] in named
+                    for entry in entries
+                ) and well_formed(stats)
+            else:
+                slots, blob = payload
+                snapshots = pickle.loads(zlib.decompress(blob))
+                valid = len(snapshots) == len(slots)
+            valid = valid and all(
                 type(slot) is int for slot in slots
-            ) and tuple(slots) == self._addressed(shard, message) and all(
-                len(entry) == 5 and type(entry[0]) is int
-                and entry[0] in named
-                for entry in entries
-            ) and well_formed(stats)
-        except (TypeError, ValueError, zlib.error):
+            ) and tuple(slots) == self._addressed(shard, message)
+        except (TypeError, ValueError, EOFError, zlib.error,
+                pickle.UnpicklingError):
             valid = False
         if not valid:
             raise _WorkerFault(shard, "undecodable reply")
+        if kind == "snapshots":
+            return dict(zip(slots, snapshots))
         return (window, slots, rows, entries, stats)
 
     def _recv_replay(
@@ -1015,14 +1030,14 @@ class ShardedFleet:
         """Reply collection during journal replay: fail hard, no recursion.
 
         Given the in-flight ``message`` (the one replay reply the caller
-        ingests), a delta reply is checked against it as
+        ingests), the reply is checked against it as
         :meth:`_collect_reply` does.
         """
         deadline = _monotonic() + self.worker_deadline
         try:
             kind, window, payload = self._recv(shard, deadline)
-            if message is not None and kind == "delta":
-                payload = self._open_block(shard, window, payload, message)
+            if message is not None:
+                payload = self._open(shard, kind, window, payload, message)
         except _WorkerFault as fault:
             raise RuntimeError(
                 f"shard {shard} worker failed during journal replay: "
@@ -1043,10 +1058,10 @@ class ShardedFleet:
         ``checkpoint_every`` set, the tail replayed here is bounded by
         the cadence, not the uptime.  When the in-flight command was
         mutating it *is* the journal's last entry, so the final replay
-        reply is the in-flight reply; a read (``resync``/``checkpoint``)
-        is simply re-sent afterwards.  Only that in-flight reply is
-        ingested: every earlier replay reply, stat block included, is
-        discarded unread.  Chaos is **not**
+        reply is the in-flight reply; a read (``resync``, ``snapshots``,
+        ``checkpoint``) is simply re-sent afterwards.  Only that
+        in-flight reply is ingested: every earlier replay reply, stat
+        block included, is discarded unread.  Chaos is **not**
         consulted during replay and replay does not advance
         ``op_index`` — fault coordinates stay a pure function of the
         logical command sequence.
@@ -1319,7 +1334,7 @@ class ShardedFleet:
             if reg.enabled:
                 reg.gauge(
                     "repro_fleet_watermark",
-                    "Fleet watermark W: windows committed into views",
+                    "Fleet watermark W: windows committed into records",
                 ).set(float(self._committed_window))
 
     def _run_maintenance(self) -> None:
@@ -1349,19 +1364,19 @@ class ShardedFleet:
         at the reply's window; an instance the reply does not name keeps
         its row.  Each delta goes through the record in its slot
         (:meth:`_RowMirror.apply`), which drops a stale one (older than
-        the record's watermark) before it reaches the signature index.
+        the record's watermark) before it reaches the summaries.
         """
         window, slots, rows, deltas = payload
         by_slot = self._by_slot
         for slot, row in zip(slots, unpack_rows(rows)):
             by_slot[slot].commit(row, window)
-        total_records = 0
+        total_entries = 0
         stale = 0
         for delta in deltas:
             if not by_slot[delta[0]].apply(delta, window):
                 stale += 1
                 continue
-            total_records += len(delta[2])
+            total_entries += len(delta[2])
         reg = obs.default_registry()
         if stale:
             self.stale_deltas += stale
@@ -1372,9 +1387,9 @@ class ShardedFleet:
                 ).inc(stale)
         if reg.enabled and deltas:
             reg.counter(
-                "repro_fleet_delta_goroutines_total",
-                "Goroutine records shipped in delta snapshots",
-            ).inc(total_records)
+                "repro_fleet_delta_signatures_total",
+                "Signature entries shipped in delta snapshots",
+            ).inc(total_entries)
 
     # -- windows -------------------------------------------------------------
 
@@ -1505,26 +1520,26 @@ class ShardedFleet:
     ):
         """The current LeakProf suspect set from the instance records.
 
-        Each record's ``signatures`` answers through the same
-        :class:`~repro.leakprof.detector.SignatureAccumulator` batch
-        ``scan_profile`` uses, keyed by gid — and a snapshot's profile lists
-        records in ascending-gid order, so both agree by construction.
-        O(signatures) parent-side work and zero wire traffic — answered
-        at the fleet watermark ``W``: list-equal to ``scan_fleet`` over
-        the ``snapshots()`` of a lockstep run advanced exactly ``W``
-        windows (the parity the streaming plane is gated on), no matter
-        how far ahead individual shards are running.  Records are
-        walked in slot order, which is the ``snapshots()`` order.
+        Each record's signature summaries go through
+        :func:`~repro.leakprof.detector.judge`, the criteria batch
+        ``scan_profile`` applies; the worker indexes by gid and a
+        snapshot's profile lists records in ascending-gid order, so both
+        agree by construction.  O(signatures) parent-side work and zero
+        wire traffic — answered at the fleet watermark ``W``: list-equal
+        to ``scan_fleet`` over the ``snapshots()`` of a lockstep run
+        advanced exactly ``W`` windows (the parity the streaming plane
+        is gated on), no matter how far ahead individual shards are
+        running.  Records are walked in slot order, which is the
+        ``snapshots()`` order.
         """
         if threshold is None:
             threshold = DEFAULT_THRESHOLD
-        suspects = []
+        suspects: List[Suspect] = []
         for record in self._by_slot:
-            suspects.extend(record.signatures.suspects(
-                record.record_at, record.service, record.name,
-                threshold=threshold,
-                apply_transient_filter=apply_transient_filter,
-            ))
+            if record.summaries:
+                suspects.extend(record.suspects(
+                    threshold, apply_transient_filter
+                ))
         return suspects
 
     # -- re-balancing --------------------------------------------------------
@@ -1539,9 +1554,9 @@ class ShardedFleet:
         barrier; the source worker checkpoints and evicts the instances
         (all-or-nothing per shard), the targets adopt the blobs, and the
         parent sets each moved instance's record to its new shard — one
-        field per move.  Views, signature indexes, slots,
-        and histories are untouched — the move is invisible to every
-        observer, which is the determinism contract.
+        field per move.  Summaries, slots and histories are untouched —
+        the move is invisible to every observer, which is the
+        determinism contract.
 
         If any source declines (an instance that cannot be checkpointed
         exactly — e.g. gc-enabled services), already-evicted instances
@@ -1647,8 +1662,8 @@ class ShardedFleet:
         the fleet watermark is immediately given its next window, so
         with ``max_lead=1`` the fleet runs in lockstep and with a larger
         lead no shard waits for the slowest one until the bound bites.
-        Histories, instance records, and signature indexes advance only at
-        commits, so the result is byte-identical for every lead.
+        Histories and instance records advance only at commits, so the
+        result is byte-identical for every lead.
         """
         self._advance(
             windows_in(days, window), window, max_lead=max(1, int(max_lead))
@@ -1657,13 +1672,22 @@ class ShardedFleet:
     def snapshots(
         self, service: Optional[str] = None
     ) -> List[InstanceSnapshot]:
-        """Every instance's snapshot, in the same (service-add, index)
-        order ``Fleet.all_instances()`` yields — so a LeakProf daily run
-        over a sharded fleet sees byte-identical input.  Materialized
-        from the parent-side records — zero wire traffic, answered at the
-        fleet watermark."""
+        """Every instance's snapshot, pulled from the workers as
+        LeakProf pulls profiles from running instances, in the
+        (service-add, index) order ``Fleet.all_instances()`` yields — so
+        a LeakProf daily run over a sharded fleet sees byte-identical
+        input.  Starts with a barrier, as ``checkpoint``/``resync`` do:
+        it answers at the post-barrier watermark.
+        """
+        self.barrier()
+        payloads = self._exchange([
+            (shard, ("snapshots",)) for shard in range(self.num_shards)
+        ])
+        by_slot: Dict[int, InstanceSnapshot] = {}
+        for snapshots in payloads:
+            by_slot.update(snapshots)
         return [
-            record.snapshot()
+            by_slot[record.slot]
             for record in self._by_slot
             if service is None or record.service == service
         ]

@@ -6,12 +6,17 @@ in a program; the threshold was determined empirically by starting at a
 larger number and slowly reducing it as long as the ratio of true
 positives remained high."  Criterion 2 (the transient filter) lives in
 :mod:`.filters`; all three tiers are applied in one place,
-:meth:`SignatureAccumulator.suspects`.
+:func:`judge`, over per-signature summaries.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from sys import intern
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 
 from repro.profiling import GoroutineProfile, GoroutineRecord
 
@@ -24,8 +29,8 @@ DEFAULT_THRESHOLD = 10_000
 class Suspect(NamedTuple):
     """One blocking source location exceeding the threshold in one profile.
 
-    A named tuple: :meth:`SignatureAccumulator.suspects` builds each one
-    with a single ``tuple.__new__`` call over every field by position.
+    A named tuple: :func:`judge` builds each one with a single
+    ``tuple.__new__`` call over every field by position.
     """
 
     service: Optional[str]
@@ -48,20 +53,58 @@ class Suspect(NamedTuple):
 #: (state value, blocking location) — Suspect.key.
 Signature = Tuple[str, str]
 
+#: One signature: (state, location, member count, least member, any
+#: member proven, representative — the least proven member if any, else
+#: the least member, in the form the caller's ``record_at`` resolves).
+Summary = Tuple[str, str, int, int, bool, Any]
+
 _new = tuple.__new__
+_least = itemgetter(3)
+
+
+def judge(
+    summaries: Iterable[Summary],
+    record_at: Callable[[Any], GoroutineRecord],
+    service: Optional[str],
+    instance: Optional[str],
+    threshold: int = DEFAULT_THRESHOLD,
+    apply_transient_filter: bool = True,
+) -> List[Suspect]:
+    """The signatures that pass the criteria, least member first.
+
+    The only implementation of Criterion 1 (threshold), Criterion 2
+    (transient filter) and the proof tier.  A signature with a repro.gc
+    ``proof=proven`` member is promoted regardless of count or filter —
+    the reachability engine already proved it can never be woken.
+    """
+    suspects: List[Suspect] = []
+    for state, location, count, _, proven, representative in sorted(
+        summaries, key=_least
+    ):
+        if not proven and count < threshold:
+            continue
+        record = record_at(representative)
+        if not proven and apply_transient_filter and (
+            is_trivially_nonblocking(record)
+        ):
+            continue
+        suspects.append(_new(Suspect, (
+            service, instance, state, location, count, record,
+            "proven" if proven else None,
+        )))
+    return suspects
 
 
 class SignatureAccumulator:
     """One instance's blocked goroutines filed by signature: the §V-A core.
 
-    The only implementation of Criterion 1 (threshold), Criterion 2
-    (transient filter) and the proof tier.  Members are keyed by an
-    *ordinal* — a profile position for :func:`scan_profile`, a gid for
-    a sharded fleet's per-instance signature index — and
-    :meth:`suspects` orders signatures
-    by their least member, with the least (proven) member as the
-    representative.  For a profile that is first-appearance order, so
-    batch and streaming answers agree by construction.
+    Members are keyed by an *ordinal* — a profile position for
+    :func:`scan_profile`, a gid for a shard worker's per-instance
+    signature index — and each signature reduces to one
+    :data:`Summary` (:meth:`summary`), which :func:`judge` orders by
+    least member, with the least (proven) member as the representative.
+    For a profile that is first-appearance order, so batch and streaming
+    answers agree by construction.
     """
 
     __slots__ = ("_sigs", "_sig_of")
@@ -76,13 +119,14 @@ class SignatureAccumulator:
         """(Re)file ``ordinal`` under channel-blocked ``record``'s signature.
 
         A record with no user frame has no signature: the ordinal is
-        unfiled instead.
+        unfiled instead.  Locations are interned, so every member and
+        every summary of a signature shares one string.
         """
         location = record.blocking_location
         if location is None:
             self.unfile(ordinal)
             return
-        signature = (record.state.value, location)
+        signature = (record.state.value, intern(location))
         sig_of = self._sig_of
         previous = sig_of.get(ordinal)
         if previous != signature:
@@ -148,48 +192,26 @@ class SignatureAccumulator:
         if not members:
             del self._sigs[signature]
 
-    def suspects(
-        self,
-        record_at: Callable[[int], GoroutineRecord],
-        service: Optional[str],
-        instance: Optional[str],
-        threshold: int = DEFAULT_THRESHOLD,
-        apply_transient_filter: bool = True,
-    ) -> List[Suspect]:
-        """The signatures that pass the criteria, least member first.
+    def signature_of(self, ordinal: int) -> Optional[Signature]:
+        """The signature ``ordinal`` is filed under, if any."""
+        return self._sig_of.get(ordinal)
 
-        ``record_at`` maps an ordinal back to its record.  A signature
-        with a repro.gc ``proof=proven`` member is promoted regardless
-        of count or filter — the reachability engine already proved it
-        can never be woken.
-        """
-        suspects: List[Suspect] = []
-        for least, (state, location), proven, count in sorted(
-            (min(members), signature, proven, len(members))
-            for signature, (members, proven) in self._sigs.items()
-        ):
-            if proven:
-                representative = record_at(min(proven))
-                proof: Optional[str] = "proven"
-            else:
-                if count < threshold:
-                    continue
-                representative = record_at(least)
-                if apply_transient_filter and is_trivially_nonblocking(
-                    representative
-                ):
-                    continue
-                proof = None
-            suspects.append(_new(Suspect, (
-                service,
-                instance,
-                state,
-                location,
-                count,
-                representative,
-                proof,
-            )))
-        return suspects
+    def summary(self, signature: Signature) -> Optional[Summary]:
+        """``signature``'s summary, representative as an ordinal; None
+        once it has no member."""
+        sets = self._sigs.get(signature)
+        if sets is None:
+            return None
+        members, proven = sets
+        least = min(members)
+        return (
+            signature[0], signature[1], len(members), least, bool(proven),
+            min(proven) if proven else least,
+        )
+
+    def summaries(self) -> Iterator[Summary]:
+        """Every signature's :meth:`summary`, what :func:`judge` reads."""
+        return map(self.summary, self._sigs)
 
 
 def scan_profile(
@@ -208,7 +230,8 @@ def scan_profile(
     blocked = profile.blocked()
     if not blocked:
         return []
-    return SignatureAccumulator.of_profile(blocked).suspects(
+    return judge(
+        SignatureAccumulator.of_profile(blocked).summaries(),
         blocked.__getitem__,
         profile.service,
         profile.instance,

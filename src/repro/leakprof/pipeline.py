@@ -110,7 +110,7 @@ class LeakProf:
         """Rank/file/remediate an already-computed suspect set.
 
         The streaming entry point: suspects come from a sharded fleet's
-        per-instance signature indexes
+        per-instance signature summaries
         (:meth:`repro.fleet.ShardedFleet.suspects`), so there is no
         scan phase to run — everything downstream (impact ranking,
         Bug-DB dedup, ownership routing, remediation retry) is the same
@@ -216,7 +216,7 @@ class LeakProf:
         """One detection run against a streaming :class:`ShardedFleet`.
 
         Takes the fleet's current suspect set from its per-instance
-        signature indexes — zero wire traffic, O(signatures) parent-side
+        signature summaries — zero wire traffic, O(signatures) parent-side
         work — and runs the shared
         rank/file/remediate back half.  Results are batch-identical to
         ``daily_run`` over the same fleet's snapshots (minus

@@ -447,7 +447,7 @@ class Runtime:
         if self._gc_state is not None:
             self._gc_state.tracker.forget(goro.gid)
         if self._delta is not None:
-            self._delta.on_finish(goro.gid)
+            self._delta.mark(goro.gid)
         # Done goroutines leave the address space entirely; a main's
         # reaper reads its result from the goroutine it holds.
         self._goroutines.pop(goro.gid, None)
@@ -465,7 +465,7 @@ class Runtime:
         if self._gc_state is not None:
             self._gc_state.tracker.forget(goro.gid)
         if self._delta is not None:
-            self._delta.on_finish(goro.gid)
+            self._delta.mark(goro.gid)
         if self.panic_mode == "raise":
             raise exc
 

@@ -1,30 +1,29 @@
 """Delta snapshots: the wire half of the streaming observation plane.
 
 A batch :class:`~repro.snapshot.InstanceSnapshot` ships every goroutine
-record every time it crosses a process boundary.  At fleet scale almost
-none of those records changed since the last ship — a parked goroutine's
-stack, state, and creation context are immutable while it stays parked;
-only its *age* moves, and age is recomputable from ``blocked_since``.
+record every time it crosses a process boundary.  A leak detector needs
+far less: LeakProf judges a source location by how many goroutines are
+blocked there (§V-A), so per instance the answer grows with the number
+of *signatures*, not with the number of parked goroutines.
 
-This module makes that observation structural, worker-side and on the
-wire:
+This module holds what a shard worker ships, and the change tracker it
+ships from:
 
 * :class:`DeltaTracker` lives worker-side, attached to a runtime as
   ``runtime._delta`` (mirroring the ``gc.refs`` dirty-gid machinery).
-  The scheduler marks goroutines dirty at the only points their record
-  can change (spawn, step, gc-verdict stamp) and reports finishes; at a
-  ship boundary :meth:`DeltaTracker.collect` drains the dirty set into
-  record templates plus tombstones for goroutines that finished after
-  having been shipped.
-* :data:`WireRecord` and :data:`WireDelta` are what one ship carries
-  per record and per instance.
+  The scheduler marks a goroutine dirty at every point its record can
+  change (spawn, step, gc-verdict stamp) and when it finishes; at a
+  ship boundary the worker drains the dirty set into its per-instance
+  signature index (``repro.fleet.shard``).
+* :data:`SignatureEntry` and :data:`WireDelta` are what one ship carries
+  per changed signature and per instance.  Entries hold *absolute*
+  values, so applying one twice changes nothing, which is what lets
+  journal-replay crash recovery re-apply an in-flight window.
 
-Record templates carry ``wait_seconds=0.0`` on the wire; ages are a
-parent-side function of (ship time − blocked_since), exactly the formula
-``snapshot_goroutine`` uses.  The parent folds deltas into its one
-record per instance (``repro.fleet.shard``), which upserts and deletes,
-so application is idempotent and journal-replay crash recovery can
-re-apply an in-flight window without double counting.
+The representative travels as a :data:`WireRecord`: a record template
+with ``wait_seconds=0.0`` plus ``blocked_since``; its age is a
+parent-side function of (ship time − blocked_since), exactly the
+formula ``snapshot_goroutine`` uses.
 
 Addresses: across the worker boundary an instance is named only by its
 **slot**, its fixed position in the fleet (service-add, then index
@@ -42,27 +41,28 @@ unpacks them with :func:`unpack_rows` and indexes each row with the
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.profiling import GoroutineRecord, snapshot_goroutine
-from repro.runtime import GoroutineState
 
 #: One record on the wire: (template with wait_seconds=0, blocked_since).
 WireRecord = Tuple[GoroutineRecord, Optional[float]]
 
-#: One instance's delta payload:
-#: (slot, full, records, tombstones, gc) — ``full=True`` replaces the
-#: parent's record of the instance wholesale (init / restart / anti-entropy resync), ``gc`` is a
-#: GCSnapshot field tuple or None.  The counters ride the reply's stat
-#: block, not the delta.
-WireDelta = Tuple[int, bool, List[WireRecord], Tuple[int, ...], Optional[Tuple]]
+#: One changed signature: (state, location, count, least gid, any member
+#: proven, representative).  Count 0 removes the signature (its least
+#: gid is then 0 and its representative None).
+SignatureEntry = Tuple[str, str, int, int, bool, Optional[WireRecord]]
+
+#: One instance's delta payload: (slot, full, entries) — ``full=True``
+#: replaces the parent's signature set wholesale (init / restart /
+#: anti-entropy resync).  The counters ride the reply's stat block, not
+#: the delta.
+WireDelta = Tuple[int, bool, List[SignatureEntry]]
 
 
-#: The census order of a row: one count per ``GoroutineState`` value.
-STATE_VALUES = tuple(state.value for state in GoroutineState)
-#: t, cpu_percent (doubles), then rss, blocked, goroutines,
-#: requests_window, requests_total, steps, windows, census[...]
-_ROW = struct.Struct("=dd" + "q" * (7 + len(STATE_VALUES)))
+#: t, cpu_percent (doubles), then rss, blocked, goroutines: what the
+#: parent's histories, instance mirrors and representative ages read.
+_ROW = struct.Struct("=ddqqq")
 
 ROW_BYTES = _ROW.size
 
@@ -72,24 +72,17 @@ F_CPU = 1
 F_RSS = 2
 F_BLOCKED = 3
 F_GOROUTINES = 4
-F_CENSUS = 9
 
 
 def pack_row(instance: Any) -> bytes:
     """Pack one live instance's counters into a stat row.
 
-    The worker hot path: every field is an O(1) counter read.  The
-    census is the runtime's census array, one count per
-    ``GoroutineState`` in definition (``census_index``) order.
+    The worker hot path: every field is an O(1) counter read.
     """
     runtime = instance.runtime
-    metrics = instance.metrics
     return _ROW.pack(
         runtime.now, instance.cpu_utilization(), instance.rss(),
         runtime.blocked_goroutines_count, runtime.num_goroutines,
-        metrics[-1].requests_served if metrics else 0,
-        instance.requests_served, runtime.steps, len(metrics),
-        *runtime._state_census,
     )
 
 
@@ -98,88 +91,29 @@ def unpack_rows(rows: bytes) -> Iterator[Tuple]:
     return _ROW.iter_unpack(rows)
 
 
+def wire_record(goro) -> WireRecord:
+    """``goro``'s record as it travels: an unaged template plus the
+    instant it blocked."""
+    template = snapshot_goroutine(goro, 0.0)
+    if template.wait_seconds != 0.0:  # pragma: no cover - negative clock
+        template = template.aged(0.0)
+    return (template, goro.blocked_since)
+
+
 class DeltaTracker:
     """Worker-side change tracker for one runtime (``runtime._delta``).
 
-    The scheduler feeds it through two hooks — :meth:`mark` wherever a
+    The scheduler feeds it through one hook, :meth:`mark`, wherever a
     goroutine's observable record can change (spawn, step, gc-verdict
-    stamp) and :meth:`on_finish` when one leaves the address space.
-    ``shipped`` is the set of gids the parent's record currently holds;
-    a finish only becomes a tombstone when the parent knew the gid.
-    A tracker resumed after a checkpoint starts from the restored live
-    gids: at a checkpoint nothing is unshipped, so the parent holds
-    exactly those, and no gc-enabled instance is ever checkpointed.
+    stamp) and when it finishes.  ``dirty`` is the set of gids marked
+    since the worker last drained it; a finished gid is just a dirty gid
+    the runtime no longer holds.
     """
 
-    __slots__ = ("dirty", "finished", "shipped", "gc_sweeps")
+    __slots__ = ("dirty",)
 
-    def __init__(self, shipped: Iterable[int] = ()):
+    def __init__(self) -> None:
         self.dirty: set = set()
-        self.finished: set = set()
-        self.shipped: set = set(shipped)
-        #: sweep_index of the last GC report shipped (0 = none yet).
-        self.gc_sweeps = 0
 
     def mark(self, gid: int) -> None:
         self.dirty.add(gid)
-
-    def on_finish(self, gid: int) -> None:
-        self.dirty.discard(gid)
-        if gid in self.shipped:
-            self.shipped.discard(gid)
-            self.finished.add(gid)
-
-    @staticmethod
-    def _encode(goro) -> WireRecord:
-        template = snapshot_goroutine(goro, 0.0)
-        if template.wait_seconds != 0.0:  # pragma: no cover - negative clock
-            template = template.aged(0.0)
-        return (template, goro.blocked_since)
-
-    def collect(
-        self, runtime, full: bool = False
-    ) -> Tuple[bool, List[WireRecord], Tuple[int, ...]]:
-        """Drain pending changes into ``(full, records, tombstones)``.
-
-        ``full=True`` re-ships every live record and resets the tracker
-        — the anti-entropy resync and the init/restart baseline.
-        """
-        records: List[WireRecord] = []
-        if full:
-            self.dirty.clear()
-            self.finished.clear()
-            self.shipped.clear()
-            for goro in runtime._goroutines.values():
-                if goro.alive:
-                    records.append(self._encode(goro))
-                    self.shipped.add(goro.gid)
-            return (True, records, ())
-        for gid in sorted(self.dirty):
-            goro = runtime._goroutines.get(gid)
-            if goro is None or not goro.alive:  # pragma: no cover - guard
-                continue  # finished before this ship; on_finish handled it
-            records.append(self._encode(goro))
-            self.shipped.add(gid)
-        self.dirty.clear()
-        tombstones = tuple(sorted(self.finished))
-        self.finished.clear()
-        return (False, records, tombstones)
-
-    def gc_state(self, runtime, full: bool = False) -> Optional[Tuple]:
-        """GC verdict tallies to ship, or None when nothing new.
-
-        Deduplicated on the sweep counter: a window without a sweep
-        ships no GC block at all.  ``full`` always reports the current
-        state (the parent's record is being replaced wholesale).
-        """
-        reports = runtime.gc_reports
-        if not reports:
-            return None
-        last = reports[-1]
-        if not full and last.sweep_index == self.gc_sweeps:
-            return None
-        self.gc_sweeps = last.sweep_index
-        return (
-            last.sweep_index, last.at, last.live,
-            last.possibly_leaked, last.proven_leaked,
-        )

@@ -8,6 +8,7 @@ pipeline must produce byte-identical histories, complete sweeps, and an
 intact report funnel anyway.
 """
 
+import functools
 import json
 import pickle
 import zlib
@@ -45,6 +46,7 @@ from repro.ingest import (
     MultiTenantScheduler,
     RetryPolicy,
 )
+from repro.leakprof import scan_fleet
 from repro.patterns import healthy, timeout_leak
 from repro.snapshot import snapshot_instance
 from repro.snapshot.delta import ROW_BYTES
@@ -293,13 +295,13 @@ class TestShardSupervision:
         assert fleet.worker_restarts == 2
         assert histories == reference
 
-    def test_kill_during_snapshot_read_still_answers(self):
+    @pytest.mark.parametrize("read", ["resync", "pull"])
+    def test_kill_during_snapshot_read_still_answers(self, read):
         """A non-mutating command is re-sent (not replayed) after the
         respawn; the LeakProf sweep sees a complete snapshot set.
 
-        The read is a ``resync()`` — every worker reships its full
-        snapshot state — since ``snapshots()`` itself is answered from
-        the parent's instance records without touching the wire.
+        The killed read is either a ``resync()`` — every worker reships
+        its full signature state — or the ``snapshots()`` pull itself.
         """
         reference = Fleet()
         for config, seed in _configs():
@@ -314,16 +316,21 @@ class TestShardSupervision:
         fleet.start()
         try:
             fleet.advance_window(3600.0)
-            fleet.resync()  # op 2 on each shard: kill in flight
-            snaps = fleet.snapshots()
+            if read == "resync":
+                fleet.resync()  # op 2 on each shard: kill in flight
+            snaps = fleet.snapshots()  # op 2 or 3: the pull
+            suspects = fleet.suspects(threshold=1)
         finally:
             fleet.close()
         assert schedule.fired_count(FaultKind.KILL_WORKER) == 1
         assert fleet.worker_restarts == 1
-        assert fleet.full_resyncs == 1
+        assert fleet.full_resyncs == (read == "resync")
         assert snaps == [
             snapshot_instance(inst) for inst in reference.all_instances()
         ]
+        assert suspects == scan_fleet(
+            [snap.profile() for snap in snaps], threshold=1
+        )
 
     @pytest.mark.parametrize(
         "tamper",
@@ -361,6 +368,70 @@ class TestShardSupervision:
             "undecodable reply"
         ]
         assert histories == reference
+
+    @pytest.mark.parametrize("tamper", ["dropped_slot", "foreign_slot",
+                                        "short", "not_zlib", "window"])
+    def test_bad_snapshot_reply_is_refused(self, tamper):
+        """A pull's reply gets the checks every reply gets: one that
+        leaves out an owned slot, names a slot another shard owns, holds
+        fewer snapshots than slots, or whose buffer does not inflate is a
+        garbling worker (respawned, the pull re-sent, the answer
+        unchanged); one tagged with another window is a protocol
+        violation."""
+        reference = Fleet()
+        for config, seed in _configs():
+            reference.add(Service(config, seed=seed))
+        reference.advance_window(3600.0)
+
+        class TamperPull:
+            def __init__(self, conn):
+                self._conn = conn
+                self._tamper = tamper
+
+            def recv_bytes(self):
+                buf = self._conn.recv_bytes()
+                kind, window, (slots, blob) = pickle.loads(buf)
+                assert kind == "snapshots"
+                snaps = pickle.loads(zlib.decompress(blob))
+                if self._tamper == "dropped_slot":
+                    slots, snaps = slots[1:], snaps[1:]
+                elif self._tamper == "foreign_slot":
+                    slots = (slots[0] + 1,) + slots[1:]
+                elif self._tamper == "short":
+                    snaps = snaps[1:]
+                elif self._tamper == "window":
+                    window += 1
+                blob = zlib.compress(pickle.dumps(snaps), 1)
+                if self._tamper == "not_zlib":
+                    blob = b"not a zlib stream"
+                self._tamper = None
+                return pickle.dumps((kind, window, (slots, blob)))
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        fleet = ShardedFleet(shards=2, worker_deadline=10.0)
+        for config, seed in _configs():
+            fleet.add_service(config, seed=seed)
+        fleet.start()
+        try:
+            fleet.advance_window(3600.0)
+            fleet._conns[0] = TamperPull(fleet._conns[0])
+            if tamper == "window":
+                with pytest.raises(RuntimeError, match="watermark"):
+                    fleet.snapshots()
+                return
+            snaps = fleet.snapshots()
+        finally:
+            fleet.close()
+        assert fleet.worker_restarts == 1
+        spans = obs.default_tracer().find("chaos.respawn")
+        assert [span.attributes["reason"] for span in spans] == [
+            "undecodable reply"
+        ]
+        assert snaps == [
+            snapshot_instance(inst) for inst in reference.all_instances()
+        ]
 
     def test_ownership_check_follows_a_rebalance(self):
         """After a move, the instance's former shard no longer owns its
@@ -695,14 +766,41 @@ class TestIngestChaos:
 # The canned scenario suite (what CI's chaos-smoke replays)
 
 
+@functools.lru_cache(maxsize=None)
+def _scenario(name):
+    """One seed-0 run of scenario ``name``, shared by the tests below."""
+    return run_scenario(name, seed=0)
+
+
+#: ``ShardedFleet`` figures that follow reply timing, not just the seed.
+_TIMING_DEPENDENT = frozenset({
+    "max_window_spread", "shard_windows", "wire_bytes_total",
+    "wire_bytes_by_command", "worker_cpu_seconds",
+})
+
+
 class TestScenarios:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_invariants_hold(self, name):
-        result = run_scenario(name, seed=0)
+        result = _scenario(name)
         assert result.ok, (
             f"{name} broke invariants {result.failed_invariants()}: "
             f"{result.details}"
         )
+
+    @pytest.mark.parametrize(
+        "name", ["checkpoint_crash", "rebalance_crash", "worker_kill"]
+    )
+    def test_shard_scenario_details_do_not_follow_timing(self, name):
+        """Comparing replay ``invariants`` and ``details`` across runs
+        or commits cannot fail on unchanged code: a figure that follows
+        reply timing is an observation, reported apart."""
+        result = _scenario(name)
+        assert not _TIMING_DEPENDENT & set(result.details)
+        summary = result.summary()
+        assert summary["observations"] == result.observations
+        if name == "rebalance_crash":
+            assert "max_window_spread" in result.observations
 
     def test_unknown_scenario_is_a_loud_error(self):
         with pytest.raises(ValueError, match="unknown scenario"):

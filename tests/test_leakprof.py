@@ -1,9 +1,9 @@
 """LeakProf: thresholds, transient filter, RMS ranking, dedup, pipeline."""
 
 import functools
+from types import SimpleNamespace
 
-
-from repro.fleet.shard import _RowMirror
+from repro.fleet.shard import _RowMirror, _ship
 from repro.leakprof import (
     BugDatabase,
     LeakProf,
@@ -12,7 +12,8 @@ from repro.leakprof import (
     rank_by_impact,
     scan_profile,
 )
-from repro.profiling import GoroutineProfile, GoroutineRecord
+from repro.leakprof.detector import SignatureAccumulator
+from repro.profiling import GoroutineProfile, GoroutineRecord, snapshot_goroutine
 from repro.patterns import healthy, premature_return, timer_loop, timeout_leak
 from repro.runtime import Frame, GoroutineState, Runtime
 
@@ -157,33 +158,33 @@ class TestScoringCore:
         assert got == [("a:20", 3, 7, "proven"), ("a:10", 2, 8, None)]
 
     def test_refile_paths_match_batch_scan(self):
-        """Every upsert/tombstone/reset path of a sharded instance's
-        record answers exactly what ``scan_profile`` answers over the
-        surviving records."""
-        record = _RowMirror(0, "svc", 0, "i-0", base_rss=0, shard=0, mix=None)
-        live = {}
+        """Every refile path of a shard worker's signature index, shipped
+        as absolute per-signature entries into the parent's record,
+        answers exactly what ``scan_profile`` answers over the surviving
+        goroutines, with one summary per signature."""
+        runtime = SimpleNamespace(_goroutines={})
+        index = SignatureAccumulator()
+        record = _RowMirror(0, "svc", 0, "i-0", shard=0, mix=None)
 
-        def ship(records=(), tombstones=(), full=False, window=1):
-            delta = (0, full, [(r, None) for r in records],
-                     tuple(tombstones), None)
-            return record.apply(delta, window)
+        def ship(gids, full=False, window=1):
+            delta = (0, full, _ship(index, runtime, gids))
+            assert record.apply(delta, window)
+            return delta
 
         def upsert(rec):
-            live[rec.gid] = rec
-            assert ship([rec])
-
-        def suspects():
-            return record.signatures.suspects(
-                record.record_at, record.service, record.name, threshold=2
-            )
+            runtime._goroutines[rec.gid] = _Parked(rec)
+            return ship([rec.gid])
 
         def assert_parity():
-            profile = GoroutineProfile(
-                0.0, "p", [live[gid] for gid in sorted(live)], "svc", "i-0"
-            )
+            profile = GoroutineProfile(0.0, "p", [
+                snapshot_goroutine(goro, 0.0)
+                for _gid, goro in sorted(runtime._goroutines.items())
+            ], "svc", "i-0")
             expected = scan_profile(profile, threshold=2)
-            assert suspects() == expected
-            assert {gid: t for gid, (t, _) in record.records.items()} == live
+            assert record.suspects(threshold=2) == expected
+            assert set(record.summaries) == {
+                r.signature() for r in profile.blocked()
+            }
             return [(s.location, s.count, s.representative.gid, s.proof)
                     for s in expected]
 
@@ -193,7 +194,11 @@ class TestScoringCore:
             upsert(parked(gid, location))
         assert assert_parity() == [("a:10", 3, 1, None), ("a:20", 2, 2, None)]
 
-        upsert(parked(1, "a:20"))  # moves to another signature
+        moved = upsert(parked(1, "a:20"))  # moves to another signature
+        assert [entry[:5] for entry in moved[2]] == [
+            ("chan send", "a:10", 2, 3, False),
+            ("chan send", "a:20", 3, 1, False),
+        ]
         assert assert_parity() == [("a:20", 3, 1, None), ("a:10", 2, 3, None)]
 
         upsert(parked(4, "a:20", proof="proven"))
@@ -209,22 +214,43 @@ class TestScoringCore:
             ("a:30", 1, 6, "proven"),
         ]
 
-        for gid in (1, 5):  # unfile; a:10 loses its last member below
-            del live[gid]
-            assert ship(tombstones=[gid])
-        upsert(parked(3, "a:10", state=GoroutineState.RUNNABLE))
+        for gid in (1, 5):  # finish; a:10 loses its last member below
+            del runtime._goroutines[gid]
+            ship([gid])
+        removed = upsert(parked(3, "a:10", state=GoroutineState.RUNNABLE))
+        assert removed[2] == [("chan send", "a:10", 0, 0, False, None)]
         assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
 
-        # a stale delta is refused by the record before it is filed
-        assert not ship([parked(9, "a:20")], window=0)
+        # a stale delta is refused by the record: a:10 stays removed
+        assert not record.apply(moved, window=0)
         assert assert_parity() == [("a:20", 2, 2, None), ("a:30", 1, 6, "proven")]
 
-        assert ship(full=True)  # full reship
-        live.clear()
-        assert suspects() == []
+        # a full reship replaces the signature set
+        runtime._goroutines.clear()
+        index = SignatureAccumulator()
+        ship(runtime._goroutines, full=True)
+        assert record.summaries == {}
+        assert record.suspects(threshold=2) == []
         for gid in (7, 8):
             upsert(parked(gid, "a:40"))
         assert assert_parity() == [("a:40", 2, 7, None)]
+
+
+class _Parked:
+    """A goroutine stand-in whose ``snapshot_goroutine`` record is
+    ``record`` with its wait detail filled in."""
+
+    waiting_on = None
+    blocked_since = None
+
+    def __init__(self, record):
+        self.gid, self.name, self.state, self._frames, self.creation_ctx = (
+            record[:5]
+        )
+        self.gc_verdict = record.proof
+
+    def stack(self):
+        return self._frames
 
 
 class TestImpactRanking:

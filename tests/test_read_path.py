@@ -19,9 +19,14 @@ import pickle
 import pytest
 
 from repro.fleet import RequestMix, ServiceInstance, TrafficShape
-from repro.fleet.shard import _RowMirror
+from repro.fleet.shard import _RowMirror, _ship
 from repro.leakprof import filters
-from repro.leakprof.detector import SignatureAccumulator, Suspect, scan_profile
+from repro.leakprof.detector import (
+    SignatureAccumulator,
+    Suspect,
+    judge,
+    scan_profile,
+)
 from repro.patterns import PATTERNS, healthy
 from repro.profiling import (
     GoroutineProfile,
@@ -36,7 +41,7 @@ from repro.snapshot import (
     RuntimeSnapshot,
     snapshot_instance,
 )
-from repro.snapshot.delta import DeltaTracker, pack_row, unpack_rows
+from repro.snapshot.delta import pack_row, unpack_rows, wire_record
 
 HEALTHY = sorted(
     (name, fn)
@@ -194,9 +199,9 @@ def assert_runtime_identical(rt):
         suspects = scan_profile(
             profile, threshold=1, apply_transient_filter=transient_filter
         )
-        assert suspects == reference.suspects(
-            blocked.__getitem__, "svc", rt.name, threshold=1,
-            apply_transient_filter=transient_filter,
+        assert suspects == judge(
+            reference.summaries(), blocked.__getitem__, "svc", rt.name,
+            threshold=1, apply_transient_filter=transient_filter,
         )
         for suspect in suspects:
             assert_identical(suspect, keyword_suspect(suspect))
@@ -273,13 +278,15 @@ def test_records_read_after_an_advance_are_unchanged(name, body):
 
 def shipped_record(instance):
     """The sharded parent's record of ``instance``, fed one full delta
-    and one stat row, both through a pickle round trip (the wire)."""
+    (a worker's signature index of its live goroutines) and one stat
+    row, both through a pickle round trip (the wire)."""
     rt = instance.runtime
-    tracker = DeltaTracker()
-    full, records, tombstones = tracker.collect(rt, full=True)
-    delta = (0, full, records, tombstones, tracker.gc_state(rt, full=True))
-    delta, row = pickle.loads(pickle.dumps((delta, pack_row(instance))))
-    record = _RowMirror(0, instance.service, 0, instance.name, rt.base_rss, 0,
+    index = SignatureAccumulator()
+    entries = _ship(index, rt, rt._goroutines)
+    delta, row = pickle.loads(pickle.dumps(
+        ((0, True, entries), pack_row(instance))
+    ))
+    record = _RowMirror(0, instance.service, 0, instance.name, 0,
                         instance.mix)
     assert record.apply(delta, 0)
     (unpacked,) = unpack_rows(row)
@@ -289,8 +296,10 @@ def shipped_record(instance):
 
 @pytest.mark.parametrize("name,body", BODIES, ids=BODY_IDS)
 def test_wire_records_materialize_as_live_records(name, body):
-    """``DeltaTracker._encode`` -> wire -> ``_RowMirror.record_at``
-    equals ``snapshot_goroutine`` against the live runtime, aged or not."""
+    """``wire_record`` -> wire -> ``_RowMirror.represent`` equals
+    ``snapshot_goroutine`` against the live runtime, aged or not, for
+    every live goroutine; every shipped representative is the live
+    record of its gid."""
     instance = body_instance(name, body)
     for step in ("sampled", "gc", "advanced"):
         if step == "gc":
@@ -300,26 +309,32 @@ def test_wire_records_materialize_as_live_records(name, body):
         rt = instance.runtime
         record = shipped_record(instance)
         live = {g.gid: g for g in rt.live_goroutines()}
-        assert sorted(record.records) == sorted(live)
         for gid, goro in live.items():
-            assert_identical(record.record_at(gid),
+            wire = pickle.loads(pickle.dumps(wire_record(goro)))
+            assert_identical(record.represent(wire),
                              snapshot_goroutine(goro, rt.now), same_bytes=False)
-            assert_identical(record.record_at(gid),
+            assert_identical(record.represent(wire),
+                             keyword_record(goro, rt.now), same_bytes=False)
+        for summary in record.summaries.values():
+            goro = live[summary[5][0].gid]
+            assert_identical(record.represent(summary[5]),
                              keyword_record(goro, rt.now), same_bytes=False)
 
 
 @pytest.mark.parametrize("name,body", BODIES, ids=BODY_IDS)
 def test_view_snapshots_and_suspects_match_keyword_constructors(name, body):
-    """The sharded parent's read path: ``_RowMirror.snapshot`` and the
-    suspects built from it equal their keyword-built counterparts."""
+    """The sharded parent's read path: a pulled snapshot (what a worker
+    ships) and the suspects judged from the parent's signature summaries
+    equal their keyword-built counterparts."""
     instance = body_instance(name, body)
     instance.runtime.gc()
-    snapshot = shipped_record(instance).snapshot()
+    snapshot = pickle.loads(pickle.dumps(snapshot_instance(instance)))
     ref = keyword_instance_snapshot(instance)
     assert_identical(snapshot, ref, same_bytes=False)
     assert_identical(snapshot, snapshot_instance(instance), same_bytes=False)
-    suspects = scan_profile(snapshot.profile(), threshold=1)
+    suspects = shipped_record(instance).suspects(threshold=1)
     assert suspects == scan_profile(ref.profile(), threshold=1)
+    assert suspects == scan_profile(snapshot.profile(), threshold=1)
     for suspect in suspects:
         assert_identical(suspect, keyword_suspect(suspect), same_bytes=False)
         assert suspect.key == (suspect.state, suspect.location)

@@ -2,19 +2,20 @@
 checkpoint/restore, and online suspect scoring.
 
 The load-bearing property: the parent's record of each instance
-(``repro.fleet.shard._RowMirror``) — reconstructed purely from
-incremental deltas, tombstones and O(1) stat rows — must be
-**indistinguishable** from ``snapshot_instance`` run in-process, and the
-suspect list of the per-instance signature indexes must be list-equal
-to the batch ``scan_fleet`` sweep over those snapshots.  Everything
-else (resync, checkpoints, rebalancing) preserves that invariant under
-churn.
+(``repro.fleet.shard._RowMirror``) — built purely from per-signature
+deltas and O(1) stat rows — holds one summary per signature, and the
+suspect list judged from those summaries must be list-equal to the
+batch ``scan_fleet`` sweep over the snapshots pulled from the workers,
+which must be **indistinguishable** from ``snapshot_instance`` run
+in-process.  Everything else (resync, checkpoints, rebalancing)
+preserves that invariant under churn.
 """
 
 import multiprocessing
 import pickle
 import threading
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,9 +35,17 @@ from repro.fleet import (
 from repro.fleet import shard as shard_module
 from repro.leakprof import LeakProf, scan_fleet
 from repro.patterns import healthy, timeout_leak
-from repro.runtime import GoroutineState, go, sleep
+from repro.runtime import go, recv, send, sleep
 from repro.snapshot import snapshot_instance
-from repro.snapshot.delta import F_CENSUS, pack_row, unpack_rows
+from repro.snapshot.delta import (
+    F_BLOCKED,
+    F_CPU,
+    F_GOROUTINES,
+    F_RSS,
+    F_T,
+    pack_row,
+    unpack_rows,
+)
 
 WINDOW = 3600.0
 
@@ -59,18 +68,25 @@ def clean_mix():
 
 
 def camper(rt, payload_bytes=1024):
-    """A handler whose child outlives the request — and the *window*.
+    """A handler whose children outlive the request — and the *window*.
 
-    The child sleeps past the 3600 s window boundary, so it ships as a
-    live (SLEEPING) record in one delta and must come back as a
-    tombstone in the next.  Exercises the full dirty → shipped →
-    finished lifecycle across windows.
+    One child sleeps past the 3600 s window boundary, then wakes the
+    other, which waits on a channel until then: the waiter is a member
+    of its signature at one ship and finished by a later one.
+    Exercises the full dirty → filed → finished lifecycle across
+    windows.
     """
+    ch = rt.make_chan(0, label="late")
 
     def linger():
         yield sleep(5000.0)
+        yield send(ch, None)
+
+    def wait():
+        yield recv(ch)
 
     yield go(linger)
+    yield go(wait)
 
 
 def lingering_mix():
@@ -115,6 +131,26 @@ def _serial_reference(windows, seed_offset=0, lingering=False):
     return per_window, histories
 
 
+def assert_summaries_only(fleet, snapshots):
+    """Each parent record holds one summary per signature of its
+    instance's snapshot, with the signature's member count, and no other
+    field that can grow with the instance's goroutines."""
+    for record, snapshot in zip(fleet._by_slot, snapshots):
+        assert record.name == snapshot.name
+        assert {
+            signature: entry[2]
+            for signature, entry in record.summaries.items()
+        } == Counter(
+            r.signature() for r in snapshot.runtime.records
+            if r.is_blocked and r.blocking_location is not None
+        )
+        sized = [
+            getattr(record, field) for field in type(record).__slots__
+            if isinstance(getattr(record, field), (dict, list, set))
+        ]
+        assert sized == [record.summaries]
+
+
 class TestViewParity:
     """Delta-reconstructed views ≡ in-process snapshot_instance."""
 
@@ -134,38 +170,54 @@ class TestViewParity:
                 fleet.start()
                 for w in range(windows):
                     fleet.advance_window(WINDOW)
+                    assert_summaries_only(fleet, reference[w])
+                    assert fleet.suspects(threshold=1) == scan_fleet(
+                        [s.profile() for s in reference[w]], threshold=1
+                    )
                     assert fleet.snapshots() == reference[w], (
                         f"{shards}-shard views diverged at window {w}"
                     )
+                # non-vacuity: the leak parks more goroutines than it
+                # forms signatures
+                parked = sum(
+                    entry[2]
+                    for record in fleet._by_slot
+                    for entry in record.summaries.values()
+                )
+                signatures = sum(
+                    len(record.summaries) for record in fleet._by_slot
+                )
+                assert parked > signatures > 0
                 assert {
                     n: s.history for n, s in fleet.services.items()
                 } == ref_hist
 
-    def test_tombstones_remove_finished_goroutines_from_views(self):
-        """Goroutines alive at one ship and dead at the next must leave
-        the views via explicit tombstones (streaming never reships the
-        world, so a missed tombstone is a permanent ghost record)."""
+    def test_finished_goroutines_leave_the_summaries(self):
+        """Goroutines blocked at one ship and finished by the next must
+        leave their signature's count (a finish is just a dirty gid the
+        worker unfiles; streaming never reships the world, so a missed
+        finish is a permanent ghost member)."""
         reference, _ = _serial_reference(3, lingering=True)
         with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs(lingering=True):
                 fleet.add_service(config, seed=seed)
             fleet.start()
-            gids_per_window = []
             for w in range(3):
                 fleet.advance_window(WINDOW)
+                assert_summaries_only(fleet, reference[w])
                 assert fleet.snapshots() == reference[w]
-                gids_per_window.append({
-                    record.key: set(record.records)
-                    for record in fleet.services["payments"].instances
-                })
-        # non-vacuity: campers shipped in window 1 died in window 2, so
-        # some gids must have *left* a view between consecutive windows
-        departed = [
-            gids_per_window[w][key] - gids_per_window[w + 1][key]
-            for w in range(2)
-            for key in gids_per_window[w]
+        # non-vacuity: waiters blocked at one window finished by the next
+        blocked = [
+            {
+                (snapshot.name, r.gid)
+                for snapshot in reference[w]
+                for r in snapshot.runtime.records if r.is_blocked
+            }
+            for w in range(3)
         ]
-        assert any(departed), "no goroutine ever left a view; vacuous test"
+        assert any(blocked[w] - blocked[w + 1] for w in range(2)), (
+            "no blocked goroutine ever finished; vacuous test"
+        )
 
     def test_anti_entropy_resync_preserves_parity(self):
         reference, ref_hist = _serial_reference(4)
@@ -296,34 +348,27 @@ class TestCheckpointRestore:
         restored.advance_window(WINDOW)
         assert snapshot_instance(restored) == snapshot_instance(original)
         assert restored.metrics == original.metrics
-        # the stat row round-trips through a compressed stat block with
-        # every census field in use (a live runtime never has them all)
-        census = [pos + 1 for pos in range(len(GoroutineState))]
-        restored.runtime._state_census[:] = census
+        # the stat row round-trips through a compressed stat block
         block = zlib.compress(pack_row(restored), 1)
         (row,) = unpack_rows(zlib.decompress(block))
-        runtime, metrics = restored.runtime, restored.metrics
-        (t, cpu_percent, rss_bytes, blocked, goroutines,
-         requests_window, requests_total, steps, windows) = row[:F_CENSUS]
-        assert t == runtime.now
-        assert cpu_percent == restored.cpu_utilization()
-        assert rss_bytes == restored.rss()
-        assert blocked == runtime.blocked_goroutines_count
-        assert goroutines == runtime.num_goroutines
-        assert requests_window == metrics[-1].requests_served
-        assert requests_total == restored.requests_served
-        assert steps == runtime.steps
-        assert windows == len(metrics)
-        assert row[F_CENSUS:] == tuple(census)
+        runtime = restored.runtime
+        assert runtime.blocked_goroutines_count, "nothing parked; vacuous"
+        assert row[F_T] == runtime.now
+        assert row[F_CPU] == restored.cpu_utilization()
+        assert row[F_RSS] == restored.rss()
+        assert row[F_BLOCKED] == runtime.blocked_goroutines_count
+        assert row[F_GOROUTINES] == runtime.num_goroutines
+        assert len(row) == 5
 
     def test_resumed_trackers_ship_like_the_unmoved_instances(
         self, monkeypatch
     ):
-        """A checkpoint entry is ``(slot, blob)``, with no tracker state:
-        a worker that restores the checkpoint, or adopts its entries,
-        resumes each tracker with exactly the gids the source tracker
-        had shipped, and its next ship equals the source's.  The workers
-        run on threads, so the test sees their instances."""
+        """A checkpoint entry is ``(slot, blob)``, with no tracker or
+        index state: a worker that restores the checkpoint, or adopts
+        its entries, resumes each tracker clean and re-indexes the
+        restored goroutines, so its next ship (absolute per-signature
+        counts) and its pull equal the source's.  The workers run on
+        threads, so the test sees their instances."""
         built, restored = {}, []
 
         def build(config, seed, deploy_gen, index, mix, start_time):
@@ -374,16 +419,14 @@ class TestCheckpointRestore:
             assert (kind, window) == ("checkpoint", 2) and state["ok"]
             entries = state["entries"]
             assert [slot for slot, _blob in entries] == [0, 3]
-            shipped = [set(built[i].runtime._delta.shipped) for i in (0, 1)]
-            assert all(shipped), "nothing shipped; vacuous test"
+            assert all(
+                built[i].runtime.blocked_goroutines_count for i in (0, 1)
+            ), "nothing blocked; vacuous test"
             assert by_restore("restore", (window, entries)) == ("ok", 2, None)
             assert by_adopt("adopt", entries) == ("adopted", 0, None)
             assert len(restored) == 4
-            for inst, gids in zip(restored, shipped + shipped):
-                tracker = inst.runtime._delta
-                assert tracker.shipped == gids
-                assert not tracker.dirty and not tracker.finished
-                assert tracker.gc_sweeps == 0
+            for inst in restored:
+                assert not inst.runtime._delta.dirty
             ships = [
                 ask("advance", WINDOW, None)
                 for ask in (source, by_restore, by_adopt)
@@ -395,6 +438,18 @@ class TestCheckpointRestore:
             assert ships[1][2][:3] == (slots, block, deltas)
             assert ships[2][:2] == ("delta", 1)
             assert ships[2][2][:3] == (slots, block, deltas)
+            # the entries carry every member, not just this window's
+            counts = {entry[1]: entry[2] for _slot, _full, signature_entries
+                      in deltas for entry in signature_entries}
+            assert counts and max(counts.values()) > 12
+            pulls = [
+                (slots, pickle.loads(zlib.decompress(blob)))
+                for _kind, _window, (slots, blob) in (
+                    ask("snapshots") for ask in (source, by_restore, by_adopt)
+                )
+            ]
+            assert pulls[0] == pulls[1] == pulls[2]
+            assert len(pulls[0][1]) == 2
         finally:
             for conn, thread in zip(pipes, threads):
                 if thread.is_alive():
@@ -454,10 +509,12 @@ class TestCheckpointRestore:
     def test_async_interleavings_commit_identical_windows(self):
         """Arbitrary out-of-phase driving commits the same windows.
 
-        Shard 0 runs up to two windows ahead of shard 1; snapshots,
-        suspects, and histories must equal the lockstep (serial)
-        reference at every *committed* watermark along the way."""
-        reference, ref_hist = _serial_reference(3)
+        Shard 0 runs up to two windows ahead of shard 1; suspects must
+        equal the lockstep (serial) reference at every *committed*
+        watermark along the way, and snapshots — a pull, which barriers
+        first — whenever the shards are level.  A pull while a shard
+        runs ahead answers at the post-barrier watermark."""
+        reference, ref_hist = _serial_reference(4)
         with ShardedFleet(shards=2) as fleet:
             for config, seed in _configs():
                 fleet.add_service(config, seed=seed)
@@ -466,10 +523,11 @@ class TestCheckpointRestore:
             def check():
                 w = fleet.watermark
                 if w > 0:
-                    assert fleet.snapshots() == reference[w - 1]
                     assert fleet.suspects(threshold=1) == scan_fleet(
                         [s.profile() for s in reference[w - 1]], threshold=1
                     )
+                    if set(fleet.shard_windows) == {w}:
+                        assert fleet.snapshots() == reference[w - 1]
 
             def step(shard):
                 fleet.begin_advance(shard, WINDOW)
@@ -494,12 +552,18 @@ class TestCheckpointRestore:
             step(1)
             assert fleet.watermark == 3
             check()
+            step(0)  # shard 0 one ahead; the pull catches shard 1 up
+            assert fleet.shard_windows == (4, 3)
+            assert fleet.snapshots() == reference[3]
+            assert fleet.shard_windows == (4, 4)
+            assert fleet.watermark == 4
+            check()
             assert {
                 n: s.history for n, s in fleet.services.items()
             } == ref_hist
             exposition = obs.render()
-            assert "repro_fleet_watermark 3" in exposition
-            assert 'repro_fleet_shard_window{shard="0"} 3' in exposition
+            assert "repro_fleet_watermark 4" in exposition
+            assert 'repro_fleet_shard_window{shard="0"} 4' in exposition
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -625,33 +689,38 @@ class TestCheckpointRestore:
             assert fleet._checkpoints[0] is base
             assert fleet.checkpoints_taken == 1
 
-    def test_late_delta_after_tombstone_is_dropped(self):
-        """A delta older than the view watermark cannot resurrect dead
-        records — the guard that makes out-of-phase ingestion safe."""
-        reference, _ = _serial_reference(3, lingering=True)
+    def test_stale_delta_cannot_resurrect_a_signature(self):
+        """A delta older than the record's watermark cannot bring back a
+        signature a newer delta removed — the guard that makes
+        out-of-phase ingestion safe."""
+        serial = Fleet()
+        for config, seed in _configs():
+            serial.add(Service(config, seed=seed))
+        serial.advance_window(WINDOW)
+        serial.services["payments"].deploy(clean_mix())
+        serial.advance_window(WINDOW)
+        reference = [snapshot_instance(i) for i in serial.all_instances()]
         with ShardedFleet(shards=2) as fleet:
-            for config, seed in _configs(lingering=True):
+            for config, seed in _configs():
                 fleet.add_service(config, seed=seed)
             fleet.start()
             fleet.advance_window(WINDOW)
             record = fleet.services["payments"].instances[0]
-            held_at_w1 = dict(record.records)
+            held_at_w1 = list(record.summaries.values())
+            assert held_at_w1, "no signature at window 1; vacuous test"
+            fleet.services["payments"].deploy(clean_mix())
             fleet.advance_window(WINDOW)
-            departed = set(held_at_w1) - set(record.records)
-            assert departed, "no camper died between windows; vacuous test"
-            # replay window 1's records straight at the record: refused
-            stale = (
-                record.slot, False,
-                [held_at_w1[gid] for gid in sorted(departed)], (), None,
-            )
+            assert record.window == 2 and record.summaries == {}
+            # replay window 1's entries straight at the record: refused
+            stale = (record.slot, False, held_at_w1)
             assert record.apply(stale, window=1) is False
-            assert not departed & set(record.records), "ghost resurrected"
-            # and through the fleet ingest path: counted, signatures unfed
+            assert record.summaries == {}, "ghost resurrected"
+            # and through the fleet ingest path: counted, summaries unfed
             before = fleet.suspects(threshold=1)
             fleet._apply_deltas((1, (), b"", [stale]))
             assert fleet.stale_deltas == 1
             assert fleet.suspects(threshold=1) == before
-            assert fleet.snapshots() == reference[1]
+            assert fleet.snapshots() == reference
             assert "repro_fleet_stale_deltas_total 1" in obs.render()
 
     def test_every_view_reads_the_watermark_after_each_commit(self):
