@@ -31,9 +31,10 @@ shard and simply counts the declined checkpoint.
 The same blobs are the unit of shard *re-balancing*: an all-or-nothing
 ``evict`` checkpoints the moving instances out of their source worker
 and ``adopt`` restores them on the target.  An entry is ``(slot,
-blob)`` and carries no delta-tracker state: at a checkpoint every live
-goroutine has been shipped and no sweep has run, so a restored
-instance's tracker resumes from its restored gids.  The blob dict and
+blob)`` and carries no unshipped-change state: at a checkpoint every
+live goroutine has been shipped and no sweep has run, so a restored
+instance starts with an empty change set and an index of its restored
+gids.  The blob dict and
 the entry format are specified normatively in
 ``docs/STREAMING_PROTOCOL.md`` §5, the evict/adopt atomicity rules in
 §7.
@@ -146,7 +147,7 @@ def checkpoint_instance(instance: Any) -> Dict[str, Any]:
         "traffic": instance.traffic,
         "cpu_model": instance.cpu_model,
         "requests_served": instance.requests_served,
-        "metrics": list(instance.metrics),
+        "last_metrics": instance.last_metrics,
         "runtime": {
             "rng_state": runtime.rng.getstate(),
             "now": runtime.now,
@@ -185,7 +186,7 @@ def restore_instance(blob: Dict[str, Any]) -> Any:
         start_time=runtime_state["now"],
     )
     instance.requests_served = blob["requests_served"]
-    instance.metrics = list(blob["metrics"])
+    instance.last_metrics = blob["last_metrics"]
 
     runtime = instance.runtime
     runtime.rng.setstate(runtime_state["rng_state"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro import obs
 from repro.obs.fold import GCTally, Stats, Tally
@@ -102,7 +102,8 @@ class ServiceInstance:
         if gc_interval is not None:
             self.runtime.enable_gc(gc_interval, policy=gc_policy)
         self.requests_served = 0
-        self.metrics: List[InstanceMetrics] = []
+        #: The last window's sample (None before the first window).
+        self.last_metrics: Optional[InstanceMetrics] = None
         #: Windows not yet folded into the registry (seconds and
         #: requests), drained by the window's owner (see :func:`drain`).
         self.window_tally = Tally()
@@ -155,7 +156,7 @@ class ServiceInstance:
             requests_served=request_count,
             blocked_goroutines=blocked,
         )
-        self.metrics.append(sample)
+        self.last_metrics = sample
         if counted:
             self.window_tally.add(_monotonic() - started, request_count)
         return sample
@@ -180,11 +181,13 @@ class ServiceInstance:
         runtime = self.runtime
         now = runtime.now
         blocked = runtime.blocked_goroutines_count
-        metrics = self.metrics
-        if metrics:
-            last = metrics[-1]
-            if last.t == now and last.blocked_goroutines == blocked:
-                return last.cpu_percent
+        last = self.last_metrics
+        if (
+            last is not None
+            and last.t == now
+            and last.blocked_goroutines == blocked
+        ):
+            return last.cpu_percent
         return self.cpu_model.utilization(now, blocked)
 
     def profile(self) -> GoroutineProfile:

@@ -91,9 +91,9 @@ Supervision guarantee
 The same purity is what makes crash recovery *provably correct*.  The
 parent keeps, per shard, a journal of every state-mutating command
 (``init``/``advance``/``restart``/``evict``/``adopt``) since
-``start()``.  Worker replies are collected with poll-with-deadline
+``start()``.  Worker replies are collected by one wait with a deadline
 instead of a blocking ``recv()``, so a dead worker (SIGKILL'd, OOM'd,
-wedged) is *detected* — via ``Process.is_alive()``, pipe EOF, or
+wedged) is *detected* — by its process sentinel, pipe EOF, or
 deadline expiry — never waited on forever.  Recovery respawns the
 worker and replays its journal: every instance is rebuilt through
 ``fleet.determinism.build_instance`` and re-advanced through the exact
@@ -151,7 +151,6 @@ from repro.snapshot.delta import (
     F_RSS,
     F_T,
     ROW_BYTES,
-    DeltaTracker,
     SignatureEntry,
     WireDelta,
     WireRecord,
@@ -226,8 +225,9 @@ def _shard_worker(conn) -> None:
     by slot; which shard owns a slot is known only to the parent.
     """
     #: slot -> instance (init and adopt add, restart overwrites in
-    #: place, evict deletes).  Each runtime's ``_delta`` is its
-    #: ``DeltaTracker``.
+    #: place, evict deletes).  Each runtime's ``_delta`` is the set of
+    #: gids that parked, woke or took a new gc verdict since its last
+    #: ship.
     instances: Dict[int, ServiceInstance] = {}
     #: slot -> the instance's blocked goroutines filed by gid.
     signatures: Dict[int, SignatureAccumulator] = {}
@@ -243,7 +243,7 @@ def _shard_worker(conn) -> None:
     def _reindex(slot: int) -> List[SignatureEntry]:
         """Index ``slot``'s live goroutines afresh: its full entries."""
         runtime = instances[slot].runtime
-        runtime._delta.dirty.clear()
+        runtime._delta.clear()
         index = signatures[slot] = SignatureAccumulator()
         return _ship(index, runtime, runtime._goroutines)
 
@@ -258,7 +258,7 @@ def _shard_worker(conn) -> None:
                 inst = instances.get(slot)
                 if inst is None:
                     raise CheckpointUnsupported(f"unknown slot {slot}")
-                if inst.runtime._delta.dirty:  # pragma: no cover
+                if inst.runtime._delta:  # pragma: no cover
                     # a barrier precedes every checkpoint and eviction
                     raise CheckpointUnsupported(
                         f"unshipped deltas for {inst.name}"
@@ -269,18 +269,18 @@ def _shard_worker(conn) -> None:
         return {"ok": True, "entries": entries}
 
     def _thaw(entries) -> None:
-        """Restore checkpointed instances, each with a clean tracker and
-        an index of its restored goroutines: nothing is unshipped at a
-        checkpoint, so that is what the parent's summaries reflect."""
+        """Restore checkpointed instances, each with an empty change set
+        and an index of its restored goroutines: nothing is unshipped at
+        a checkpoint, so that is what the parent's summaries reflect."""
         for slot, blob in entries:
             inst = instances[slot] = restore_instance(blob)
-            inst.runtime._delta = DeltaTracker()
+            inst.runtime._delta = set()
             _reindex(slot)
 
     def _delta_reply(slots, full: bool = False):
         """The reply to a delta command over the instances in ``slots``.
 
-        Each instance's dirty gids are shipped (:func:`_ship`); ``full``
+        Each instance's changed gids are shipped (:func:`_ship`); ``full``
         re-indexes its live goroutines.  Entries name only instances
         with something to report.  Every instance in ``slots`` gets a
         stat row: the block is their packed rows in slot order,
@@ -296,9 +296,8 @@ def _shard_worker(conn) -> None:
                 entries.append((slot, True, _reindex(slot)))
                 continue
             runtime = instances[slot].runtime
-            dirty = runtime._delta.dirty
-            changed = _ship(signatures[slot], runtime, dirty)
-            dirty.clear()
+            changed = _ship(signatures[slot], runtime, runtime._delta)
+            runtime._delta.clear()
             if changed:
                 entries.append((slot, False, changed))
         touched = [instances[slot] for slot in slots]
@@ -308,13 +307,13 @@ def _shard_worker(conn) -> None:
         ))
 
     def _build(config, seed, deploy_gen, pairs, mix, start_time):
-        """Build the instances of ``(slot, index)`` pairs, each with a
-        fresh tracker (its first ship is full); return their slots."""
+        """Build the instances of ``(slot, index)`` pairs, each with an
+        empty change set (its first ship is full); return their slots."""
         for slot, index in pairs:
             inst = _build_instance(
                 config, seed, deploy_gen, index, mix, start_time
             )
-            inst.runtime._delta = DeltaTracker()
+            inst.runtime._delta = set()
             instances[slot] = inst
         return [slot for slot, _index in pairs]
 
@@ -916,8 +915,11 @@ class ShardedFleet:
             pass
 
     def _recv(self, shard: int, deadline: float) -> Tuple[str, int, Any]:
-        """Poll-with-deadline reply collection — never a blocking recv.
+        """Deadline-bounded reply collection — never a blocking recv.
 
+        Waits once, up to ``deadline``, on the reply pipe and the
+        worker's process sentinel.  A ready pipe is read even when the
+        worker has died since: a reply that beat the death still counts.
         Receives raw bytes (for exact wire accounting) and unpickles
         here — ``Connection.recv()`` is precisely this two-step.  Raises
         :class:`_WorkerFault` on pipe EOF, worker death, deadline
@@ -926,32 +928,20 @@ class ShardedFleet:
         rebuilds it from scratch).
         """
         conn = self._conns[shard]
-        while True:
-            try:
-                # A generous poll quantum: data arrival (and pipe EOF
-                # from a dying worker) wakes the select immediately, so
-                # the quantum only bounds how often an *idle* parent
-                # wakes to run the liveness/deadline checks — and on a
-                # loaded single-CPU host every spurious parent wake
-                # preempts the worker mid-window.
-                if conn.poll(0.25):
-                    return self._decode(shard, conn.recv_bytes())
-            except (EOFError, BrokenPipeError, OSError):
-                raise _WorkerFault(shard, "pipe EOF (worker died)")
-            proc = self._procs[shard]
-            if proc is None or not proc.is_alive():
-                # One last drain: the reply may have beaten the death.
-                try:
-                    if conn.poll(0.05):
-                        return self._decode(shard, conn.recv_bytes())
-                except (EOFError, BrokenPipeError, OSError, _WorkerFault):
-                    pass
-                raise _WorkerFault(shard, "worker process dead")
-            if _monotonic() > deadline:
-                raise _WorkerFault(
-                    shard,
-                    f"no reply within worker_deadline={self.worker_deadline}s",
-                )
+        try:
+            ready = _mp_wait(
+                (conn, self._procs[shard].sentinel),
+                max(0.0, deadline - _monotonic()),
+            )
+            if conn in ready:
+                return self._decode(shard, conn.recv_bytes())
+        except (EOFError, OSError):
+            raise _WorkerFault(shard, "pipe EOF (worker died)")
+        if ready:
+            raise _WorkerFault(shard, "worker process dead")
+        raise _WorkerFault(
+            shard, f"no reply within worker_deadline={self.worker_deadline}s",
+        )
 
     def _decode(self, shard: int, buf: bytes) -> Tuple[str, int, Any]:
         self.wire_bytes_total += len(buf)
@@ -1214,8 +1204,9 @@ class ShardedFleet:
         """Collect any ready async replies; commit newly-complete windows.
 
         Returns how many replies were collected.  Detects dead/wedged
-        workers while polling (pipe EOF wakes the wait; a worker silent
-        past ``worker_deadline`` is respawned).
+        workers while polling (a reply, pipe EOF or the worker's exit
+        wakes the wait; a worker silent past ``worker_deadline`` is
+        respawned).
         """
         busy = [
             shard for shard in range(self.num_shards)
@@ -1223,20 +1214,20 @@ class ShardedFleet:
         ]
         if not busy:
             return 0
-        conn_of = {self._conns[shard]: shard for shard in busy}
+        shard_of = {}
+        for shard in busy:
+            shard_of[self._conns[shard]] = shard
+            shard_of[self._procs[shard].sentinel] = shard
         try:
-            ready = _mp_wait(list(conn_of), timeout)
+            ready = _mp_wait(list(shard_of), timeout)
         except OSError:  # pragma: no cover - dying pipe mid-wait
-            ready = list(conn_of)
-        ready_shards = {conn_of[conn] for conn in ready}
+            ready = list(shard_of)
+        ready_shards = {shard_of[obj] for obj in ready}
         now = _monotonic()
         collected = 0
         for shard in busy:
-            proc = self._procs[shard]
             if (
                 shard in ready_shards
-                or proc is None
-                or not proc.is_alive()
                 or now - self._sent_at[shard] > self.worker_deadline
             ):
                 self._collect_shard(shard)

@@ -126,7 +126,7 @@ def run_sweep(
                 goro.gc_verdict = value
                 if delta is not None:
                     # A verdict change alters the shipped record.
-                    delta.mark(gid)
+                    delta.add(gid)
 
     newly_proven = list(result.proofs.values())
     state.proven.update(result.proofs)

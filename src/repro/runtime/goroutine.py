@@ -183,7 +183,10 @@ class Goroutine:
     # census array — that invariant is what makes ``num_goroutines``,
     # ``blocked_goroutines_count`` and ``state_census`` O(1) reads.  The
     # updates are inlined (rather than a shared helper) because these are
-    # the hottest three functions in the interpreter.
+    # the hottest three functions in the interpreter.  They are also the
+    # only ways into and out of a blocked state, so they mark the gid in
+    # the runtime's ``_delta`` set (a shard worker's unshipped changes):
+    # a parked goroutine's profile entry is fixed until it is woken.
 
     def block(self, state: GoroutineState, waiting_on: Any = None) -> None:
         """Park the goroutine; records when and on what it blocked.
@@ -201,6 +204,8 @@ class Goroutine:
         self.waiting_on = waiting_on
         self.blocked_since = runtime.now
         self._cached_stack = None
+        if runtime._delta is not None:
+            runtime._delta.add(self.gid)
 
     def make_runnable(self, value: Any = None) -> None:
         """Wake the goroutine with ``value`` as the result of its last op.
@@ -221,6 +226,8 @@ class Goroutine:
         self.gc_verdict = None
         self._cached_stack = None
         runtime._run_queue.append(self)
+        if runtime._delta is not None:
+            runtime._delta.add(self.gid)
 
     def throw(self, exc: BaseException) -> None:
         """Wake the goroutine by throwing ``exc`` at its suspension point."""
@@ -235,6 +242,8 @@ class Goroutine:
         self.gc_verdict = None
         self._cached_stack = None
         runtime._run_queue.append(self)
+        if runtime._delta is not None:
+            runtime._delta.add(self.gid)
 
     # -- introspection (what goleak/leakprof consume) -----------------------
 

@@ -286,9 +286,12 @@ class Runtime:
         #: Lazily-created repro.gc state (tracker + engine + reports).
         self._gc_state: Optional[Any] = None
         self._gc_timer: Optional[_Timer] = None
-        #: Optional snapshot.delta.DeltaTracker for streaming shipping;
-        #: fed at the same mutation points as the gc tracker.
-        self._delta: Optional[Any] = None
+        #: A shard worker's unshipped changes: the gids whose profile
+        #: entry may have moved since the last ship, added where a
+        #: goroutine parks or wakes (``Goroutine.block``,
+        #: ``make_runnable``, ``throw``) and where a gc sweep stamps a
+        #: new verdict.  None outside a worker.
+        self._delta: Optional[set] = None
         #: Runs not yet folded into the registry (seconds and steps),
         #: drained by whoever owns them (see repro.obs.fold).  Keep the
         #: instance attributes at 29 or fewer: past that CPython 3.11
@@ -428,8 +431,6 @@ class Runtime:
         self._goroutine_bytes += goro.stack_bytes
         if self._gc_state is not None:
             self._gc_state.tracker.mark_dirty(gid)
-        if self._delta is not None:
-            self._delta.mark(gid)
         if is_main:
             self.main = goro
         self._run_queue.append(goro)
@@ -446,8 +447,6 @@ class Runtime:
         self.goroutines_finished += 1
         if self._gc_state is not None:
             self._gc_state.tracker.forget(goro.gid)
-        if self._delta is not None:
-            self._delta.mark(goro.gid)
         # Done goroutines leave the address space entirely; a main's
         # reaper reads its result from the goroutine it holds.
         self._goroutines.pop(goro.gid, None)
@@ -464,8 +463,6 @@ class Runtime:
         self._goroutines.pop(goro.gid, None)
         if self._gc_state is not None:
             self._gc_state.tracker.forget(goro.gid)
-        if self._delta is not None:
-            self._delta.mark(goro.gid)
         if self.panic_mode == "raise":
             raise exc
 
@@ -521,11 +518,9 @@ class Runtime:
                     while True:
                         steps += 1
                         # Frame locals can only change while the goroutine
-                        # runs, so this is where the trackers are told.
+                        # runs, so this is where the gc tracker is told.
                         if self._gc_state is not None:
                             self._gc_state.tracker.mark_dirty(gid)
-                        if self._delta is not None:
-                            self._delta.mark(gid)
                         try:
                             if exc is None:
                                 op = gen.send(value)

@@ -3,7 +3,6 @@ instances that every detection tool consumes — the contract that lets
 fleet instances run in worker processes (see repro.fleet.shard).
 """
 
-from .delta import DeltaTracker
 from .model import (
     GCSnapshot,
     InstanceSnapshot,
@@ -13,7 +12,6 @@ from .model import (
 )
 
 __all__ = [
-    "DeltaTracker",
     "GCSnapshot",
     "InstanceSnapshot",
     "RuntimeSnapshot",

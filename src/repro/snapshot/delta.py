@@ -6,19 +6,21 @@ far less: LeakProf judges a source location by how many goroutines are
 blocked there (§V-A), so per instance the answer grows with the number
 of *signatures*, not with the number of parked goroutines.
 
-This module holds what a shard worker ships, and the change tracker it
-ships from:
+This module holds what a shard worker ships.  What changed since the
+last ship is a plain set of gids on the runtime, ``runtime._delta``: a
+goroutine's profile entry (wait state, blocking frame, verdict) is
+fixed from the moment it parks until it is woken, so a gid is added
+only where it parks (``Goroutine.block``), wakes
+(``Goroutine.make_runnable``, ``Goroutine.throw``) or takes a new gc
+verdict (``repro.gc.sweep``).  A filed goroutine is woken before it can
+finish, so its wake is what unfiles it.  At a ship boundary the worker
+drains the set into its per-instance signature index
+(``repro.fleet.shard``).
 
-* :class:`DeltaTracker` lives worker-side, attached to a runtime as
-  ``runtime._delta`` (mirroring the ``gc.refs`` dirty-gid machinery).
-  The scheduler marks a goroutine dirty at every point its record can
-  change (spawn, step, gc-verdict stamp) and when it finishes; at a
-  ship boundary the worker drains the dirty set into its per-instance
-  signature index (``repro.fleet.shard``).
-* :data:`SignatureEntry` and :data:`WireDelta` are what one ship carries
-  per changed signature and per instance.  Entries hold *absolute*
-  values, so applying one twice changes nothing, which is what lets
-  journal-replay crash recovery re-apply an in-flight window.
+:data:`SignatureEntry` and :data:`WireDelta` are what one ship carries
+per changed signature and per instance.  Entries hold *absolute*
+values, so applying one twice changes nothing, which is what lets
+journal-replay crash recovery re-apply an in-flight window.
 
 The representative travels as a :data:`WireRecord`: a record template
 with ``wait_seconds=0.0`` plus ``blocked_since``; its age is a
@@ -99,21 +101,3 @@ def wire_record(goro) -> WireRecord:
         template = template.aged(0.0)
     return (template, goro.blocked_since)
 
-
-class DeltaTracker:
-    """Worker-side change tracker for one runtime (``runtime._delta``).
-
-    The scheduler feeds it through one hook, :meth:`mark`, wherever a
-    goroutine's observable record can change (spawn, step, gc-verdict
-    stamp) and when it finishes.  ``dirty`` is the set of gids marked
-    since the worker last drained it; a finished gid is just a dirty gid
-    the runtime no longer holds.
-    """
-
-    __slots__ = ("dirty",)
-
-    def __init__(self) -> None:
-        self.dirty: set = set()
-
-    def mark(self, gid: int) -> None:
-        self.dirty.add(gid)

@@ -179,13 +179,12 @@ def snapshot_runtime(runtime: "Runtime") -> RuntimeSnapshot:
 
 def snapshot_instance(instance: Any) -> InstanceSnapshot:
     """Freeze one :class:`~repro.fleet.ServiceInstance` (duck-typed)."""
-    metrics = instance.metrics
     return _new(InstanceSnapshot, (
         instance.service,
         instance.name,
         instance.requests_served,
         instance.cpu_utilization(),
         RuntimeSnapshot.of(instance.runtime),
-        metrics[-1] if metrics else None,
+        instance.last_metrics,
     ))
 

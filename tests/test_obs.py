@@ -640,9 +640,10 @@ class TestScrapeParity:
         serial fleet's — merged into the same label sets, each command's
         counts folded exactly once."""
         serial, fleet = scrape_after_week(Fleet)
-        served = [m.requests_served
+        # the idle service's requests per window, from its traffic shape
+        served = [i.traffic.requests_at(w * 3600.0)
                   for i in fleet.services["idle"].instances
-                  for m in i.metrics]
+                  for w in range(PARITY_WINDOWS)]
         assert 0 in served and max(served) > 0, "no idle window; vacuous"
         assert all(value is not None for value in serial.values())
         # one run per request, plus one per zero-request window

@@ -118,7 +118,7 @@ def keyword_instance_snapshot(instance):
             rt.now, rt.blocked_goroutines_count
         ),
         runtime=keyword_runtime_snapshot(rt),
-        last_metrics=instance.metrics[-1] if instance.metrics else None,
+        last_metrics=instance.last_metrics,
     )
 
 

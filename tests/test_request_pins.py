@@ -127,7 +127,7 @@ def _gc_report(report):
     )
 
 
-def _internal(instance):
+def _internal(instance, samples):
     rt = instance.runtime
     return (
         instance.name,
@@ -138,7 +138,7 @@ def _internal(instance):
         rt.cpu_seconds,
         rt.rng.getstate(),
         instance.requests_served,
-        tuple(instance.metrics),
+        tuple(samples),
         tuple(_gc_report(r) for r in rt.gc_reports),
     )
 
@@ -147,15 +147,21 @@ def digests(fleet, windows, window):
     """Run ``windows`` windows; return (observed, internal) hex digests.
 
     ``internal`` is None for a sharded fleet, whose runtimes live in its
-    workers.
+    workers.  An instance keeps only its last window's sample, so the
+    serial fleet's samples are collected here, window by window.
     """
     observed = hashlib.sha256()
+    samples = {}
     for _ in range(windows):
         fleet.advance_window(window)
         if isinstance(fleet, ShardedFleet):
             snaps = fleet.snapshots()
         else:
             snaps = [snapshot_instance(i) for i in fleet.all_instances()]
+            for instance in fleet.all_instances():
+                samples.setdefault(instance.name, []).append(
+                    instance.last_metrics
+                )
         for snap in snaps:
             observed.update(repr(_snapshot(snap)).encode())
     for name, service in fleet.services.items():
@@ -164,7 +170,9 @@ def digests(fleet, windows, window):
         return observed.hexdigest(), None
     internal = hashlib.sha256()
     for instance in fleet.all_instances():
-        internal.update(repr(_internal(instance)).encode())
+        internal.update(
+            repr(_internal(instance, samples[instance.name])).encode()
+        )
     return observed.hexdigest(), internal.hexdigest()
 
 
@@ -346,17 +354,18 @@ def test_cases_exercise_their_edges():
     """Each case really reaches the edge it is named for."""
     configs, windows, window = CASES["zero-request"]
     fleet = serial(configs())
+    served = []
     for _ in range(windows):
         fleet.advance_window(window)
-    served = [m.requests_served
-              for i in fleet.all_instances() for m in i.metrics]
+        served += [i.last_metrics.requests_served
+                   for i in fleet.all_instances()]
     assert 0 in served and max(served) >= 2
 
     configs, windows, window = CASES["overrun"]
     fleet = serial(configs())
     fleet.advance_window(window)
     instance = fleet.all_instances()[0]
-    assert instance.metrics[-1].requests_served * 30.0 > window
+    assert instance.last_metrics.requests_served * 30.0 > window
     assert instance.runtime.now > window
 
     configs, windows, window = CASES["gc-reclaim"]

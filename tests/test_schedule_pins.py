@@ -14,8 +14,8 @@ Locations are reduced to file basenames so the pins hold in any checkout.
 Two cases pin the loop's edges: a ``max_steps`` budget raises
 ``SchedulerExhausted`` at the same step count with the goroutine that
 was running left RUNNABLE at the head of the queue, and a run with a
-streaming ``DeltaTracker`` attached takes the same schedule as one
-without.
+shard worker's change set (``Runtime._delta``) attached takes the same
+schedule as one without.
 """
 
 import functools
@@ -38,7 +38,6 @@ from repro.runtime import (
     recv,
     send,
 )
-from repro.snapshot.delta import DeltaTracker
 
 HEALTHY = sorted(
     (name, fn)
@@ -186,11 +185,13 @@ def test_target_schedule_is_pinned(index):
 
 @pytest.mark.parametrize("name,body", BODIES, ids=[n for n, _ in BODIES])
 def test_delta_tracker_leaves_the_schedule_alone(name, body):
-    tracker = DeltaTracker()
+    tracker = set()
     with_tracker = run_body(body, tracker)
     assert observe(with_tracker) == observe(run_body(body))
-    # Every goroutine still alive was marked as it ran or spawned.
-    assert {g.gid for g in with_tracker.live_goroutines()} <= tracker.dirty
+    # Every goroutine still parked was marked when it parked.
+    assert {
+        g.gid for g in with_tracker.live_goroutines() if g.blocked
+    } <= tracker
 
 
 SPINS = 50

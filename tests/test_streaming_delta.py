@@ -33,9 +33,20 @@ from repro.fleet import (
     restore_instance,
 )
 from repro.fleet import shard as shard_module
+from repro.gc import ReclaimPolicy
 from repro.leakprof import LeakProf, scan_fleet
-from repro.patterns import healthy, timeout_leak
-from repro.runtime import go, recv, send, sleep
+from repro.leakprof.detector import SignatureAccumulator
+from repro.patterns import healthy, premature_return, timeout_leak
+from repro.runtime import (
+    NIL_CHANNEL,
+    Runtime,
+    case_recv,
+    go,
+    recv,
+    select,
+    send,
+    sleep,
+)
 from repro.snapshot import snapshot_instance
 from repro.snapshot.delta import (
     F_BLOCKED,
@@ -280,6 +291,44 @@ class TestOnlineScorer:
                 )
                 assert fleet.suspects(threshold=threshold) == batch
 
+    def test_suspects_match_batch_scan_with_sweeps_spanning_windows(self):
+        """gc sweeps every 1800 s over 600 s windows: a window with no
+        sweep ships no verdict, and the next sweep restamps goroutines
+        that parked windows ago without waking them."""
+        configs = [
+            ServiceConfig(
+                name="observe", mix=leaky_mix(), instances=2,
+                traffic=TrafficShape(requests_per_window=3),
+                gc_interval=1800.0,
+            ),
+            ServiceConfig(
+                name="reclaim",
+                mix=RequestMix().add(
+                    "early", premature_return.leaky, weight=1.0
+                ),
+                instances=1,
+                traffic=TrafficShape(requests_per_window=3),
+                gc_interval=1800.0,
+                gc_policy=ReclaimPolicy.RECLAIM,
+            ),
+        ]
+        proofs = set()
+        with ShardedFleet(shards=2) as fleet:
+            for n, config in enumerate(configs):
+                fleet.add_service(config, seed=31 + n)
+            fleet.start()
+            for _ in range(8):
+                fleet.advance_window(600.0)
+                snapshots = fleet.snapshots()
+                batch = scan_fleet(
+                    [s.profile() for s in snapshots], threshold=1
+                )
+                assert fleet.suspects(threshold=1) == batch
+                proofs |= {
+                    r.proof for s in snapshots for r in s.runtime.records
+                }
+        assert {"proven", None} <= proofs, "no sweep stamped; vacuous"
+
     def test_streaming_run_matches_daily_run(self):
         """LeakProf.streaming_run (signature indexes, zero wire traffic)
         files the same reports as daily_run over shipped snapshots."""
@@ -347,7 +396,7 @@ class TestCheckpointRestore:
         original.advance_window(WINDOW)
         restored.advance_window(WINDOW)
         assert snapshot_instance(restored) == snapshot_instance(original)
-        assert restored.metrics == original.metrics
+        assert restored.last_metrics == original.last_metrics
         # the stat row round-trips through a compressed stat block
         block = zlib.compress(pack_row(restored), 1)
         (row,) = unpack_rows(zlib.decompress(block))
@@ -426,7 +475,7 @@ class TestCheckpointRestore:
             assert by_adopt("adopt", entries) == ("adopted", 0, None)
             assert len(restored) == 4
             for inst in restored:
-                assert not inst.runtime._delta.dirty
+                assert not inst.runtime._delta
             ships = [
                 ask("advance", WINDOW, None)
                 for ask in (source, by_restore, by_adopt)
@@ -932,3 +981,91 @@ class TestRebalance:
             assert {
                 n: s.history for n, s in fleet.services.items()
             } == ref_hist
+
+
+def _sender(ch):
+    yield send(ch, 1)
+
+
+def _receiver(ch):
+    yield recv(ch)
+
+
+def _selector(a, b):
+    yield select(case_recv(a), case_recv(b))
+
+
+def _nil_waiter():
+    yield recv(NIL_CHANNEL)
+
+
+class TestChangeMarks:
+    """A worker ships the gids in ``runtime._delta``, which only a park
+    (``Goroutine.block``), a wake (``make_runnable``, ``throw``) and a
+    new gc verdict add to.  After every ship the worker's incremental
+    signature index, and the entries the parent folded, must equal a
+    fresh index of the live goroutines: any missing mark leaves a
+    member filed, unfiled or stamped with an old verdict."""
+
+    def test_each_transition_ships_what_a_reindex_would(self):
+        rt = Runtime(seed=1, panic_mode="record")
+        rt._delta = set()
+        index, mirror = SignatureAccumulator(), {}
+
+        def ship():
+            entries = shard_module._ship(index, rt, rt._delta)
+            rt._delta.clear()
+            for entry in entries:
+                if entry[2]:
+                    mirror[entry[:2]] = entry
+                else:
+                    mirror.pop(entry[:2], None)
+            fresh = SignatureAccumulator()
+            full = shard_module._ship(fresh, rt, rt._goroutines)
+            assert (index._sigs, index._sig_of) == (
+                fresh._sigs, fresh._sig_of
+            )
+            assert mirror == {entry[:2]: entry for entry in full}
+            return {entry[:3] for entry in entries}
+
+        held, ready, c, d, closing = (rt.make_chan(0) for _ in range(5))
+        rt.gc_roots.append(held)  # its waiter stays live until unpinned
+        # parks on send, receive, select and a nil channel
+        rt.spawn(_sender, held)
+        waiter = rt.spawn(_receiver, ready)
+        rt.spawn(_selector, c, d)
+        rt.spawn(_nil_waiter)
+        doomed = rt.spawn(_sender, closing)
+        rt.run_until_quiescent()
+        parked = ship()
+        assert [entry[0] for entry in sorted(parked)] == [
+            "chan receive", "chan receive", "chan send", "select",
+        ]
+        send_signature = index.signature_of(doomed.gid)
+        waiter_signature = index.signature_of(waiter.gid)
+
+        # a wake by delivery: the waiter takes the value and finishes
+        rt.spawn(_sender, ready)
+        rt.run_until_quiescent()
+        assert not waiter.alive
+        assert ship() == {waiter_signature + (0,)}
+
+        # one ship later, close() panics the sender parked on it
+        closing.close()
+        rt.run_until_quiescent()
+        assert [goro for goro, _exc in rt.panics] == [doomed]
+        assert ship() == {send_signature + (1,)}
+
+        # verdict flips with no wake: first stamps, then live -> proven
+        assert rt.gc().proven_leaked == 2
+        assert len(ship()) == 3
+        rt.gc_roots.remove(held)
+        assert rt.gc().proven_leaked == 3
+        assert ship() == {send_signature + (1,)}
+        assert mirror[send_signature][4] is True
+
+        # a reclaim unwinds every proven leak
+        assert rt.gc(policy=ReclaimPolicy.RECLAIM).reclaim.reclaimed == 3
+        rt.run_until_quiescent()
+        assert len(ship()) == 3
+        assert not mirror and not rt.live_goroutines()
